@@ -24,11 +24,15 @@ from .variation import (canonical_decomposition, max_variation_chain,
                         total_variation)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} in JSON input")
+
+
 def _load_json(source: str):
     if os.path.exists(source):
         with open(source) as handle:
-            return json.load(handle)
-    return json.loads(source)
+            return json.load(handle, parse_constant=_reject_constant)
+    return json.loads(source, parse_constant=_reject_constant)
 
 
 def _interval_phi_from_json(obj) -> IntervalSetFunction:

@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .choquet import BoundedFunction, choquet
-from .setfunctions import PreconditionError, SetFunction, is_submodular
+from .setfunctions import (PreconditionError, SetFunction, is_submodular,
+                           subset_sums)
 from .variation import total_variation
 
 
@@ -53,7 +54,7 @@ class FubiniInstance:
             if not verdict:
                 raise PreconditionError(
                     f"phi is not submodular (witness {verdict.witness})")
-            if min(phi.table()) < -tol:
+            if float(phi.values.min()) < -tol:
                 raise PreconditionError("phi must be nonnegative")
         return cls(lam, pi, F, phi, validated=validate)
 
@@ -160,19 +161,17 @@ def uniform_continuity_modulus(phi: SetFunction, pi,
         raise PreconditionError("pi entries must be positive")
     if len(pi) != phi.n:
         raise ValueError("pi length must match the ground set")
-    vals = phi.table()
-    size = len(vals)
-    sym_measure = [sum(w for x, w in enumerate(pi) if mask >> x & 1)
-                   for mask in range(size)]
-    gaps = []
-    for s in range(size):
-        for t in range(s + 1, size):
-            gaps.append((abs(vals[s] - vals[t]), sym_measure[s ^ t]))
+    vals = phi.values
+    s, t = np.triu_indices(vals.size, 1)
+    gaps = np.abs(vals[s] - vals[t])
+    order = np.argsort(-gaps, kind="stable")
+    descending = gaps[order]
+    # delta over the pairs with the largest gaps, one more pair at a time
+    running_min = np.minimum.accumulate(subset_sums(pi)[s ^ t][order])
     if epsilons is None:
-        distinct = sorted({g for g, _ in gaps if g > 0})
+        distinct = np.unique(gaps[gaps > 0]).tolist()
         epsilons = distinct if distinct else [1.0]
-    table = []
-    for eps in epsilons:
-        qualifying = [d for g, d in gaps if g >= eps]
-        table.append((eps, min(qualifying) if qualifying else math.inf))
-    return table
+    qualifying = np.searchsorted(-descending, -np.asarray(epsilons, dtype=np.float64),
+                                 side="right")
+    return [(eps, float(running_min[count - 1]) if count else math.inf)
+            for eps, count in zip(epsilons, qualifying.tolist())]

@@ -1,41 +1,108 @@
 """Independent brute-force oracles used to cross-check the fast routes.
 
 These deliberately avoid the shortcuts taken by the main modules
-(local submodularity characterization, single-element-step DP) so that
+(local submodularity characterization, single-element-step DP,
+difference kernels over the value array, sorted gaps) so that
 agreement between the two routes is meaningful evidence.
 """
 
 from __future__ import annotations
 
+import math
+
 from .setfunctions import SetFunction, Verdict
 
 
-def submodular_by_pairs(phi: SetFunction, tol: float = 1e-9) -> Verdict:
-    """Direct O(4^n) check of the defining inequality over all pairs."""
+def _pairs_verdict(phi: SetFunction, violates) -> Verdict:
     vals = phi.table()
     size = len(vals)
     for x in range(size):
         for y in range(x + 1, size):
-            if vals[x | y] + vals[x & y] > vals[x] + vals[y] + tol:
+            if violates(vals[x | y] + vals[x & y], vals[x] + vals[y]):
                 return Verdict(False, (x, y))
     return Verdict(True)
 
 
-def variation_all_predecessors(phi: SetFunction) -> float:
-    """O(3^n) chain DP allowing arbitrary (multi-element) chain steps."""
+def submodular_by_pairs(phi: SetFunction, tol: float = 1e-9) -> Verdict:
+    """Direct O(4^n) check of the defining inequality over all pairs."""
+    return _pairs_verdict(phi, lambda meet_join, parts: meet_join > parts + tol)
+
+
+def modular_by_pairs(phi: SetFunction, tol: float = 1e-9) -> Verdict:
+    """Direct O(4^n) check of the modular equality over all pairs."""
+    return _pairs_verdict(phi, lambda meet_join, parts: abs(meet_join - parts) > tol)
+
+
+def increasing_by_pairs(phi: SetFunction, tol: float = 1e-9) -> Verdict:
+    """Direct O(3^n) check of phi(S) <= phi(T) over all S subset of T."""
     vals = phi.table()
+    for big in range(len(vals)):
+        sub = big
+        while sub:
+            sub = (sub - 1) & big
+            if vals[sub] > vals[big] + tol:
+                return Verdict(False, (sub, big))
+    return Verdict(True)
+
+
+def _all_predecessor_dp(vals, step) -> list:
+    """O(3^n) chain DP allowing arbitrary (multi-element) chain steps."""
     size = len(vals)
     table = [0.0] * size
     for mask in range(1, size):
-        best = abs(vals[mask] - vals[0])
+        best = step(vals[mask] - vals[0])
         sub = (mask - 1) & mask
         while sub:
-            cand = table[sub] + abs(vals[mask] - vals[sub])
+            cand = table[sub] + step(vals[mask] - vals[sub])
             if cand > best:
                 best = cand
             sub = (sub - 1) & mask
         table[mask] = best
-    return table[size - 1]
+    return table
+
+
+def variation_all_predecessors(phi: SetFunction) -> float:
+    """K(phi) by the all-predecessor chain DP with |increment| steps."""
+    return _all_predecessor_dp(phi.table(), abs)[-1]
+
+
+def positive_variation_all_predecessors(phi: SetFunction) -> list:
+    """mu(S): largest sum of positive increments over chains ending at S."""
+    return _all_predecessor_dp(phi.table(), lambda delta: max(delta, 0.0))
+
+
+def psi_by_subsets(phi: SetFunction) -> list:
+    """psi(S) = max_{Y subseteq S} phi(Y), by enumerating every subset."""
+    vals = phi.table()
+    psi = []
+    for mask in range(len(vals)):
+        best, sub = vals[mask], mask
+        while sub:
+            sub = (sub - 1) & mask
+            best = max(best, vals[sub])
+        psi.append(best)
+    return psi
+
+
+def continuity_modulus_by_pairs(phi: SetFunction, pi, epsilons=None) -> list:
+    """uniform_continuity_modulus by scanning every pair for every eps."""
+    pi = tuple(float(v) for v in pi)
+    vals = phi.table()
+    size = len(vals)
+    sym_measure = [sum(w for x, w in enumerate(pi) if mask >> x & 1)
+                   for mask in range(size)]
+    gaps = []
+    for s in range(size):
+        for t in range(s + 1, size):
+            gaps.append((abs(vals[s] - vals[t]), sym_measure[s ^ t]))
+    if epsilons is None:
+        distinct = sorted({g for g, _ in gaps if g > 0})
+        epsilons = distinct if distinct else [1.0]
+    table = []
+    for eps in epsilons:
+        qualifying = [d for g, d in gaps if g >= eps]
+        table.append((eps, min(qualifying) if qualifying else math.inf))
+    return table
 
 
 def chain_variation_sum(phi: SetFunction, chain) -> float:

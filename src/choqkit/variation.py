@@ -1,65 +1,81 @@
 """Total variation over chains and the canonical increasing decomposition.
 
-The suprema over chains from the empty set are computed by dynamic
-programming over the subset lattice with single-element steps.
-Refining a chain never decreases either objective (|a+b| <= |a| + |b|
-and |a+b|_+ <= |a|_+ + |b|_+), so the restriction to maximal chains
-is lossless; tests validate this against an all-predecessor oracle.
+The suprema over chains from the empty set are computed by one dynamic
+program over the subset lattice with single-element steps, one
+popcount layer at a time.  Refining a chain never decreases either
+objective (|a+b| <= |a| + |b| and |a+b|_+ <= |a|_+ + |b|_+), so the
+restriction to maximal chains is lossless; tests validate this against
+an all-predecessor oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .setfunctions import PreconditionError, SetFunction, is_submodular
+import numpy as np
+
+from .setfunctions import (PreconditionError, SetFunction, decrease_witness,
+                           is_submodular)
 
 
-def _single_step_dp(vals, positive_part: bool):
-    """V(S) = max_x V(S \\ {x}) + w(phi(S) - phi(S\\{x})) over the lattice."""
-    size = len(vals)
-    table = [0.0] * size
-    for mask in range(1, size):
-        best = None
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            delta = vals[mask] - vals[mask ^ bit]
-            if positive_part:
-                step = delta if delta > 0.0 else 0.0
-            else:
-                step = abs(delta)
-            cand = table[mask ^ bit] + step
-            if best is None or cand > best:
-                best = cand
-        table[mask] = best
-    return table
+@lru_cache(maxsize=4)
+def _layers(n: int) -> tuple:
+    """For each popcount k = 1..n: the masks of size k (int32) and, per
+    mask, its k elements in increasing order (uint8, shape (masks, k))."""
+    masks = np.arange(1 << n, dtype=np.int32)
+    sizes = np.bitwise_count(masks)
+    order = np.argsort(sizes, kind="stable").astype(np.int32)
+    ends = np.cumsum(np.bincount(sizes, minlength=n + 1))
+    layers = []
+    for k in range(1, n + 1):
+        members = order[ends[k - 1]:ends[k]]
+        elements = np.empty((members.size, k), dtype=np.uint8)
+        rest = members.copy()
+        for j in range(k):
+            lowest = rest & -rest
+            elements[:, j] = np.bitwise_count(lowest - 1)
+            rest ^= lowest
+        members.flags.writeable = elements.flags.writeable = False
+        layers.append((members, elements))
+    return tuple(layers)
+
+
+def _chain_dp(vals: np.ndarray, step):
+    """best[S] = max_{x in S} best[S - x] + step(phi(S) - phi(S - x)).
+
+    Returns best and, per mask, the parent S - x attaining it (the
+    smallest x on ties).  step(delta, out=delta) works in place.
+    """
+    best = np.zeros(vals.size)
+    parent = np.zeros(vals.size, dtype=np.int32)
+    for members, elements in _layers(vals.size.bit_length() - 1):
+        parents = members[:, None] ^ np.left_shift(1, elements, dtype=np.int32)
+        cand = vals[parents]
+        np.subtract(vals[members, None], cand, out=cand)
+        step(cand, out=cand)
+        cand += best[parents]
+        pick = cand.argmax(axis=1)[:, None]
+        best[members] = np.take_along_axis(cand, pick, 1)[:, 0]
+        parent[members] = np.take_along_axis(parents, pick, 1)[:, 0]
+    return best, parent
+
+
+def _positive_part(delta, out):
+    return np.maximum(delta, 0.0, out=out)
 
 
 def total_variation(phi: SetFunction) -> float:
     """K(phi): largest sum of |increments| over chains from empty to J."""
-    vals = phi.table()
-    return _single_step_dp(vals, positive_part=False)[-1]
+    return float(_chain_dp(phi.values, np.abs)[0][-1])
 
 
 def max_variation_chain(phi: SetFunction) -> list:
     """One chain of masks from 0 to J attaining K(phi)."""
-    vals = phi.table()
-    table = _single_step_dp(vals, positive_part=False)
-    chain = []
-    mask = phi.ground.full_mask
-    while mask:
-        chain.append(mask)
-        rest = mask
-        best_bit, best = None, None
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            cand = table[mask ^ bit] + abs(vals[mask] - vals[mask ^ bit])
-            if best is None or cand > best:
-                best, best_bit = cand, bit
-        mask ^= best_bit
-    chain.append(0)
+    _, parent = _chain_dp(phi.values, np.abs)
+    chain = [phi.ground.full_mask]
+    while chain[-1]:
+        chain.append(int(parent[chain[-1]]))
     chain.reverse()
     return chain
 
@@ -69,8 +85,8 @@ def submodular_variation_closed_form(phi: SetFunction, tol: float = 1e-9) -> flo
     verdict = is_submodular(phi, tol)
     if not verdict:
         raise PreconditionError(f"phi is not submodular (witness {verdict.witness})")
-    vals = phi.table()
-    return 2.0 * max(vals) - vals[-1]
+    vals = phi.values
+    return 2.0 * float(vals.max()) - float(vals[-1])
 
 
 @dataclass(frozen=True)
@@ -84,11 +100,19 @@ class DecompositionResult:
 
 def canonical_decomposition(phi: SetFunction) -> DecompositionResult:
     """Chain-wise positive/negative increment suprema ending exactly at S."""
-    vals = phi.table()
-    mu = _single_step_dp(vals, positive_part=True)
-    nu = [m - v for m, v in zip(mu, vals)]
-    variation = _single_step_dp(vals, positive_part=False)[-1]
-    return DecompositionResult(tuple(mu), tuple(nu), variation)
+    vals = phi.values
+    variation = float(_chain_dp(vals, np.abs)[0][-1])
+    mu, _ = _chain_dp(vals, _positive_part)
+    return DecompositionResult(tuple(mu.tolist()), tuple((mu - vals).tolist()),
+                               variation)
+
+
+def check_ls_parts(psi, remainder, tol: float = 1e-9) -> None:
+    """Raise AssertionError unless psi is increasing and remainder decreasing."""
+    if decrease_witness(np.asarray(psi, dtype=np.float64), tol) is not None:
+        raise AssertionError("psi not increasing")
+    if decrease_witness(-np.asarray(remainder, dtype=np.float64), tol) is not None:
+        raise AssertionError("remainder not decreasing")
 
 
 def ls_decomposition(phi: SetFunction, tol: float = 1e-9):
@@ -96,26 +120,17 @@ def ls_decomposition(phi: SetFunction, tol: float = 1e-9):
 
     Returns (psi, remainder) as value tables; psi is increasing and the
     remainder is decreasing whenever phi is submodular, which is checked.
+    psi is a running maximum along one bit at a time (a zeta transform
+    over the subset lattice with max in place of the sum).
     """
     verdict = is_submodular(phi, tol)
     if not verdict:
         raise PreconditionError(f"phi is not submodular (witness {verdict.witness})")
-    vals = phi.table()
-    psi = list(vals)
-    for mask in range(1, len(vals)):
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if psi[mask ^ bit] > psi[mask]:
-                psi[mask] = psi[mask ^ bit]
-    remainder = [v - p for v, p in zip(vals, psi)]
-    n = phi.n
-    for mask in range(len(vals)):
-        for x in range(n):
-            if not mask >> x & 1:
-                bigger = mask | 1 << x
-                assert psi[mask] <= psi[bigger] + tol, "psi not increasing"
-                assert remainder[mask] >= remainder[bigger] - tol, \
-                    "remainder not decreasing"
-    return tuple(psi), tuple(remainder)
+    vals = phi.values
+    psi = vals.reshape((2,) * phi.n)
+    for axis in range(phi.n):
+        psi = np.maximum.accumulate(psi, axis=axis)
+    psi = psi.ravel()
+    remainder = vals - psi
+    check_ls_parts(psi, remainder, tol)
+    return tuple(psi.tolist()), tuple(remainder.tolist())
