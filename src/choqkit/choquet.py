@@ -5,6 +5,11 @@ the integrand is piecewise constant in the threshold, so the integral
 is evaluated as an exact finite sum over the level chain.  Vectors
 with negative entries are handled by the shift formula
 whatphi(f) = whatphi(f + c) - c * phi(J) for any c >= sup|f|.
+
+Two routes evaluate that sum: `choquet` for one vector, by point calls
+on the n + 1 masks of its chain, and `choquet_batch` for the rows of a
+matrix, by one gather from the value table.  Both add the same terms
+in the same order.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .setfunctions import PreconditionError, SetFunction
+import numpy as np
+
+from .setfunctions import PreconditionError, SetFunction, _finite
 
 
 @dataclass(frozen=True)
@@ -22,10 +29,7 @@ class BoundedFunction:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if any(v != v or v in (float("inf"), float("-inf")) for v in vals):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _finite(self.values, "values"))
 
     @classmethod
     def indicator(cls, n: int, mask: int) -> "BoundedFunction":
@@ -49,7 +53,7 @@ class BoundedFunction:
 def _values(f) -> tuple:
     if isinstance(f, BoundedFunction):
         return f.values
-    return tuple(float(v) for v in f)
+    return _finite(f, "function values")
 
 
 @dataclass(frozen=True)
@@ -90,10 +94,9 @@ def choquet(phi: SetFunction, f, shift: Optional[float] = None) -> float:
         raise PreconditionError(f"function length {len(vals)} != ground size {phi.n}")
     low = min(vals)
     if shift is not None:
-        norm = max(abs(v) for v in vals)
-        if shift < norm:
+        c, = _finite([shift], "shift")
+        if c < max(abs(v) for v in vals):
             raise PreconditionError("shift must be at least sup|f|")
-        c = float(shift)
     elif low >= 0.0:
         c = 0.0
     else:
@@ -114,3 +117,34 @@ def choquet(phi: SetFunction, f, shift: Optional[float] = None) -> float:
     if c:
         total -= c * evaluate(phi.ground.full_mask)
     return total
+
+
+def choquet_batch(phi: SetFunction, F) -> np.ndarray:
+    """whatphi of every row of a (B, n) matrix F, as a float64 array.
+
+    Lovasz's sorting formula, batched: each row is shifted by the same c
+    as in `choquet`, sorted in decreasing order (stable), and its level
+    masks are the running sums of 1 << order; one gather from
+    `phi.values` gives phi on every level set.  The terms are added
+    column by column in `choquet`'s order, so each row gets the same
+    float as a scalar call.  Ties give zero-width terms.  This reads the
+    whole 2^n table; for a single vector `choquet` is cheaper.
+    """
+    F = np.asarray(F, dtype=np.float64)
+    if F.ndim != 2 or F.shape[1] != phi.n:
+        raise PreconditionError(
+            f"expected a (B, {phi.n}) matrix, got shape {F.shape}")
+    if not np.isfinite(F).all():
+        raise ValueError("function values must be finite")
+    vals = phi.values
+    c = np.where(F.min(axis=1) < 0.0, np.abs(F).max(axis=1), 0.0)
+    shifted = F + c[:, None]
+    order = np.argsort(-shifted, axis=1, kind="stable")
+    levels = np.take_along_axis(shifted, order, axis=1)
+    heights = vals[np.cumsum(1 << order, axis=1)]
+    widths = levels.copy()
+    widths[:, :-1] -= levels[:, 1:]
+    total = np.zeros(len(F))
+    for j in range(phi.n):
+        total += widths[:, j] * heights[:, j]
+    return total - c * vals[-1]

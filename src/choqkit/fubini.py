@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .choquet import BoundedFunction, choquet
-from .setfunctions import (PreconditionError, SetFunction, is_submodular,
-                           subset_sums)
+from .choquet import BoundedFunction, choquet_batch
+from .setfunctions import (PreconditionError, SetFunction, _finite,
+                           is_submodular, subset_sums)
 from .variation import total_variation
 
 
@@ -36,9 +35,9 @@ class FubiniInstance:
     @classmethod
     def of(cls, lam, pi, F, phi: SetFunction, validate: bool = True,
            tol: float = 1e-9) -> "FubiniInstance":
-        lam = tuple(float(v) for v in lam)
-        pi = tuple(float(v) for v in pi)
-        F = tuple(tuple(float(v) for v in row) for row in F)
+        lam = _finite(lam, "lambda")
+        pi = _finite(pi, "pi")
+        F = tuple(_finite(row, "F") for row in F)
         if len(F) != len(lam) or any(len(row) != len(pi) for row in F):
             raise ValueError("F must be an m x n matrix matching lambda and pi")
         if abs(sum(lam) - 1.0) > tol or abs(sum(pi) - 1.0) > tol:
@@ -83,8 +82,9 @@ class LopsidedResult:
 
 def lopsided_check(inst: FubiniInstance, tol: float = 1e-9) -> LopsidedResult:
     """whatphi(g) versus the lambda-average of whatphi over the rows."""
-    lhs = choquet(inst.phi, marginal_g(inst))
-    rhs = sum(w * choquet(inst.phi, row) for w, row in zip(inst.lam, inst.F))
+    g = marginal_g(inst).values
+    lhs, *rows = choquet_batch(inst.phi, np.vstack([g, inst.F])).tolist()
+    rhs = sum(w * value for w, value in zip(inst.lam, rows))
     slack = rhs - lhs
     return LopsidedResult(lhs, rhs, slack, slack >= -tol)
 
@@ -107,44 +107,58 @@ class LlnTrace:
     rhs: float
 
 
+_BLOCK = 1024  # steps per batch; bounds the arrays' memory, leaves the arithmetic as is
+
+
 def lln_run(inst: FubiniInstance, steps: int, seed: int = 0,
             tol: float = 1e-9) -> LlnTrace:
     """Sample rows i.i.d. from lambda and track the empirical averages.
 
     At every step k the finite subadditivity bound
-    whatphi(f_k) <= (1/k) sum_i whatphi(F_{x_i}) is asserted, as is the
-    Lipschitz bound |whatphi(h_k)| <= 2 K(phi) ||h_k|| for h_k = g - f_k.
+    whatphi(f_k) <= (1/k) sum_i whatphi(F_{x_i}) is checked, as is the
+    Lipschitz bound |whatphi(h_k)| <= 2 K(phi) ||h_k|| for h_k = g - f_k;
+    an AssertionError names the first step that violates either.  The
+    steps run in blocks: per block, the running sums are cumulative sums
+    that start from the previous block's last sum, so every f_k is the
+    same sequence of additions as a step-by-step accumulation, and the
+    block's f_k and h_k are evaluated in two `choquet_batch` calls.
     """
     if steps < 1:
         raise PreconditionError("steps must be >= 1")
     rng = np.random.default_rng(seed)
     samples = rng.choice(inst.m, size=steps, p=np.asarray(inst.lam))
     phi = inst.phi
-    rows = [np.asarray(row) for row in inst.F]
-    row_values = [choquet(phi, row) for row in inst.F]
-    g = np.asarray(inst.lam) @ np.asarray(inst.F)
+    F = np.asarray(inst.F)
+    g = np.asarray(inst.lam) @ F
+    row_values = choquet_batch(phi, F)
     variation = total_variation(phi)
 
     records = []
-    running = 0.0
-    acc = np.zeros(inst.n)
-    for k, x in enumerate(samples, start=1):
-        acc += rows[x]
-        running += row_values[x]
-        f_k = acc / k
+    # running sums so far, carried as the first row of the next block
+    acc, running = np.zeros((1, inst.n)), np.zeros(1)
+    for first in range(0, steps, _BLOCK):
+        block = samples[first:first + _BLOCK]
+        k = np.arange(first + 1, first + len(block) + 1)
+        sums = np.cumsum(np.vstack([acc, F[block]]), axis=0)[1:]
+        totals = np.cumsum(np.concatenate([running, row_values[block]]))[1:]
+        acc, running = sums[-1:], totals[-1:]
+        f_k = sums / k[:, None]
         h_k = g - f_k
-        what_f = choquet(phi, f_k)
-        what_h = choquet(phi, h_k)
-        avg = running / k
-        if what_f > avg + tol:
-            raise AssertionError(
-                f"finite subadditivity bound violated at step {k}")
-        norm_h = float(np.max(np.abs(h_k)))
-        if abs(what_h) > 2.0 * variation * norm_h + tol:
-            raise AssertionError(f"Lipschitz bound violated at step {k}")
-        records.append(LlnRecord(k, what_f, avg, what_h, norm_h))
+        what_f = choquet_batch(phi, f_k)
+        what_h = choquet_batch(phi, h_k)
+        avg = totals / k
+        norm_h = np.abs(h_k).max(axis=1)
+        subadditive = what_f <= avg + tol
+        lipschitz = np.abs(what_h) <= 2.0 * variation * norm_h + tol
+        held = subadditive & lipschitz
+        if not held.all():
+            i = int(held.argmin())
+            bound = "Lipschitz" if subadditive[i] else "finite subadditivity"
+            raise AssertionError(f"{bound} bound violated at step {k[i]}")
+        records.extend(map(LlnRecord, k.tolist(), what_f.tolist(), avg.tolist(),
+                           what_h.tolist(), norm_h.tolist()))
     result = lopsided_check(inst, tol)
-    return LlnTrace(seed=seed, samples=tuple(int(x) for x in samples),
+    return LlnTrace(seed=seed, samples=tuple(samples.tolist()),
                     records=tuple(records), lhs=result.lhs, rhs=result.rhs)
 
 

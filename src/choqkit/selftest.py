@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles, randgen
-from .choquet import BoundedFunction, choquet
+from .choquet import BoundedFunction, choquet, choquet_batch
 from .fubini import lln_run, lopsided_check
 from .intervals import ae_gap, choquet_interval
 from .setfunctions import SetFunction, conjugate, is_submodular
@@ -36,6 +36,18 @@ class CriterionResult:
         status = "PASS" if self.passed else "FAIL"
         return (f"criterion {self.index} [{status}] {self.name}: "
                 f"{self.detail} ({self.seconds:.1f}s)")
+
+
+def _require(ok, message="check failed"):
+    """Raise AssertionError unless ok holds (every entry, for an array).
+
+    Unlike `assert`, this survives `python -O`.  `message` is a string,
+    or a function of the first failing index that builds one.
+    """
+    ok = np.asarray(ok)
+    if not ok.all():
+        raise AssertionError(message(int(ok.argmin())) if callable(message)
+                             else message)
 
 
 def _timed(index, name, fn):
@@ -63,24 +75,25 @@ def criterion_1(seed: int = 1) -> CriterionResult:
             verdict = is_submodular(phi)
             if verdict:
                 submodular_seen += 1
-                for _ in range(100):
-                    f = np.array(randgen.random_bounded_function(rng, n))
-                    g = np.array(randgen.random_bounded_function(rng, n))
-                    lhs = choquet(phi, f + g)
-                    rhs = choquet(phi, f) + choquet(phi, g)
-                    assert lhs <= rhs + TOL, \
-                        f"subadditivity failed for submodular phi: {lhs} > {rhs}"
+                f, g = np.array([[randgen.random_bounded_function(rng, n)
+                                  for _ in range(2)]
+                                 for _ in range(100)]).transpose(1, 0, 2)
+                lhs = choquet_batch(phi, f + g)
+                rhs = choquet_batch(phi, f) + choquet_batch(phi, g)
+                _require(lhs <= rhs + TOL, lambda i: (
+                    f"subadditivity failed for submodular phi: "
+                    f"{lhs[i]} > {rhs[i]}"))
             else:
                 nonsub_seen += 1
                 s, t = verdict.witness
                 violation = phi(s | t) + phi(s & t) - phi(s) - phi(t)
-                assert violation > 0, "witness does not violate the inequality"
+                _require(violation > 0, "witness does not violate the inequality")
                 ind_s = BoundedFunction.indicator(n, s)
                 ind_t = BoundedFunction.indicator(n, t)
                 both = np.array(ind_s.values) + np.array(ind_t.values)
                 gap = choquet(phi, both) - choquet(phi, ind_s) - choquet(phi, ind_t)
-                assert gap >= violation - TOL, \
-                    f"witness indicators under-violate: {gap} < {violation}"
+                _require(gap >= violation - TOL,
+                         f"witness indicators under-violate: {gap} < {violation}")
         return True, (f"{submodular_seen} submodular / {nonsub_seen} "
                       f"non-submodular instances checked")
 
@@ -99,16 +112,18 @@ def criterion_2(seed: int = 2) -> CriterionResult:
                 rng, n, families=("cut", "coverage", "concave-of-modular"))
             dp = total_variation(phi)
             closed = submodular_variation_closed_form(phi)
-            assert abs(dp - closed) <= TOL, f"DP {dp} != closed form {closed}"
+            _require(abs(dp - closed) <= TOL, f"DP {dp} != closed form {closed}")
             if n <= 6:
-                assert abs(dp - oracles.variation_all_predecessors(phi)) <= TOL
+                _require(abs(dp - oracles.variation_all_predecessors(phi)) <= TOL,
+                         "DP disagrees with the all-predecessor oracle")
                 oracle_checked += 1
         # the all-predecessor agreement also on sign-mixed tables
         for _ in range(50):
             n = int(rng.integers(3, 7))
             phi = randgen.random_table_setfunction(rng, n)
-            assert abs(total_variation(phi)
-                       - oracles.variation_all_predecessors(phi)) <= TOL
+            _require(abs(total_variation(phi)
+                         - oracles.variation_all_predecessors(phi)) <= TOL,
+                     "DP disagrees with the all-predecessor oracle")
             oracle_checked += 1
         return True, f"200 closed-form checks, {oracle_checked} oracle checks"
 
@@ -124,24 +139,22 @@ def criterion_3(seed: int = 3) -> CriterionResult:
             n = int(rng.integers(3, 8))
             phi = randgen.random_table_setfunction(rng, n)
             dec = canonical_decomposition(phi)
-            size = 1 << n
-            for mask in range(size):
-                assert abs(dec.mu[mask] - dec.nu[mask] - phi(mask)) <= TOL
-                assert dec.mu[mask] <= dec.variation + TOL
-                assert dec.nu[mask] <= dec.variation + TOL
-                for x in range(n):
-                    if not mask >> x & 1:
-                        up = mask | 1 << x
-                        assert dec.mu[mask] <= dec.mu[up] + TOL, "mu not increasing"
-                        assert dec.nu[mask] <= dec.nu[up] + TOL, "nu not increasing"
-            mu = SetFunction.from_table(dec.mu)
-            nu = SetFunction.from_table(dec.nu)
-            for _ in range(50):
-                f = randgen.random_bounded_function(rng, n)
-                direct = choquet(phi, f)
-                split = choquet(mu, f) - choquet(nu, f)
-                assert abs(direct - split) <= TOL, \
-                    f"decomposition route disagrees: {direct} vs {split}"
+            mu, nu = np.array(dec.mu), np.array(dec.nu)
+            _require(np.abs(mu - nu - phi.values) <= TOL, "mu - nu != phi")
+            _require(mu <= dec.variation + TOL, "mu exceeds K(phi)")
+            _require(nu <= dec.variation + TOL, "nu exceeds K(phi)")
+            masks = np.arange(1 << n)
+            for x in range(n):
+                low = masks[masks >> x & 1 == 0]
+                _require(mu[low] <= mu[low | 1 << x] + TOL, "mu not increasing")
+                _require(nu[low] <= nu[low | 1 << x] + TOL, "nu not increasing")
+            fs = np.array([randgen.random_bounded_function(rng, n)
+                           for _ in range(50)])
+            direct = choquet_batch(phi, fs)
+            split = (choquet_batch(SetFunction.from_table(dec.mu), fs)
+                     - choquet_batch(SetFunction.from_table(dec.nu), fs))
+            _require(np.abs(direct - split) <= TOL, lambda i: (
+                f"decomposition route disagrees: {direct[i]} vs {split[i]}"))
         return True, "200 decompositions, 50 functions each"
 
     return _timed(3, "canonical decomposition", run)
@@ -162,18 +175,23 @@ def criterion_4(seed: int = 4) -> CriterionResult:
             c = float(rng.uniform(0.1, 3.0))
             full = phi.ground.full_mask
             base = choquet(phi, f)
-            assert abs(choquet(phi, c * f) - c * base) <= TOL
-            assert abs(choquet(phi, f + a) - (base + a * phi(full))) <= TOL
-            assert abs(choquet(phi, -f) + choquet(conjugate(phi), f)) <= TOL
+            _require(abs(choquet(phi, c * f) - c * base) <= TOL,
+                     "positive homogeneity failed")
+            _require(abs(choquet(phi, f + a) - (base + a * phi(full))) <= TOL,
+                     "translation identity failed")
+            _require(abs(choquet(phi, -f) + choquet(conjugate(phi), f)) <= TOL,
+                     "reflection through the conjugate failed")
             combo = SetFunction.from_table(
                 [a * phi(m) + c * psi(m) for m in range(full + 1)])
-            assert abs(choquet(combo, f)
-                       - (a * base + c * choquet(psi, f))) <= TOL
+            _require(abs(choquet(combo, f)
+                         - (a * base + c * choquet(psi, f))) <= TOL,
+                     "linearity in phi failed")
             norm = float(np.max(np.abs(f)))
             shifted = choquet(phi, f, shift=norm + c)
-            assert abs(shifted - base) <= TOL, "shift parameter leaked"
+            _require(abs(shifted - base) <= TOL, "shift parameter leaked")
             lip = 2.0 * total_variation(phi) * float(np.max(np.abs(f - g)))
-            assert abs(base - choquet(phi, g)) <= lip + TOL
+            _require(abs(base - choquet(phi, g)) <= lip + TOL,
+                     "Lipschitz bound failed")
         return True, "1000 draws, six identities each"
 
     return _timed(4, "extension identities", run)
@@ -190,26 +208,32 @@ def criterion_5(seed: int = 5) -> CriterionResult:
             sub = randgen.random_submodular_setfunction(rng, n).as_table()
             trace = uncross(family, sub)
             h0 = family_sum(family).values
-            assert len(trace.steps) <= family.total_multiplicity * n * n
+            _require(len(trace.steps) <= family.total_multiplicity * n * n,
+                     "uncrossing took too many steps")
             prev_phi = None
             for step in trace.steps:
                 ground = family.ground
                 before = type(family)(ground, step.before)
                 after = type(family)(ground, step.after)
-                assert family_sum(before).values == h0
-                assert family_sum(after).values == h0
-                assert step.potential_after > step.potential_before
-                assert step.phi_sum_after <= step.phi_sum_before + TOL, \
-                    "phi-sum increased under a submodular setfunction"
+                _require(family_sum(before).values == h0,
+                         "step changed the pointwise sum")
+                _require(family_sum(after).values == h0,
+                         "step changed the pointwise sum")
+                _require(step.potential_after > step.potential_before,
+                         "potential did not increase")
+                _require(step.phi_sum_after <= step.phi_sum_before + TOL,
+                         "phi-sum increased under a submodular setfunction")
                 prev_phi = step.phi_sum_after
-            assert trace.final.is_chain()
-            assert family_sum(trace.final).values == h0
+            _require(trace.final.is_chain(), "final family is not a chain")
+            _require(family_sum(trace.final).values == h0,
+                     "final family changed the pointwise sum")
             if prev_phi is not None:
                 lhs, rhs, ok = certify_chain_equality(sub, trace.final)
-                assert ok and lhs <= trace.steps[0].phi_sum_before + TOL
+                _require(ok and lhs <= trace.steps[0].phi_sum_before + TOL,
+                         "chain equality failed for the submodular phi")
             arbitrary = randgen.random_table_setfunction(rng, n)
             lhs, rhs, ok = certify_chain_equality(arbitrary, trace.final)
-            assert ok, f"chain equality failed for arbitrary phi: {lhs} vs {rhs}"
+            _require(ok, f"chain equality failed for arbitrary phi: {lhs} vs {rhs}")
         return True, "500 families uncrossed and certified"
 
     return _timed(5, "uncrossing", run)
@@ -224,10 +248,11 @@ def criterion_6(seed: int = 6) -> CriterionResult:
             phi = randgen.random_interval_setfunction(rng)
             f = randgen.random_step_function(rng, max_pieces=20)
             exceptional = ae_gap(phi, f)
-            assert len(exceptional) <= len(set(f.values))
+            _require(len(exceptional) <= len(set(f.values)),
+                     "exceptional set larger than the number of levels")
             ui = choquet_interval(phi, f, extension="ui")
             ls = choquet_interval(phi, f, extension="ls")
-            assert abs(ui - ls) <= TOL
+            _require(abs(ui - ls) <= TOL, f"ui and ls values differ: {ui} vs {ls}")
         return True, "200 (phi, f) pairs, exceptional sets all finite"
 
     return _timed(6, "interval set-algebra", run)
@@ -243,7 +268,7 @@ def criterion_7(seed: int = 7) -> CriterionResult:
             n = int(rng.integers(2, 9))
             inst = randgen.random_fubini_instance(rng, m, n)
             result = lopsided_check(inst)
-            assert result.slack >= -TOL, f"lopsided inequality violated: {result}"
+            _require(result.slack >= -TOL, f"lopsided inequality violated: {result}")
         gaps = []
         for run_seed in range(20):
             inst = randgen.random_fubini_instance(

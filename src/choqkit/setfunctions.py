@@ -82,6 +82,19 @@ def _finite(values, what: str) -> tuple:
     return values
 
 
+def _bounded_sums(weights) -> tuple:
+    """Finite `weights` whose subset sums cannot overflow float64.
+
+    Every subset sum is at most the float64 sum of |weights| in
+    absolute value, so checking that one sum keeps point and table
+    evaluation finite alike.
+    """
+    weights = _finite(weights, "weights")
+    if not math.isfinite(sum(map(abs, weights))):
+        raise ValueError("the sum of |weights| overflows float64")
+    return weights
+
+
 def _concave_validate(breakpoints):
     """Validate a piecewise-linear concave g with g(0)=0; return point list."""
     pts = [_finite(point, "breakpoints") for point in breakpoints]
@@ -292,7 +305,7 @@ class SetFunction:
 
     @classmethod
     def modular(cls, weights: Sequence[float]) -> "SetFunction":
-        weights = _finite(weights, "weights")
+        weights = _bounded_sums(weights)
         ground = GroundSet(len(weights))
 
         def evaluate(mask: int) -> float:
@@ -305,10 +318,14 @@ class SetFunction:
     def concave_of_modular(cls, weights: Sequence[float],
                            breakpoints) -> "SetFunction":
         """phi(S) = g(sum of weights over S) for concave g with g(0)=0."""
-        weights = _finite(weights, "weights")
+        weights = _bounded_sums(weights)
         if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative for concave composition")
         pts = _concave_validate(breakpoints)
+        # on [0, sum(weights)] a concave g with g(0) = 0 stays between
+        # min(0, g(sum)) and the largest of g(sum) and its breakpoint values
+        if not math.isfinite(piecewise_linear(pts, sum(weights))):
+            raise ValueError("g overflows float64 on the subset sums")
         ground = GroundSet(len(weights))
 
         def evaluate(mask: int) -> float:

@@ -15,13 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choqkit import (PreconditionError, SetFunction, canonical_decomposition,
-                     is_increasing, is_modular, is_submodular, ls_decomposition,
-                     max_variation_chain, total_variation,
+from choqkit import (FubiniInstance, PreconditionError, SetFunction,
+                     canonical_decomposition, choquet, choquet_batch,
+                     is_increasing, is_modular, is_submodular, lln_run,
+                     ls_decomposition, max_variation_chain, total_variation,
                      uniform_continuity_modulus)
-from choqkit import oracles
+from choqkit import fubini, oracles
 from choqkit.randgen import (random_concave_of_modular, random_coverage,
-                             random_cut, random_matroid_rank)
+                             random_cut, random_fubini_instance,
+                             random_matroid_rank)
 
 TOL = 1e-9
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -175,6 +177,131 @@ class TestContinuityModulus:
             oracles.continuity_modulus_by_pairs(path_cut, pi, epsilons)
 
 
+def _close(got, want):
+    """Agreement within 1e-12 * max(1, |want|), entry by entry."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return bool((np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all())
+
+
+@st.composite
+def dyadic_matrices(draw, n):
+    """(B, n) sign-mixed dyadic rows: ties, negative entries, all-zero rows."""
+    unit = 2.0 ** -draw(st.integers(0, 18))
+    row = st.one_of(st.just([0] * n),
+                    st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    return np.array(rows, dtype=float) * unit
+
+
+class TestChoquetBatch:
+    @SETTINGS
+    @given(setfunctions, st.data())
+    def test_rows_match_scalar_choquet(self, phi, data):
+        F = data.draw(dyadic_matrices(phi.n))
+        assert _close(choquet_batch(phi, F), [choquet(phi, row) for row in F])
+
+    def test_empty_batch(self, path_cut):
+        assert choquet_batch(path_cut, np.zeros((0, 3))).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (2, 4)])
+    def test_rejects_wrong_shape(self, path_cut, shape):
+        with pytest.raises(PreconditionError):
+            choquet_batch(path_cut, np.zeros(shape))
+
+
+def _loop_lln(inst, steps, seed, tol=TOL):
+    """Step-by-step LLN trace over scalar choquet calls: (k, what_f,
+    running_avg, what_h, norm_h) per step, raising as lln_run does."""
+    samples = np.random.default_rng(seed).choice(
+        inst.m, size=steps, p=np.asarray(inst.lam))
+    phi = inst.phi
+    row_values = [choquet(phi, row) for row in inst.F]
+    g = np.asarray(inst.lam) @ np.asarray(inst.F)
+    variation = total_variation(phi)
+    records, acc, running = [], np.zeros(inst.n), 0.0
+    for k, x in enumerate(samples, start=1):
+        acc += np.asarray(inst.F[x])
+        running += row_values[x]
+        f_k = acc / k
+        h_k = g - f_k
+        what_f, what_h, avg = choquet(phi, f_k), choquet(phi, h_k), running / k
+        if what_f > avg + tol:
+            raise AssertionError(f"finite subadditivity bound violated at step {k}")
+        norm_h = float(np.max(np.abs(h_k)))
+        if abs(what_h) > 2.0 * variation * norm_h + tol:
+            raise AssertionError(f"Lipschitz bound violated at step {k}")
+        records.append((k, what_f, avg, what_h, norm_h))
+    return records
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def _blocked_lln(block, inst, steps, seed):
+    """lln_run with `block` steps per batch (to cross block boundaries)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fubini, "_BLOCK", block)
+        return lln_run(inst, steps, seed=seed)
+
+
+BLOCKS = st.sampled_from([1, 16, fubini._BLOCK])
+
+
+class TestLlnAgainstLoop:
+    @SETTINGS
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 6),
+           st.integers(1, 300), st.booleans(), BLOCKS)
+    def test_records_match_scalar_loop(self, seed, m, n, steps, tabled, block):
+        inst = random_fubini_instance(np.random.default_rng(seed), m, n)
+        if tabled:
+            inst = FubiniInstance.of(inst.lam, inst.pi, inst.F, inst.phi.as_table())
+        got = [(r.k, r.what_f, r.running_avg, r.what_h, r.norm_h)
+               for r in _blocked_lln(block, inst, steps, seed).records]
+        want = _loop_lln(inst, steps, seed)
+        assert [r[0] for r in got] == [r[0] for r in want]
+        assert _close([r[1:] for r in got], [r[1:] for r in want])
+
+    @SETTINGS
+    @given(sign_mixed_tables(max_n=5), st.integers(0, 2 ** 32 - 1),
+           st.integers(1, 200), BLOCKS)
+    def test_unvalidated_tables_raise_or_match_like_the_loop(self, phi, seed,
+                                                             steps, block):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 5))
+        lam = rng.uniform(0.1, 1.0, size=m)
+        inst = FubiniInstance.of(lam / lam.sum(), [1.0 / phi.n] * phi.n,
+                                 rng.uniform(-1.0, 1.0, size=(m, phi.n)), phi,
+                                 validate=False)
+        got = _outcome(_blocked_lln, block, inst, steps, seed)
+        want = _outcome(_loop_lln, inst, steps, seed)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert _close([(r.k, r.what_f, r.running_avg, r.what_h, r.norm_h)
+                           for r in got.records], want)
+
+    def test_default_blocks_match_across_boundaries(self):
+        inst = random_fubini_instance(np.random.default_rng(5), 4, 5)
+        steps = 2 * fubini._BLOCK + 3
+        got = [(r.k, r.what_f, r.running_avg, r.what_h, r.norm_h)
+               for r in lln_run(inst, steps, seed=5).records]
+        assert got == _loop_lln(inst, steps, 5)
+
+    def test_nonsubmodular_instance_fails_at_the_loop_step(self):
+        phi = SetFunction.from_table([0.0, 0.0, 0.0, 1.0])
+        inst = FubiniInstance.of([0.5, 0.5], [0.5, 0.5],
+                                 [[1.0, 0.0], [0.0, 1.0]], phi, validate=False)
+        want = _outcome(_loop_lln, inst, 50, 3)
+        assert want.startswith("finite subadditivity bound violated at step ")
+        with pytest.raises(AssertionError) as info:
+            lln_run(inst, steps=50, seed=3)
+        assert str(info.value) == want
+
+
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
@@ -197,6 +324,48 @@ class TestNonFinite:
         with pytest.raises(ValueError):
             maker(bad)
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_choquet_vectors(self, path_cut, bad, position):
+        f = [1.0, 0.0, 0.5]
+        f[position] = bad
+        with pytest.raises(ValueError):
+            choquet(path_cut, f)
+        with pytest.raises(ValueError):
+            choquet_batch(path_cut, [[0.0, 0.0, 0.0], f])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_choquet_shift(self, path_cut, bad):
+        with pytest.raises(ValueError):
+            choquet(path_cut, [0.5, -1.0, 0.0], shift=bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("field", ["lam", "pi", "F"])
+    def test_fubini_instance(self, bad, field):
+        args = {"lam": [0.5, 0.5], "pi": [0.5, 0.5], "F": [[0.0, 1.0], [1.0, 0.0]]}
+        if field == "F":
+            args["F"][1][0] = bad
+        else:
+            args[field][0] = bad
+        with pytest.raises(ValueError):
+            FubiniInstance.of(args["lam"], args["pi"], args["F"],
+                              SetFunction.uniform_matroid(2, 1), validate=False)
+
+    @pytest.mark.parametrize("maker", [
+        lambda: SetFunction.modular([1e308, 1e308]),
+        lambda: SetFunction.modular([1e308, -1e308]),
+        lambda: SetFunction.concave_of_modular([1e308, 1e308], [(0, 0), (1, 1)]),
+        lambda: SetFunction.concave_of_modular([1e300, 1e300], [(0, 0), (1, 1e300)]),
+    ])
+    def test_overflowing_sums_rejected_at_construction(self, maker):
+        # the point route would give inf where the table route raises
+        with pytest.raises(ValueError):
+            maker()
+
+    def test_largest_representable_sums_still_build(self):
+        phi = SetFunction.modular([1e308, 7e307])
+        assert phi(3) == phi.values[3] == 1e308 + 7e307
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_cli_check_exits_2(self, constant):
         table = '{"n": 1, "kind": "table", "payload": {"values": [0, %s]}}' % constant
@@ -218,3 +387,30 @@ class TestLsChecksUnderO:
                                 capture_output=True, text=True)
         assert result.returncode != 0
         assert message in result.stderr
+
+
+def _selftest_under_O(prelude=""):
+    code = (prelude + "import sys\nfrom choqkit import cli\n"
+            "sys.exit(cli.main(['selftest', '--seed', '0']))\n")
+    result = subprocess.run([sys.executable, "-O", "-c", code],
+                            capture_output=True, text=True, timeout=600)
+    lines = [l for l in result.stdout.splitlines() if l.startswith("criterion")]
+    return result, lines
+
+
+class TestSelftestUnderO:
+    def test_all_criteria_pass(self):
+        result, lines = _selftest_under_O()
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert len(lines) == 7 and all("[PASS]" in line for line in lines)
+
+    def test_constant_batch_kernel_fails(self):
+        sabotage = ("import numpy as np\n"
+                    "from choqkit import fubini, selftest\n"
+                    "constant = lambda phi, F: np.ones(len(F))\n"
+                    "fubini.choquet_batch = selftest.choquet_batch = constant\n")
+        result, lines = _selftest_under_O(sabotage)
+        assert result.returncode == 1, result.stdout + result.stderr
+        assert any("[FAIL]" in line for line in lines)
+        # criterion 3 is caught by selftest's own checks, criterion 7 by lln_run's
+        assert "[FAIL]" in lines[2] and "[FAIL]" in lines[6]
