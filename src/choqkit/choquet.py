@@ -6,15 +6,16 @@ is evaluated as an exact finite sum over the level chain.  Vectors
 with negative entries are handled by the shift formula
 whatphi(f) = whatphi(f + c) - c * phi(J) for any c >= sup|f|.
 
-Two routes evaluate that sum: `choquet` for one vector, by point calls
-on the n + 1 masks of its chain, and `choquet_batch` for the rows of a
-matrix, by one gather from the value table.  Both add the same terms
-in the same order.
+Both routes read phi from its value table `phi.values`: `choquet` for
+one vector, by one gather of the n masks of its chain, and
+`choquet_batch` for the rows of a matrix, by one gather for all rows.
+Both add the same terms in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -34,11 +35,6 @@ class BoundedFunction:
     @classmethod
     def indicator(cls, n: int, mask: int) -> "BoundedFunction":
         return cls(tuple(1.0 if mask >> x & 1 else 0.0 for x in range(n)))
-
-    @property
-    def norm(self) -> float:
-        """Supremum norm max |f(x)|."""
-        return max(abs(v) for v in self.values)
 
     def __len__(self):
         return len(self.values)
@@ -102,20 +98,19 @@ def choquet(phi: SetFunction, f, shift: Optional[float] = None) -> float:
     else:
         c = max(abs(v) for v in vals)
     order = sorted(range(len(vals)), key=lambda x: -vals[x])
+    # heights[i] = phi(set of the first i + 1 elements of order)
+    heights = phi.values[list(accumulate(1 << x for x in order))].tolist()
     total = 0.0
-    mask = 0
-    prev = None
-    evaluate = phi._eval
-    for x in order:
+    prev = vals[order[0]] + c
+    for x, height in zip(order[1:], heights):
         value = vals[x] + c
-        if prev is not None and value < prev:
-            total += (prev - value) * evaluate(mask)
-        mask |= 1 << x
+        if value < prev:
+            total += (prev - value) * height
         prev = value
-    if prev is not None and prev > 0.0:
-        total += prev * evaluate(mask)
+    if prev > 0.0:
+        total += prev * heights[-1]
     if c:
-        total -= c * evaluate(phi.ground.full_mask)
+        total -= c * heights[-1]
     return total
 
 
@@ -127,8 +122,8 @@ def choquet_batch(phi: SetFunction, F) -> np.ndarray:
     masks are the running sums of 1 << order; one gather from
     `phi.values` gives phi on every level set.  The terms are added
     column by column in `choquet`'s order, so each row gets the same
-    float as a scalar call.  Ties give zero-width terms.  This reads the
-    whole 2^n table; for a single vector `choquet` is cheaper.
+    float as a scalar call.  Ties give zero-width terms.  For a single
+    vector `choquet` is cheaper.
     """
     F = np.asarray(F, dtype=np.float64)
     if F.ndim != 2 or F.shape[1] != phi.n:

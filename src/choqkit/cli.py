@@ -72,7 +72,7 @@ def cmd_check(args):
     return 0
 
 
-def cmd_choquet_eval(args):
+def cmd_choquet(args):
     phi = setfunction_from_json(_load_json(args.input))
     f = [float(v) for v in _load_json(args.function)]
     value = choquet(phi, f, shift=args.shift)
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explicit shift constant c >= sup|f|")
     p.add_argument("--chain", action="store_true",
                    help="also print the level chain as CSV")
-    p.set_defaults(fn=cmd_choquet_eval)
+    p.set_defaults(fn=cmd_choquet)
 
     p = sub.add_parser("variation", help="total variation and a maximizing chain")
     p.add_argument("input")

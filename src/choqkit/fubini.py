@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .choquet import BoundedFunction, choquet_batch
 from .setfunctions import (PreconditionError, SetFunction, _finite,
-                           is_submodular, subset_sums)
+                           require_submodular, subset_sums)
 from .variation import total_variation
 
 
@@ -49,10 +50,7 @@ class FubiniInstance:
         if phi.n != len(pi):
             raise ValueError("phi ground size must match pi")
         if validate:
-            verdict = is_submodular(phi, tol)
-            if not verdict:
-                raise PreconditionError(
-                    f"phi is not submodular (witness {verdict.witness})")
+            require_submodular(phi, tol)
             if float(phi.values.min()) < -tol:
                 raise PreconditionError("phi must be nonnegative")
         return cls(lam, pi, F, phi, validated=validate)
@@ -89,8 +87,7 @@ def lopsided_check(inst: FubiniInstance, tol: float = 1e-9) -> LopsidedResult:
     return LopsidedResult(lhs, rhs, slack, slack >= -tol)
 
 
-@dataclass(frozen=True)
-class LlnRecord:
+class LlnRecord(NamedTuple):
     k: int
     what_f: float        # whatphi of the empirical average f_k
     running_avg: float   # average of whatphi over the sampled rows

@@ -46,9 +46,6 @@ class IntervalSet:
     def full(cls) -> "IntervalSet":
         return cls(((0.0, 1.0),))
 
-    def is_empty(self) -> bool:
-        return not self.intervals
-
     def contains(self, x: float) -> bool:
         return any(a <= x < b for a, b in self.intervals)
 
@@ -162,10 +159,6 @@ class StepFunction:
         if not 0.0 <= x < 1.0:
             raise ValueError("argument outside [0, 1)")
         return self.values[bisect_right(self.breakpoints, x) - 1]
-
-    @property
-    def norm(self) -> float:
-        return max(abs(v) for v in self.values)
 
     def distinct_values(self) -> list:
         return sorted(set(self.values), reverse=True)

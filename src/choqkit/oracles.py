@@ -10,7 +10,34 @@ from __future__ import annotations
 
 import math
 
-from .setfunctions import SetFunction, Verdict
+from .setfunctions import SetFunction, Verdict, piecewise_linear
+
+
+def value_by_payload(phi: SetFunction, mask: int) -> float:
+    """phi(mask) by the family's own formula on phi.payload, one mask at a time.
+
+    The reference for the vectorised builders behind `phi.values`: each
+    sum adds its terms in the builder's order, so the two agree exactly.
+    """
+    p = phi.payload
+    elements = list(phi.ground.elements(phi.ground.check_mask(mask)))
+    if phi.kind == "table":
+        return p["values"][mask]
+    if phi.kind == "cut":
+        cut = (w for u, v, w in p["edges"] if (u in elements) != (v in elements))
+        return sum(cut, 0.0)
+    if phi.kind == "coverage":
+        covered = {i for x in elements for i in p["covers"][x]}
+        return sum((w for i, w in enumerate(p["item_weights"]) if i in covered), 0.0)
+    if phi.kind == "matroid-rank":
+        if p["matroid"] == "uniform":
+            return float(min(len(elements), p["rank"]))
+        return float(sum(min(len(set(block) & set(elements)), cap)
+                         for block, cap in zip(p["blocks"], p["capacities"])))
+    subset_sum = sum((p["weights"][x] for x in elements), 0.0)
+    if phi.kind == "modular":
+        return subset_sum
+    return piecewise_linear(p["breakpoints"], subset_sum)  # concave-of-modular
 
 
 def _pairs_verdict(phi: SetFunction, violates) -> Verdict:

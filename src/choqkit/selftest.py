@@ -71,7 +71,7 @@ def criterion_1(seed: int = 1) -> CriterionResult:
             if i % 2 == 0:
                 phi = randgen.random_table_setfunction(rng, n)
             else:
-                phi = randgen.random_submodular_setfunction(rng, n).as_table()
+                phi = randgen.random_submodular_setfunction(rng, n)
             verdict = is_submodular(phi)
             if verdict:
                 submodular_seen += 1
@@ -205,7 +205,7 @@ def criterion_5(seed: int = 5) -> CriterionResult:
         for _ in range(500):
             n = int(rng.integers(2, 11))
             family = randgen.random_weighted_family(rng, n, max_total=20)
-            sub = randgen.random_submodular_setfunction(rng, n).as_table()
+            sub = randgen.random_submodular_setfunction(rng, n)
             trace = uncross(family, sub)
             h0 = family_sum(family).values
             _require(len(trace.steps) <= family.total_multiplicity * n * n,
@@ -273,8 +273,6 @@ def criterion_7(seed: int = 7) -> CriterionResult:
         for run_seed in range(20):
             inst = randgen.random_fubini_instance(
                 np.random.default_rng(seed + 1000 + run_seed), 6, 6)
-            inst = type(inst).of(inst.lam, inst.pi, inst.F,
-                                 inst.phi.as_table())
             trace = lln_run(inst, steps=10_000, seed=run_seed)
             final = trace.records[-1]
             gaps.append(abs(final.running_avg - trace.rhs))

@@ -1,14 +1,14 @@
 """Setfunctions on a finite ground set, with bitmask subsets.
 
 A subset of the ground set {0, ..., n-1} is an n-bit integer mask
-(bit x set <=> element x in the subset).  All evaluation oracles are
-pure and total on the power set; instances are immutable after
-construction.
+(bit x set <=> element x in the subset).  Instances are immutable
+after construction.
 
-Table-first convention: every pass over the power set reads
-`SetFunction.values`, one cached read-only float64 array indexed by
-mask and built on first use by a vectorised builder of the family.
-Point evaluation `phi(mask)` never builds it.
+Table-first convention: every evaluation reads `SetFunction.values`,
+one cached read-only float64 array indexed by mask and built on first
+use by the one vectorised builder of the family; a point call
+`phi(mask)` is a read from it.  The per-mask formulas of the families
+live in `oracles.value_by_payload`, as the reference for the builders.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ def _bounded_sums(weights) -> tuple:
     """Finite `weights` whose subset sums cannot overflow float64.
 
     Every subset sum is at most the float64 sum of |weights| in
-    absolute value, so checking that one sum keeps point and table
-    evaluation finite alike.
+    absolute value, so checking that one sum at construction keeps
+    every entry of the value table finite.
     """
     weights = _finite(weights, "weights")
     if not math.isfinite(sum(map(abs, weights))):
@@ -145,8 +145,8 @@ def _popcounts(masks: np.ndarray) -> np.ndarray:
 def subset_sums(weights) -> np.ndarray:
     """sum_{x in S} weights[x] for every mask S, doubling one bit at a time.
 
-    Each entry adds the weights in increasing element order, as the
-    point evaluators do, so the floats agree exactly.
+    Each entry adds the weights in increasing element order, so it
+    equals the left-to-right sum of its elements' weights exactly.
     """
     out = np.zeros(1 << len(weights))
     for x, w in enumerate(weights):
@@ -159,23 +159,21 @@ class SetFunction:
 
     Instances are either table-backed (explicit value per mask) or
     generated by a standard family (cut, coverage, matroid rank,
-    modular, concave-of-modular).  Construction rejects payloads with
-    phi(empty) != 0 instead of silently re-normalizing, and non-finite
-    numbers with ValueError.  Each family supplies a point evaluator
-    and a vectorised builder of the whole value array.
+    modular, concave-of-modular).  Construction rejects non-finite
+    numbers with ValueError, and a table with phi(empty) != 0 instead
+    of silently re-normalizing.  Each family supplies one vectorised
+    builder of the whole value array; `values` builds it on first use
+    and every evaluation, `phi(mask)` included, reads it.
     """
 
-    __slots__ = ("ground", "kind", "payload", "_eval", "_build", "_values")
+    __slots__ = ("ground", "kind", "payload", "_build", "_values")
 
-    def __init__(self, ground: GroundSet, kind: str, payload, evaluator, builder):
+    def __init__(self, ground: GroundSet, kind: str, payload, builder):
         self.ground = ground
         self.kind = kind
         self.payload = payload
-        self._eval = evaluator
         self._build = builder
         self._values = None
-        if abs(evaluator(0)) > 0.0:
-            raise PreconditionError("setfunction must satisfy phi(empty) = 0")
 
     # ---- constructors ------------------------------------------------
 
@@ -189,7 +187,7 @@ class SetFunction:
         if values[0] != 0.0:
             raise PreconditionError("table[0] must be 0 (phi(empty) = 0)")
         return cls(GroundSet(n, labels), "table", {"values": values},
-                   values.__getitem__, lambda: np.array(values))
+                   lambda: np.array(values))
 
     @classmethod
     def cut(cls, n: int, edges) -> "SetFunction":
@@ -197,21 +195,11 @@ class SetFunction:
         ground = GroundSet(n)
         edges = tuple((u, v, _finite(w, "edge weights")[0] if w else 1.0)
                       for u, v, *w in edges)
-        edata = []
-        for u, v, weight in edges:
+        for u, v, _ in edges:
             if u == v:
                 raise ValueError("loops have no cut contribution; remove them")
-            edata.append((ground.check_mask(1 << u) | ground.check_mask(1 << v),
-                          weight))
-        edata = tuple(edata)
-
-        def evaluate(mask: int) -> float:
-            total = 0.0
-            for pair, weight in edata:
-                hit = mask & pair
-                if hit != 0 and hit != pair:
-                    total += weight
-            return total
+            ground.check_mask(1 << u)
+            ground.check_mask(1 << v)
 
         def build():
             masks = np.arange(1 << n)
@@ -220,7 +208,7 @@ class SetFunction:
                 out += weight * ((masks >> u ^ masks >> v) & 1)
             return out
 
-        return cls(ground, "cut", {"edges": edges}, evaluate, build)
+        return cls(ground, "cut", {"edges": edges}, build)
 
     @classmethod
     def coverage(cls, covers: Sequence[Sequence[int]],
@@ -239,20 +227,6 @@ class SetFunction:
                     raise ValueError(f"item {item} out of range")
                 m |= 1 << item
             item_masks.append(m)
-        item_masks = tuple(item_masks)
-
-        def evaluate(mask: int) -> float:
-            covered = 0
-            for x in ground.elements(mask):
-                covered |= item_masks[x]
-            total = 0.0
-            i = 0
-            while covered:
-                if covered & 1:
-                    total += weights[i]
-                covered >>= 1
-                i += 1
-            return total
 
         def build():
             masks = np.arange(1 << n)
@@ -264,7 +238,7 @@ class SetFunction:
             return out
 
         payload = {"covers": tuple(tuple(c) for c in covers), "item_weights": weights}
-        return cls(ground, "coverage", payload, evaluate, build)
+        return cls(ground, "coverage", payload, build)
 
     @classmethod
     def uniform_matroid(cls, n: int, rank: int) -> "SetFunction":
@@ -273,7 +247,6 @@ class SetFunction:
         ground = GroundSet(n)
         payload = {"matroid": "uniform", "rank": rank}
         return cls(ground, "matroid-rank", payload,
-                   lambda mask: float(min(bin(mask).count("1"), rank)),
                    lambda: np.minimum(_popcounts(np.arange(1 << n)), rank))
 
     @classmethod
@@ -289,10 +262,6 @@ class SetFunction:
         block_masks = tuple(ground.mask_of(b) for b in blocks)
         caps = tuple(int(c) for c in _finite(capacities, "capacities"))
 
-        def evaluate(mask: int) -> float:
-            return float(sum(min(bin(mask & bm).count("1"), c)
-                             for bm, c in zip(block_masks, caps)))
-
         def build():
             masks = np.arange(1 << n)
             return sum(np.minimum(_popcounts(masks & bm), c)
@@ -301,17 +270,12 @@ class SetFunction:
         payload = {"matroid": "partition",
                    "blocks": tuple(tuple(b) for b in blocks),
                    "capacities": caps}
-        return cls(ground, "matroid-rank", payload, evaluate, build)
+        return cls(ground, "matroid-rank", payload, build)
 
     @classmethod
     def modular(cls, weights: Sequence[float]) -> "SetFunction":
         weights = _bounded_sums(weights)
-        ground = GroundSet(len(weights))
-
-        def evaluate(mask: int) -> float:
-            return sum(weights[x] for x in ground.elements(mask))
-
-        return cls(ground, "modular", {"weights": weights}, evaluate,
+        return cls(GroundSet(len(weights)), "modular", {"weights": weights},
                    lambda: subset_sums(weights))
 
     @classmethod
@@ -326,20 +290,14 @@ class SetFunction:
         # min(0, g(sum)) and the largest of g(sum) and its breakpoint values
         if not math.isfinite(piecewise_linear(pts, sum(weights))):
             raise ValueError("g overflows float64 on the subset sums")
-        ground = GroundSet(len(weights))
-
-        def evaluate(mask: int) -> float:
-            return piecewise_linear(pts, sum(weights[x] for x in ground.elements(mask)))
-
         payload = {"weights": weights, "breakpoints": tuple(pts)}
-        return cls(ground, "concave-of-modular", payload, evaluate,
+        return cls(GroundSet(len(weights)), "concave-of-modular", payload,
                    lambda: piecewise_linear_array(pts, subset_sums(weights)))
 
     # ---- evaluation --------------------------------------------------
 
     def __call__(self, mask: int) -> float:
-        self.ground.check_mask(mask)
-        return self._eval(mask)
+        return float(self.values[self.ground.check_mask(mask)])
 
     @property
     def n(self) -> int:
@@ -352,6 +310,8 @@ class SetFunction:
             values = np.asarray(self._build(), dtype=np.float64)
             if not np.isfinite(values).all():
                 raise ValueError("setfunction values must be finite")
+            if values[0] != 0.0:
+                raise PreconditionError("setfunction must satisfy phi(empty) = 0")
             values.flags.writeable = False
             self._values = values
         return self._values
@@ -436,6 +396,13 @@ def is_submodular(phi: SetFunction, tol: float = TOL) -> Verdict:
     (X, Y) violates the global inequality directly.
     """
     return _second_difference_verdict(phi, lambda d: d > tol)
+
+
+def require_submodular(phi: SetFunction, tol: float = TOL) -> None:
+    """Raise PreconditionError, naming a witness, unless phi is submodular."""
+    verdict = is_submodular(phi, tol)
+    if not verdict:
+        raise PreconditionError(f"phi is not submodular (witness {verdict.witness})")
 
 
 def is_increasing(phi: SetFunction, tol: float = TOL) -> Verdict:

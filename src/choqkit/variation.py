@@ -15,8 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .setfunctions import (PreconditionError, SetFunction, decrease_witness,
-                           is_submodular)
+from .setfunctions import SetFunction, decrease_witness, require_submodular
 
 
 @lru_cache(maxsize=4)
@@ -82,9 +81,7 @@ def max_variation_chain(phi: SetFunction) -> list:
 
 def submodular_variation_closed_form(phi: SetFunction, tol: float = 1e-9) -> float:
     """K(phi) = 2 * max_S phi(S) - phi(J), valid for submodular phi."""
-    verdict = is_submodular(phi, tol)
-    if not verdict:
-        raise PreconditionError(f"phi is not submodular (witness {verdict.witness})")
+    require_submodular(phi, tol)
     vals = phi.values
     return 2.0 * float(vals.max()) - float(vals[-1])
 
@@ -123,9 +120,7 @@ def ls_decomposition(phi: SetFunction, tol: float = 1e-9):
     psi is a running maximum along one bit at a time (a zeta transform
     over the subset lattice with max in place of the sum).
     """
-    verdict = is_submodular(phi, tol)
-    if not verdict:
-        raise PreconditionError(f"phi is not submodular (witness {verdict.witness})")
+    require_submodular(phi, tol)
     vals = phi.values
     psi = vals.reshape((2,) * phi.n)
     for axis in range(phi.n):

@@ -38,9 +38,13 @@ class TestChoquetEval:
     def test_chain_csv(self):
         result = run_cli("choquet-eval", PATH_CUT,
                          "--function", "[0.5, 1, 0]", "--chain")
-        lines = result.stdout.strip().splitlines()
-        assert lines[0] == "threshold,mask,phi,contribution"
-        assert len(lines) == 5  # header + 3 levels + value line
+        assert result.stdout.splitlines() == [
+            "threshold,mask,phi,contribution",
+            "1.0,2,2.0,1.0",
+            "0.5,3,1.0,0.5",
+            "0.0,7,0.0,0.0",
+            "choquet value: 1.5",
+        ]
 
 
 class TestVariationAndDecompose:

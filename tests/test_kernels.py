@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choqkit import (FubiniInstance, PreconditionError, SetFunction,
@@ -142,12 +142,25 @@ class TestPsi:
 
 
 class TestValues:
+    # one explicit instance per family, so that every builder is checked
     @SETTINGS
     @given(setfunctions)
+    @example(SetFunction.cut(8, [(0, 1, 0.5), (1, 2, 1.25), (0, 7, 2.0),
+                                 (3, 5, 0.75)]))
+    @example(random_coverage(np.random.default_rng(1), 8))
+    @example(SetFunction.uniform_matroid(8, 3))
+    @example(SetFunction.partition_matroid([[0, 3], [1, 2, 4], [5, 6, 7]],
+                                           [1, 2, 2]))
+    @example(SetFunction.modular(np.random.default_rng(2).uniform(-1, 1, 8)))
+    @example(random_concave_of_modular(np.random.default_rng(3), 8))
+    @example(SetFunction.from_table(
+        np.r_[0.0, np.random.default_rng(4).uniform(-1, 1, 255)]))
     def test_values_equal_point_evaluation(self, phi):
         values = phi.values
         assert values.dtype == np.float64 and values.shape == (1 << phi.n,)
-        assert all(values[m] == phi(m) for m in range(1 << phi.n))
+        assert all(values[m] == oracles.value_by_payload(phi, m)
+                   for m in range(1 << phi.n))
+        assert all(type(phi(m)) is float for m in range(1 << phi.n))
 
     def test_values_are_cached_and_read_only(self, path_cut):
         assert path_cut.values is path_cut.values
@@ -198,7 +211,9 @@ class TestChoquetBatch:
     @given(setfunctions, st.data())
     def test_rows_match_scalar_choquet(self, phi, data):
         F = data.draw(dyadic_matrices(phi.n))
-        assert _close(choquet_batch(phi, F), [choquet(phi, row) for row in F])
+        scalars = [choquet(phi, row) for row in F]
+        assert all(type(value) is float for value in scalars)
+        assert _close(choquet_batch(phi, F), scalars)
 
     def test_empty_batch(self, path_cut):
         assert choquet_batch(path_cut, np.zeros((0, 3))).shape == (0,)

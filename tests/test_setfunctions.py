@@ -42,9 +42,10 @@ class TestEval:
         assert phi(0b001) == 1.0
         assert phi(0b111) == 2.0
 
-    def test_mask_out_of_range(self, path_cut):
+    @pytest.mark.parametrize("mask", [0b1000, -1])
+    def test_mask_out_of_range(self, path_cut, mask):
         with pytest.raises(PreconditionError):
-            path_cut(0b1000)
+            path_cut(mask)
 
     def test_nonzero_empty_value_rejected(self):
         with pytest.raises(PreconditionError):
