@@ -13,7 +13,7 @@ import os
 import sys
 
 from .choquet import choquet, level_chain
-from .fubini import FubiniInstance, lln_run, lopsided_check
+from .fubini import FubiniInstance, LopsidedResult, lln_run, lopsided_check
 from .intervals import IntervalSetFunction, StepFunction, choquet_interval
 from .selftest import run_all
 from .setfunctions import (GroundSet, PreconditionError,
@@ -146,13 +146,15 @@ def cmd_fubini(args):
     phi = setfunction_from_json(obj["phi"])
     inst = FubiniInstance.of(obj["lambda"], obj["pi"], obj["F"], phi,
                              validate=not args.force, tol=args.tol)
-    result = lopsided_check(inst, args.tol)
     if args.steps > 0:
         trace = lln_run(inst, steps=args.steps, seed=args.seed, tol=args.tol)
+        result = LopsidedResult.of(trace.lhs, trace.rhs, args.tol)
         print("k,what_f_k,running_avg,what_h_k,norm_h_k")
         for rec in trace.records:
             print(f"{rec.k},{rec.what_f!r},{rec.running_avg!r},"
                   f"{rec.what_h!r},{rec.norm_h!r}")
+    else:
+        result = lopsided_check(inst, args.tol)
     print("lhs,rhs,slack,holds")
     print(f"{result.lhs!r},{result.rhs!r},{result.slack!r},{result.holds}")
     return 0 if (result.holds or args.force) else 1

@@ -77,14 +77,17 @@ class LopsidedResult:
     slack: float
     holds: bool
 
+    @classmethod
+    def of(cls, lhs: float, rhs: float, tol: float) -> "LopsidedResult":
+        return cls(lhs, rhs, rhs - lhs, rhs - lhs >= -tol)
+
 
 def lopsided_check(inst: FubiniInstance, tol: float = 1e-9) -> LopsidedResult:
     """whatphi(g) versus the lambda-average of whatphi over the rows."""
     g = marginal_g(inst).values
     lhs, *rows = choquet_batch(inst.phi, np.vstack([g, inst.F])).tolist()
     rhs = sum(w * value for w, value in zip(inst.lam, rows))
-    slack = rhs - lhs
-    return LopsidedResult(lhs, rhs, slack, slack >= -tol)
+    return LopsidedResult.of(lhs, rhs, tol)
 
 
 class LlnRecord(NamedTuple):

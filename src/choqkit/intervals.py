@@ -4,6 +4,9 @@ The algebra is closed under union, intersection and complement within
 [0, 1).  General test sets carry endpoint-inclusion flags so that the
 upper-infimum and lower-supremum extensions of an increasing
 setfunction can genuinely differ (they agree on the algebra itself).
+
+Each family has one closed form per extension, for one `FlaggedSet` or for
+every superlevel set of a step function at once (one sort of its pieces).
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .setfunctions import _concave_validate, piecewise_linear
+import numpy as np
+
+from .setfunctions import _concave_validate, _finite, piecewise_linear_array
 
 
 def _validate_unit(a: float, b: float):
@@ -39,15 +44,8 @@ class IntervalSet:
         return cls(tuple((a, b) for a, b in merged))
 
     @classmethod
-    def empty(cls) -> "IntervalSet":
-        return cls(())
-
-    @classmethod
     def full(cls) -> "IntervalSet":
         return cls(((0.0, 1.0),))
-
-    def contains(self, x: float) -> bool:
-        return any(a <= x < b for a, b in self.intervals)
 
     def measure(self) -> float:
         return sum(b - a for a, b in self.intervals)
@@ -133,8 +131,19 @@ class FlaggedSet:
                 return True
         return False
 
-    def measure(self) -> float:
-        return sum(b - a for a, b, _, _ in self.pieces)
+    def weighted_measure(self, density) -> float:
+        return _density_mass(density, [piece[:2] for piece in self.pieces]).sum()
+
+
+def _step_parts(breakpoints, values, what: str) -> tuple:
+    """Finite breakpoints 0 = c_0 < ... < c_m = 1 and m finite values."""
+    bps = _finite(breakpoints, f"{what} breakpoints")
+    vals = _finite(values, f"{what} values")
+    if (len(bps) != len(vals) + 1 or bps[0] != 0.0 or bps[-1] != 1.0
+            or any(c0 >= c1 for c0, c1 in zip(bps, bps[1:]))):
+        raise ValueError(f"{what} breakpoints must run 0 = c_0 < ... < c_m = 1 "
+                         "with one value per piece")
+    return bps, vals
 
 
 @dataclass(frozen=True)
@@ -145,13 +154,7 @@ class StepFunction:
     values: tuple
 
     def __post_init__(self):
-        bps = tuple(float(c) for c in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
-        if len(bps) != len(vals) + 1 or bps[0] != 0.0 or bps[-1] != 1.0:
-            raise ValueError("breakpoints must run 0 = c_0 < ... < c_m = 1 "
-                             "with one value per piece")
-        if any(c0 >= c1 for c0, c1 in zip(bps, bps[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+        bps, vals = _step_parts(self.breakpoints, self.values, "step function")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
 
@@ -160,24 +163,50 @@ class StepFunction:
             raise ValueError("argument outside [0, 1)")
         return self.values[bisect_right(self.breakpoints, x) - 1]
 
-    def distinct_values(self) -> list:
-        return sorted(set(self.values), reverse=True)
 
-    def superlevel(self, t: float) -> IntervalSet:
-        """{f >= t}, always an element of the algebra."""
-        return IntervalSet.of(
-            (a, b) for a, b, v in zip(self.breakpoints, self.breakpoints[1:],
-                                      self.values) if v >= t)
+def _density_mass(density, pairs) -> np.ndarray:
+    """Weighted measure of each [a, b) in pairs under a step density."""
+    bps, weights = (np.array(part) for part in density)
+    lo, hi = np.array(pairs, dtype=float).reshape(-1, 2).T
+    overlap = (np.minimum(hi[:, None], bps[None, 1:])
+               - np.maximum(lo[:, None], bps[None, :-1]))
+    return (np.clip(overlap, 0.0, None) * weights).sum(axis=1)
 
 
-def _density_integral(density, a: float, b: float) -> float:
-    bps, vals = density
-    total = 0.0
-    for c0, c1, w in zip(bps, bps[1:], vals):
-        lo, hi = max(a, c0), min(b, c1)
-        if lo < hi:
-            total += w * (hi - lo)
-    return total
+class _Superlevels:
+    """The sets {f >= t} for f's distinct values t in decreasing order
+    (the levels), then a probe inside each gap, one below and one above.
+
+    Each set is a prefix of one stable sort of the pieces by value, so
+    it contains x, approaches x from the right and has room just right
+    of x exactly when f(x) >= t.
+    """
+
+    def __init__(self, f: StepFunction):
+        values = np.array(f.values)
+        self.order = np.argsort(-values, kind="stable")
+        descending = values[self.order]
+        self.levels = descending[np.r_[True, descending[1:] != descending[:-1]]]
+        probes = np.r_[(self.levels[:-1] + self.levels[1:]) / 2.0,
+                       self.levels[-1] - 1.0, self.levels[0] + 1.0]
+        self.thresholds = np.r_[self.levels, probes]
+        self.count = np.searchsorted(-descending, -self.thresholds, side="right")
+        self.f = f
+
+    def weighted_measure(self, density) -> np.ndarray:
+        bps = self.f.breakpoints
+        mass = _density_mass(density, list(zip(bps, bps[1:])))[self.order]
+        return np.r_[0.0, np.cumsum(mass)][self.count]
+
+    def contains(self, x: float) -> np.ndarray:
+        return self.f(x) >= self.thresholds
+
+    accumulates_from_right = has_right_room = contains
+
+    def integral(self, heights: np.ndarray) -> float:
+        """sum_k (t_k - t_{k+1}) phi{f >= t_k} over the levels, t_L = 0."""
+        levels = self.levels
+        return float(((levels - np.r_[levels[1:], 0.0]) * heights[:len(levels)]).sum())
 
 
 class IntervalSetFunction:
@@ -197,70 +226,59 @@ class IntervalSetFunction:
     def concave_of_measure(cls, breakpoints,
                            density: Optional[tuple] = None) -> "IntervalSetFunction":
         pts = _concave_validate(breakpoints)
-        slopes = [(v1 - v0) / (t1 - t0)
-                  for (t0, v0), (t1, v1) in zip(pts, pts[1:])]
-        if any(s < 0 for s in slopes):
+        if any(v1 < v0 for (_, v0), (_, v1) in zip(pts, pts[1:])):
             raise ValueError("transform must be nondecreasing")
         if density is None:
             density = ((0.0, 1.0), (1.0,))
-        bps = tuple(float(c) for c in density[0])
-        weights = tuple(float(w) for w in density[1])
-        if len(bps) != len(weights) + 1 or bps[0] != 0.0 or bps[-1] != 1.0:
-            raise ValueError("density must be a step function on [0, 1)")
-        if any(w < 0 for w in weights):
+        density = _step_parts(*density, "density")
+        if any(w < 0 for w in density[1]):
             raise ValueError("density must be nonnegative")
-        return cls("concave-of-measure",
-                   {"g": tuple(pts), "density": (bps, weights)})
+        return cls("concave-of-measure", {"g": tuple(pts), "density": density})
 
     @classmethod
     def point_mass(cls, location: float, mass: float) -> "IntervalSetFunction":
-        location, mass = float(location), float(mass)
+        location, mass = _finite((location, mass), "atom location and mass")
         if not 0.0 <= location < 1.0:
             raise ValueError("atom must lie in [0, 1)")
         if mass < 0:
             raise ValueError("mass must be nonnegative")
         return cls("point-mass", {"location": location, "mass": mass})
 
-    def weighted_measure(self, pairs) -> float:
-        density = self.payload["density"]
-        return sum(_density_integral(density, a, b) for a, b in pairs)
-
     def __call__(self, iset: IntervalSet) -> float:
-        if self.kind == "concave-of-measure":
-            return piecewise_linear(self.payload["g"],
-                                    self.weighted_measure(iset.intervals))
-        p, m = self.payload["location"], self.payload["mass"]
-        return m if iset.contains(p) else 0.0
+        return float(_closed_form(self, iset, "exact"))
 
 
-def _as_flagged(x) -> FlaggedSet:
+_HITS = {  # when a point mass at p charges x, per extension
+    "exact": lambda x, p: x.contains(p),
+    # every half-open superset of x contains p iff x contains p or
+    # approaches p from the right
+    "ui": lambda x, p: x.contains(p) | x.accumulates_from_right(p),
+    # some half-open subset of x contains p iff x has room just right of p
+    "ls": lambda x, p: x.has_right_room(p),
+}
+
+
+def _closed_form(phi: IntervalSetFunction, x, extension: str):
+    """phi (`exact`) or its ui/ls extension on x, per family; x may be `_Superlevels`."""
+    hits = _HITS[extension]
     if isinstance(x, IntervalSet):
-        return FlaggedSet.from_interval_set(x)
-    return x
+        x = FlaggedSet.from_interval_set(x)
+    if phi.kind == "concave-of-measure":
+        # endpoint flags change the weighted measure by zero
+        return piecewise_linear_array(phi.payload["g"],
+                                      x.weighted_measure(phi.payload["density"]))
+    p, m = phi.payload["location"], phi.payload["mass"]
+    return np.where(hits(x, p), m, 0.0)
 
 
 def extend_ui(phi: IntervalSetFunction, x) -> float:
     """inf of phi over algebra supersets of x, in closed form per family."""
-    x = _as_flagged(x)
-    if phi.kind == "concave-of-measure":
-        # endpoint flags change the weighted measure by zero
-        return piecewise_linear(phi.payload["g"],
-                                phi.weighted_measure((a, b) for a, b, _, _ in x.pieces))
-    p, m = phi.payload["location"], phi.payload["mass"]
-    # every half-open superset of x contains p iff x contains p or
-    # approaches p from the right
-    return m if (x.contains(p) or x.accumulates_from_right(p)) else 0.0
+    return float(_closed_form(phi, x, "ui"))
 
 
 def extend_ls(phi: IntervalSetFunction, x) -> float:
     """sup of phi over algebra subsets of x, in closed form per family."""
-    x = _as_flagged(x)
-    if phi.kind == "concave-of-measure":
-        return piecewise_linear(phi.payload["g"],
-                                phi.weighted_measure((a, b) for a, b, _, _ in x.pieces))
-    m = phi.payload["mass"]
-    # some half-open subset of x contains p iff x has room just right of p
-    return m if x.has_right_room(phi.payload["location"]) else 0.0
+    return float(_closed_form(phi, x, "ls"))
 
 
 def choquet_interval(phi: IntervalSetFunction, f: StepFunction,
@@ -273,19 +291,8 @@ def choquet_interval(phi: IntervalSetFunction, f: StepFunction,
     how level sets are evaluated (direct, or through the ui/ls
     extension; all three agree since level sets lie in the algebra).
     """
-    evaluate = {
-        "exact": phi,
-        "ui": lambda s: extend_ui(phi, s),
-        "ls": lambda s: extend_ls(phi, s),
-    }[extension]
-    # integrate phi{f >= s} over s in (lower, max f] with lower = min(0, min f),
-    # then subtract the shift term; telescopes to the closed form below
-    values = sorted(set(f.values), reverse=True)
-    total = 0.0
-    for t, nxt in zip(values, values[1:]):
-        total += (t - nxt) * evaluate(f.superlevel(t))
-    total += values[-1] * evaluate(IntervalSet.full())
-    return total
+    sets = _Superlevels(f)
+    return sets.integral(_closed_form(phi, sets, extension))
 
 
 def ae_gap(phi: IntervalSetFunction, f: StepFunction,
@@ -299,22 +306,12 @@ def ae_gap(phi: IntervalSetFunction, f: StepFunction,
     (where an exceptional interval would have positive measure) and
     that the ui- and ls-integrals agree.
     """
-    values = f.distinct_values()
-    exceptional = []
-    # probe one t inside each interval of constancy of the level set
-    probes = [(a + b) / 2.0 for a, b in zip(values, values[1:])]
-    probes.append(values[-1] - 1.0)
-    probes.append(values[0] + 1.0)
-    for t in probes:
-        level = FlaggedSet.from_interval_set(f.superlevel(t))
-        if abs(extend_ui(phi, level) - extend_ls(phi, level)) > tol:
-            raise AssertionError("exceptional set has positive measure")
-    for t in values:
-        level = FlaggedSet.from_interval_set(f.superlevel(t))
-        if abs(extend_ui(phi, level) - extend_ls(phi, level)) > tol:
-            exceptional.append(t)
-    ui = choquet_interval(phi, f, extension="ui")
-    ls = choquet_interval(phi, f, extension="ls")
-    if abs(ui - ls) > max(tol, 1e-9):
+    sets = _Superlevels(f)
+    ui, ls = (_closed_form(phi, sets, extension) for extension in ("ui", "ls"))
+    gap = np.abs(ui - ls) > tol
+    n_levels = len(sets.levels)
+    if gap[n_levels:].any():
+        raise AssertionError("exceptional set has positive measure")
+    if abs(sets.integral(ui) - sets.integral(ls)) > max(tol, 1e-9):
         raise AssertionError("ui- and ls-integrals disagree")
-    return exceptional
+    return sets.levels[gap[:n_levels]].tolist()

@@ -2,14 +2,17 @@
 
 These deliberately avoid the shortcuts taken by the main modules
 (local submodularity characterization, single-element-step DP,
-difference kernels over the value array, sorted gaps) so that
-agreement between the two routes is meaningful evidence.
+difference kernels over the value array, sorted gaps, the one-sort
+level chain of a step function) so that agreement between the two
+routes is meaningful evidence.
 """
 
 from __future__ import annotations
 
 import math
 
+from .intervals import (FlaggedSet, IntervalSet, IntervalSetFunction, StepFunction,
+                        extend_ls, extend_ui)
 from .setfunctions import SetFunction, Verdict, piecewise_linear
 
 
@@ -135,3 +138,52 @@ def continuity_modulus_by_pairs(phi: SetFunction, pi, epsilons=None) -> list:
 def chain_variation_sum(phi: SetFunction, chain) -> float:
     """Sum of |phi increments| along an explicit chain of masks."""
     return sum(abs(phi(b) - phi(a)) for a, b in zip(chain, chain[1:]))
+
+
+def superlevel(f: StepFunction, t: float) -> IntervalSet:
+    """{f >= t}, always an element of the algebra."""
+    return IntervalSet.of(
+        (a, b) for a, b, v in zip(f.breakpoints, f.breakpoints[1:], f.values)
+        if v >= t)
+
+
+def choquet_interval_by_levels(phi: IntervalSetFunction, f: StepFunction,
+                               extension: str = "exact") -> float:
+    """`intervals.choquet_interval` by building and evaluating every level set."""
+    evaluate = {
+        "exact": phi,
+        "ui": lambda s: extend_ui(phi, s),
+        "ls": lambda s: extend_ls(phi, s),
+    }[extension]
+    # integrate phi{f >= s} over s in (lower, max f] with lower = min(0, min f),
+    # then subtract the shift term; telescopes to the closed form below
+    values = sorted(set(f.values), reverse=True)
+    total = 0.0
+    for t, nxt in zip(values, values[1:]):
+        total += (t - nxt) * evaluate(superlevel(f, t))
+    total += values[-1] * evaluate(IntervalSet.full())
+    return total
+
+
+def ae_gap_by_levels(phi: IntervalSetFunction, f: StepFunction,
+                     tol: float = 1e-9) -> list:
+    """`intervals.ae_gap` by comparing ui and ls on every level set in turn."""
+    values = sorted(set(f.values), reverse=True)
+    exceptional = []
+    # probe one t inside each interval of constancy of the level set
+    probes = [(a + b) / 2.0 for a, b in zip(values, values[1:])]
+    probes.append(values[-1] - 1.0)
+    probes.append(values[0] + 1.0)
+    for t in probes:
+        level = FlaggedSet.from_interval_set(superlevel(f, t))
+        if abs(extend_ui(phi, level) - extend_ls(phi, level)) > tol:
+            raise AssertionError("exceptional set has positive measure")
+    for t in values:
+        level = FlaggedSet.from_interval_set(superlevel(f, t))
+        if abs(extend_ui(phi, level) - extend_ls(phi, level)) > tol:
+            exceptional.append(t)
+    ui = choquet_interval_by_levels(phi, f, extension="ui")
+    ls = choquet_interval_by_levels(phi, f, extension="ls")
+    if abs(ui - ls) > max(tol, 1e-9):
+        raise AssertionError("ui- and ls-integrals disagree")
+    return exceptional

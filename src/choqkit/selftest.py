@@ -250,9 +250,12 @@ def criterion_6(seed: int = 6) -> CriterionResult:
             exceptional = ae_gap(phi, f)
             _require(len(exceptional) <= len(set(f.values)),
                      "exceptional set larger than the number of levels")
-            ui = choquet_interval(phi, f, extension="ui")
-            ls = choquet_interval(phi, f, extension="ls")
+            ui, ls = (choquet_interval(phi, f, extension=e) for e in ("ui", "ls"))
             _require(abs(ui - ls) <= TOL, f"ui and ls values differ: {ui} vs {ls}")
+            for extension, value in (("ui", ui), ("ls", ls)):
+                ref = oracles.choquet_interval_by_levels(phi, f, extension)
+                _require(abs(value - ref) <= TOL * max(1.0, abs(ref)),
+                         f"{extension} sweep {value} vs per-level route {ref}")
         return True, "200 (phi, f) pairs, exceptional sets all finite"
 
     return _timed(6, "interval set-algebra", run)

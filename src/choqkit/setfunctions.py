@@ -320,11 +320,6 @@ class SetFunction:
         """All 2^n values as a list (the list view of `values`)."""
         return self.values.tolist()
 
-    def as_table(self) -> "SetFunction":
-        if self.kind == "table":
-            return self
-        return SetFunction.from_table(self.table(), labels=self.ground.labels)
-
 
 # ---- difference kernels and structural predicates ---------------------
 #

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from choqkit import cli, fubini
+
 PATH_CUT = json.dumps({"n": 3, "kind": "cut",
                        "payload": {"edges": [[0, 1, 1.0], [1, 2, 1.0]]}})
 
@@ -118,6 +120,23 @@ class TestFubini:
         assert rejected.returncode == 3
         forced = run_cli("fubini", payload, "--force")
         assert forced.returncode == 0
+
+    @pytest.mark.parametrize("steps", ["0", "5"])
+    def test_exact_inequality_evaluated_once(self, monkeypatch, capsys, steps):
+        calls = []
+        original = fubini.lopsided_check
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fubini, "lopsided_check", counting)
+        monkeypatch.setattr(cli, "lopsided_check", counting)
+        assert cli.main(["fubini", self.PAYLOAD, "--steps", steps]) == 0
+        assert len(calls) == 1
+        summary = capsys.readouterr().out.splitlines()[-2:]
+        assert summary[0] == "lhs,rhs,slack,holds"
+        assert summary[1].endswith(",True")
 
 
 class TestExitCodes:

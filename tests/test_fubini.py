@@ -119,7 +119,8 @@ class TestLlnRun:
 
     def test_trace_invariants(self, rng):
         inst = random_fubini_instance(rng, 5, 5)
-        inst = FubiniInstance.of(inst.lam, inst.pi, inst.F, inst.phi.as_table())
+        inst = FubiniInstance.of(inst.lam, inst.pi, inst.F,
+                                 SetFunction.from_table(inst.phi.table()))
         trace = lln_run(inst, steps=500, seed=11)  # asserts bounds internally
         k_phi = total_variation(inst.phi)
         final = trace.records[-1]

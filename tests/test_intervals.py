@@ -139,6 +139,44 @@ class TestChoquetInterval:
                 choquet_interval(phi, f) + choquet_interval(phi, g) + TOL)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_step_function_breakpoint(self, bad):
+        with pytest.raises(ValueError):
+            StepFunction((0.0, bad, 1.0), (1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_step_function_value(self, bad):
+        with pytest.raises(ValueError):
+            StepFunction((0.0, 0.5, 1.0), (1.0, bad))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_point_mass(self, bad):
+        with pytest.raises(ValueError):
+            IntervalSetFunction.point_mass(0.5, bad)
+        with pytest.raises(ValueError):
+            IntervalSetFunction.point_mass(bad, 1.0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_density_weight(self, bad):
+        with pytest.raises(ValueError):
+            IntervalSetFunction.concave_of_measure(SQRT_LIKE, ((0.0, 0.5, 1.0), (1.0, bad)))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_density_breakpoint(self, bad):
+        with pytest.raises(ValueError):
+            IntervalSetFunction.concave_of_measure(SQRT_LIKE, ((0.0, bad, 1.0), (1.0, 1.0)))
+
+    @pytest.mark.parametrize("bps", [(0.0, 0.7, 0.3, 1.0), (0.0, 0.5, 0.5, 1.0)])
+    def test_density_breakpoints_not_increasing(self, bps):
+        # (0, 0.7, 0.3, 1) with unit weights would give [0, 1) measure 1.4
+        with pytest.raises(ValueError):
+            IntervalSetFunction.concave_of_measure(SQRT_LIKE, (bps, (1.0, 1.0, 1.0)))
+
+
 class TestAeGap:
     def test_concave_has_no_exceptional_thresholds(self, rng):
         phi = IntervalSetFunction.concave_of_measure(SQRT_LIKE)

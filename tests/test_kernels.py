@@ -15,10 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from choqkit import (FubiniInstance, PreconditionError, SetFunction,
-                     canonical_decomposition, choquet, choquet_batch,
-                     is_increasing, is_modular, is_submodular, lln_run,
-                     ls_decomposition, max_variation_chain, total_variation,
+from choqkit import (FubiniInstance, IntervalSetFunction, PreconditionError,
+                     SetFunction, StepFunction, ae_gap, canonical_decomposition,
+                     choquet, choquet_batch, choquet_interval, is_increasing,
+                     is_modular, is_submodular, lln_run, ls_decomposition,
+                     max_variation_chain, total_variation,
                      uniform_continuity_modulus)
 from choqkit import fubini, oracles
 from choqkit.randgen import (random_concave_of_modular, random_coverage,
@@ -224,6 +225,68 @@ class TestChoquetBatch:
             choquet_batch(path_cut, np.zeros(shape))
 
 
+GRID = 64  # breakpoints on a grid of 1/64, so atoms and densities can meet f's
+
+
+@st.composite
+def step_functions(draw):
+    """Step functions with ties across pieces, negative and all-equal values."""
+    inner = draw(st.lists(st.integers(1, GRID - 1), max_size=12, unique=True))
+    bps = [0.0] + [j / GRID for j in sorted(inner)] + [1.0]
+    unit = draw(st.sampled_from([1.0, 0.1, 2.0 ** -10, 3.7]))
+    values = st.lists(st.integers(-3, 3), min_size=len(bps) - 1,
+                      max_size=len(bps) - 1)
+    if draw(st.booleans()):
+        values = st.integers(-3, 3).map(lambda v: [v] * (len(bps) - 1))
+    return StepFunction(tuple(bps), tuple(v * unit for v in draw(values)))
+
+
+@st.composite
+def interval_setfunctions(draw, f):
+    """A point mass (often on a breakpoint of f) or a concave transform of a
+    measure whose density may share f's breakpoints."""
+    grid = st.integers(0, GRID - 1).map(lambda j: j / GRID)
+    if draw(st.booleans()):
+        location = draw(st.one_of(st.sampled_from(f.breakpoints[:-1]), grid))
+        return IntervalSetFunction.point_mass(location, draw(st.floats(0.0, 2.0)))
+    slopes = sorted(draw(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3)),
+                    reverse=True)
+    knots = sorted(draw(st.lists(st.floats(0.05, 2.0), min_size=len(slopes),
+                                 max_size=len(slopes), unique=True)))
+    pts, value, prev = [(0.0, 0.0)], 0.0, 0.0
+    for t, s in zip(knots, slopes):
+        value += s * (t - prev)
+        pts.append((t, value))
+        prev = t
+    density = None
+    if draw(st.booleans()):
+        cuts = draw(st.lists(st.one_of(st.sampled_from(f.breakpoints[1:-1] or (0.5,)),
+                                       grid.filter(bool)), max_size=4))
+        dbps = (0.0, *sorted(set(cuts)), 1.0)
+        weights = draw(st.lists(st.floats(0.0, 2.0), min_size=len(dbps) - 1,
+                                max_size=len(dbps) - 1))
+        density = (dbps, tuple(weights))
+    return IntervalSetFunction.concave_of_measure(pts, density)
+
+
+class TestIntervalSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sweep_matches_per_level_oracle(self, data):
+        f = data.draw(step_functions())
+        phi = data.draw(interval_setfunctions(f))
+        for extension in ("exact", "ui", "ls"):
+            value = choquet_interval(phi, f, extension)
+            assert type(value) is float
+            assert _close(value, oracles.choquet_interval_by_levels(phi, f, extension))
+        assert ae_gap(phi, f) == oracles.ae_gap_by_levels(phi, f)
+
+    def test_unknown_extension(self):
+        phi = IntervalSetFunction.concave_of_measure([(0.0, 0.0), (1.0, 1.0)])
+        with pytest.raises(KeyError):
+            choquet_interval(phi, StepFunction((0.0, 1.0), (1.0,)), "bogus")
+
+
 def _loop_lln(inst, steps, seed, tol=TOL):
     """Step-by-step LLN trace over scalar choquet calls: (k, what_f,
     running_avg, what_h, norm_h) per step, raising as lln_run does."""
@@ -273,7 +336,8 @@ class TestLlnAgainstLoop:
     def test_records_match_scalar_loop(self, seed, m, n, steps, tabled, block):
         inst = random_fubini_instance(np.random.default_rng(seed), m, n)
         if tabled:
-            inst = FubiniInstance.of(inst.lam, inst.pi, inst.F, inst.phi.as_table())
+            inst = FubiniInstance.of(inst.lam, inst.pi, inst.F,
+                                     SetFunction.from_table(inst.phi.table()))
         got = [(r.k, r.what_f, r.running_avg, r.what_h, r.norm_h)
                for r in _blocked_lln(block, inst, steps, seed).records]
         want = _loop_lln(inst, steps, seed)

@@ -57,7 +57,7 @@ class TestUncross:
         for _ in range(80):
             n = int(rng.integers(2, 11))
             fam = random_weighted_family(rng, n)
-            phi = random_submodular_setfunction(rng, n).as_table()
+            phi = SetFunction.from_table(random_submodular_setfunction(rng, n).table())
             trace = uncross(fam, phi)
             h = family_sum(fam).values
             assert len(trace.steps) <= fam.total_multiplicity * n * n
@@ -108,7 +108,7 @@ class TestSubadditivityDerivation:
         # certifies whatphi(f + g) <= whatphi(f) + whatphi(g)
         for _ in range(40):
             n = int(rng.integers(2, 8))
-            phi = random_submodular_setfunction(rng, n).as_table()
+            phi = SetFunction.from_table(random_submodular_setfunction(rng, n).table())
             f = rng.integers(0, 4, size=n)
             g = rng.integers(0, 4, size=n)
             entries = []
