@@ -175,7 +175,8 @@ def _density_mass(density, pairs) -> np.ndarray:
 
 class _Superlevels:
     """The sets {f >= t} for f's distinct values t in decreasing order
-    (the levels), then a probe inside each gap, one below and one above.
+    (the levels), then a probe inside each gap, the full set (t = -inf)
+    and the empty set (t = +inf).
 
     Each set is a prefix of one stable sort of the pieces by value, so
     it contains x, approaches x from the right and has room just right
@@ -187,8 +188,7 @@ class _Superlevels:
         self.order = np.argsort(-values, kind="stable")
         descending = values[self.order]
         self.levels = descending[np.r_[True, descending[1:] != descending[:-1]]]
-        probes = np.r_[(self.levels[:-1] + self.levels[1:]) / 2.0,
-                       self.levels[-1] - 1.0, self.levels[0] + 1.0]
+        probes = np.r_[(self.levels[:-1] + self.levels[1:]) / 2.0, -np.inf, np.inf]
         self.thresholds = np.r_[self.levels, probes]
         self.count = np.searchsorted(-descending, -self.thresholds, side="right")
         self.f = f

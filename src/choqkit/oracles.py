@@ -170,10 +170,10 @@ def ae_gap_by_levels(phi: IntervalSetFunction, f: StepFunction,
     """`intervals.ae_gap` by comparing ui and ls on every level set in turn."""
     values = sorted(set(f.values), reverse=True)
     exceptional = []
-    # probe one t inside each interval of constancy of the level set
+    # probe one t inside each interval of constancy of the level set,
+    # then the full (t = -inf) and the empty (t = +inf) level set
     probes = [(a + b) / 2.0 for a, b in zip(values, values[1:])]
-    probes.append(values[-1] - 1.0)
-    probes.append(values[0] + 1.0)
+    probes += [-math.inf, math.inf]
     for t in probes:
         level = FlaggedSet.from_interval_set(superlevel(f, t))
         if abs(extend_ui(phi, level) - extend_ls(phi, level)) > tol:

@@ -18,11 +18,6 @@ def random_table_setfunction(rng: np.random.Generator, n: int,
     return SetFunction.from_table(values)
 
 
-def random_bounded_function(rng: np.random.Generator, n: int,
-                            lo: float = -1.0, hi: float = 1.0):
-    return tuple(rng.uniform(lo, hi, size=n))
-
-
 def random_cut(rng: np.random.Generator, n: int) -> SetFunction:
     edges = [(u, v, float(rng.uniform(0.0, 1.0)))
              for u in range(n) for v in range(u + 1, n)

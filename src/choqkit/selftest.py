@@ -75,9 +75,7 @@ def criterion_1(seed: int = 1) -> CriterionResult:
             verdict = is_submodular(phi)
             if verdict:
                 submodular_seen += 1
-                f, g = np.array([[randgen.random_bounded_function(rng, n)
-                                  for _ in range(2)]
-                                 for _ in range(100)]).transpose(1, 0, 2)
+                f, g = rng.uniform(-1.0, 1.0, size=(100, 2, n)).transpose(1, 0, 2)
                 lhs = choquet_batch(phi, f + g)
                 rhs = choquet_batch(phi, f) + choquet_batch(phi, g)
                 _require(lhs <= rhs + TOL, lambda i: (
@@ -148,8 +146,7 @@ def criterion_3(seed: int = 3) -> CriterionResult:
                 low = masks[masks >> x & 1 == 0]
                 _require(mu[low] <= mu[low | 1 << x] + TOL, "mu not increasing")
                 _require(nu[low] <= nu[low | 1 << x] + TOL, "nu not increasing")
-            fs = np.array([randgen.random_bounded_function(rng, n)
-                           for _ in range(50)])
+            fs = rng.uniform(-1.0, 1.0, size=(50, n))
             direct = choquet_batch(phi, fs)
             split = (choquet_batch(SetFunction.from_table(dec.mu), fs)
                      - choquet_batch(SetFunction.from_table(dec.nu), fs))
@@ -169,8 +166,7 @@ def criterion_4(seed: int = 4) -> CriterionResult:
             n = int(rng.integers(3, 7))
             phi = randgen.random_table_setfunction(rng, n)
             psi = randgen.random_table_setfunction(rng, n)
-            f = np.array(randgen.random_bounded_function(rng, n))
-            g = np.array(randgen.random_bounded_function(rng, n))
+            f, g = rng.uniform(-1.0, 1.0, size=(2, n))
             a = float(rng.uniform(-2.0, 2.0))
             c = float(rng.uniform(0.1, 3.0))
             full = phi.ground.full_mask
@@ -181,8 +177,7 @@ def criterion_4(seed: int = 4) -> CriterionResult:
                      "translation identity failed")
             _require(abs(choquet(phi, -f) + choquet(conjugate(phi), f)) <= TOL,
                      "reflection through the conjugate failed")
-            combo = SetFunction.from_table(
-                [a * phi(m) + c * psi(m) for m in range(full + 1)])
+            combo = SetFunction.from_table(a * phi.values + c * psi.values)
             _require(abs(choquet(combo, f)
                          - (a * base + c * choquet(psi, f))) <= TOL,
                      "linearity in phi failed")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -347,14 +348,6 @@ def first_differences(values: np.ndarray):
         yield x, np.diff(cube, axis=n - 1 - x)
 
 
-def second_differences(values: np.ndarray):
-    """Yield (x, y, d), x < y, with d[S] = phi(S+x+y) - phi(S+x) - phi(S+y) + phi(S)."""
-    n = values.size.bit_length() - 1
-    for x, dx in first_differences(values):
-        for y in range(x + 1, n):
-            yield x, y, np.diff(dx, axis=n - 1 - y)
-
-
 def decrease_witness(values: np.ndarray, tol: float = TOL) -> Optional[tuple]:
     """A pair (S, S + x) with values[S] > values[S + x] + tol, or None."""
     for x, d in first_differences(values):
@@ -375,11 +368,43 @@ class Verdict:
         return self.holds
 
 
+# Second differences (phi(S+x+y) - phi(S+y)) - (phi(S+x) - phi(S)), pair
+# by pair (x < y in order) with the bases S ascending: one gather while they
+# fit the budget (n <= 10), else one np.diff per pair with an early exit.
+_GATHER_BUDGET = 1 << 14
+
+
+@lru_cache(maxsize=None)
+def _second_difference_plan(n: int) -> np.ndarray:
+    """Rows S, S+x, S+y, S+x+y (int32) of every second difference."""
+    masks = np.arange(1 << n, dtype=np.int32)
+    bases = [(x, y, masks[(masks & (1 << x | 1 << y)) == 0])
+             for x in range(n) for y in range(x + 1, n)]
+    plan = np.concatenate([(s, s | 1 << x, s | 1 << y, s | 1 << x | 1 << y)
+                           for x, y, s in bases], axis=1)
+    plan.flags.writeable = False
+    return plan
+
+
+def _loop_verdict(values: np.ndarray, violates) -> Verdict:
+    n = values.size.bit_length() - 1
+    for x, dx in first_differences(values):
+        for y in range(x + 1, n):
+            base = _first_base(violates(np.diff(dx, axis=n - 1 - y)))
+            if base is not None:
+                return Verdict(False, (base | 1 << x, base | 1 << y))
+    return Verdict(True)
+
+
 def _second_difference_verdict(phi: SetFunction, violates) -> Verdict:
-    for x, y, d in second_differences(phi.values):
-        base = _first_base(violates(d))
-        if base is not None:
-            return Verdict(False, (base | 1 << x, base | 1 << y))
+    n = phi.n
+    if n < 2 or n * (n - 1) << n >> 3 > _GATHER_BUDGET:
+        return _loop_verdict(phi.values, violates)
+    plan = _second_difference_plan(n)
+    s, sx, sy, sxy = phi.values[plan]
+    violated = violates((sxy - sy) - (sx - s))
+    if violated.any():
+        return Verdict(False, tuple(plan[1:3, violated.argmax()].tolist()))
     return Verdict(True)
 
 

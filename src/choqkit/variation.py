@@ -54,9 +54,9 @@ def _chain_dp(vals: np.ndarray, step):
         np.subtract(vals[members, None], cand, out=cand)
         step(cand, out=cand)
         cand += best[parents]
-        pick = cand.argmax(axis=1)[:, None]
-        best[members] = np.take_along_axis(cand, pick, 1)[:, 0]
-        parent[members] = np.take_along_axis(parents, pick, 1)[:, 0]
+        pick = cand.argmax(axis=1) + np.arange(0, cand.size, cand.shape[1])
+        best[members] = cand.ravel()[pick]
+        parent[members] = parents.ravel()[pick]
     return best, parent
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from choqkit import (FlaggedSet, IntervalSet, IntervalSetFunction, StepFunction,
-                     ae_gap, choquet_interval, extend_ls, extend_ui)
+                     ae_gap, choquet_interval, extend_ls, extend_ui, oracles)
+from choqkit.intervals import _Superlevels
 from choqkit.randgen import random_interval_setfunction, random_step_function
 
 TOL = 1e-9
@@ -195,3 +196,24 @@ class TestAeGap:
         phi = IntervalSetFunction.point_mass(0.5, 1.0)
         f = StepFunction((0.0, 1.0), (0.7,))
         assert len(ae_gap(phi, f)) <= 1
+
+
+class TestOutermostProbes:
+    # at |f| >= 2^53, max f + 1.0 == max f: a probe one above the top
+    # level would still meet the top piece instead of giving the empty set
+    F = StepFunction((0.0, 0.5, 1.0), (1e17, 0.0))
+
+    def test_sweep_probes_the_empty_and_the_full_set(self):
+        sets = _Superlevels(self.F)
+        top, bottom = sets.thresholds.argmax(), sets.thresholds.argmin()
+        assert sets.count[top] == 0 and sets.count[bottom] == len(self.F.values)
+        for x in (0.25, 0.75):
+            assert not sets.contains(x)[top] and sets.contains(x)[bottom]
+
+    def test_oracle_probes_the_empty_and_the_full_set(self, monkeypatch):
+        seen = []
+        superlevel = oracles.superlevel
+        monkeypatch.setattr(oracles, "superlevel",
+                            lambda f, t: seen.append(superlevel(f, t)) or seen[-1])
+        oracles.ae_gap_by_levels(IntervalSetFunction.point_mass(0.5, 1.0), self.F)
+        assert IntervalSet(()) in seen and IntervalSet.full() in seen

@@ -25,6 +25,7 @@ from choqkit import fubini, oracles
 from choqkit.randgen import (random_concave_of_modular, random_coverage,
                              random_cut, random_fubini_instance,
                              random_matroid_rank)
+from choqkit.setfunctions import _loop_verdict
 
 TOL = 1e-9
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -98,6 +99,51 @@ class TestPredicates:
         for verdict in (is_submodular(phi), is_increasing(phi), is_modular(phi)):
             if verdict.witness is not None:
                 assert all(type(mask) is int for mask in verdict.witness)
+
+
+ROUTE_NS = (2, 9, 10, 11, 12)  # both sides of the one-gather budget (n <= 10)
+
+
+@st.composite
+def tables_across_the_budget(draw):
+    """At n in ROUTE_NS: dyadic sign-mixed tables (ties, all-zero), family
+    members, and family members with a dyadic bump at one mask (so every
+    violation sits next to that mask).
+    The tables are drawn by numpy from a seed, since 2^12 entries would
+    overrun hypothesis's buffer."""
+    n = draw(st.sampled_from(ROUTE_NS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    unit = 2.0 ** -draw(st.integers(0, 18))
+    kind = draw(st.sampled_from(["table", "zero", "member", "bumped"]))
+    if kind in ("table", "zero"):
+        quarters = rng.integers(-6, 7, size=1 << n) * (kind == "table")
+        quarters[0] = 0
+        return SetFunction.from_table(quarters * unit / 4)
+    maker = draw(st.sampled_from(sorted(FAMILY_MAKERS) + ["modular"]))
+    if maker == "modular":
+        phi = SetFunction.modular(rng.uniform(-1.0, 1.0, size=n))
+    else:
+        phi = FAMILY_MAKERS[maker](rng, n)
+    if kind == "member":
+        return phi
+    values = phi.values.copy()
+    values[int(rng.integers(1, 1 << n))] += unit
+    return SetFunction.from_table(values)
+
+
+class TestSecondDifferenceRoutes:
+    # the per-pair np.diff loop, called directly, is the reference for the
+    # verdict and the witness; a raised budget sends every n to the gather
+    @settings(max_examples=80, deadline=None)
+    @given(tables_across_the_budget())
+    def test_both_routes_match_the_per_pair_loop(self, phi):
+        for predicate, violates in ((is_submodular, lambda d: d > TOL),
+                                    (is_modular, lambda d: np.abs(d) > TOL)):
+            want = _loop_verdict(phi.values, violates)
+            assert predicate(phi) == want
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("choqkit.setfunctions._GATHER_BUDGET", 1 << 20)
+                assert predicate(phi) == want
 
 
 class TestChainDp:
