@@ -105,7 +105,7 @@ def cmd_variation(args):
 def cmd_decompose(args):
     phi = setfunction_from_json(_load_json(args.input))
     dec = canonical_decomposition(phi)
-    print(json.dumps({"mu": list(dec.mu), "nu": list(dec.nu),
+    print(json.dumps({"mu": dec.mu.tolist(), "nu": dec.nu.tolist(),
                       "variation": dec.variation}))
     return 0
 

@@ -25,7 +25,7 @@ def value_by_payload(phi: SetFunction, mask: int) -> float:
     p = phi.payload
     elements = list(phi.ground.elements(phi.ground.check_mask(mask)))
     if phi.kind == "table":
-        return p["values"][mask]
+        return float(p["values"][mask])
     if phi.kind == "cut":
         cut = (w for u, v, w in p["edges"] if (u in elements) != (v in elements))
         return sum(cut, 0.0)

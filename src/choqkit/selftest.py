@@ -137,15 +137,14 @@ def criterion_3(seed: int = 3) -> CriterionResult:
             n = int(rng.integers(3, 8))
             phi = randgen.random_table_setfunction(rng, n)
             dec = canonical_decomposition(phi)
-            mu, nu = np.array(dec.mu), np.array(dec.nu)
-            _require(np.abs(mu - nu - phi.values) <= TOL, "mu - nu != phi")
-            _require(mu <= dec.variation + TOL, "mu exceeds K(phi)")
-            _require(nu <= dec.variation + TOL, "nu exceeds K(phi)")
+            _require(np.abs(dec.mu - dec.nu - phi.values) <= TOL, "mu - nu != phi")
+            _require(dec.mu <= dec.variation + TOL, "mu exceeds K(phi)")
+            _require(dec.nu <= dec.variation + TOL, "nu exceeds K(phi)")
             masks = np.arange(1 << n)
             for x in range(n):
                 low = masks[masks >> x & 1 == 0]
-                _require(mu[low] <= mu[low | 1 << x] + TOL, "mu not increasing")
-                _require(nu[low] <= nu[low | 1 << x] + TOL, "nu not increasing")
+                _require(dec.mu[low] <= dec.mu[low | 1 << x] + TOL, "mu not increasing")
+                _require(dec.nu[low] <= dec.nu[low | 1 << x] + TOL, "nu not increasing")
             fs = rng.uniform(-1.0, 1.0, size=(50, n))
             direct = choquet_batch(phi, fs)
             split = (choquet_batch(SetFunction.from_table(dec.mu), fs)

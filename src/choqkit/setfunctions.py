@@ -180,15 +180,16 @@ class SetFunction:
 
     @classmethod
     def from_table(cls, values: Sequence[float], labels=None) -> "SetFunction":
-        values = _finite(values, "table values")
-        size = len(values)
-        n = size.bit_length() - 1
-        if size != 1 << n or n < 1:
+        values = np.array(values, dtype=np.float64)
+        if not np.isfinite(values).all():
+            raise ValueError("table values must be finite")
+        n = values.size.bit_length() - 1
+        if values.ndim != 1 or values.size != 1 << n or n < 1:
             raise ValueError("table length must be 2^n with n >= 1")
         if values[0] != 0.0:
             raise PreconditionError("table[0] must be 0 (phi(empty) = 0)")
-        return cls(GroundSet(n, labels), "table", {"values": values},
-                   lambda: np.array(values))
+        values.flags.writeable = False
+        return cls(GroundSet(n, labels), "table", {"values": values}, lambda: values)
 
     @classmethod
     def cut(cls, n: int, edges) -> "SetFunction":
@@ -324,34 +325,32 @@ class SetFunction:
 
 # ---- difference kernels and structural predicates ---------------------
 #
-# The value array reshaped to the (2,)*n cube puts bit x of a mask on
-# axis n-1-x, so a difference along that axis steps from S to S + x.
+# Row r of values.reshape(-1, 2, 1 << x) holds the masks S without x
+# (column 0) and S + x (column 1) whose bits above x spell r, so the
+# flattened column difference lists phi(S + x) - phi(S), bases ascending.
 
 
-def _cube(values: np.ndarray) -> np.ndarray:
-    return values.reshape((2,) * (values.size.bit_length() - 1))
+def _block_diff(values: np.ndarray, x: int) -> np.ndarray:
+    """d[i] = values[S + x] - values[S] for the i-th mask S without bit x."""
+    blocks = values.reshape(-1, 2, 1 << x)
+    return (blocks[:, 1] - blocks[:, 0]).ravel()
 
 
-def _first_base(violated: np.ndarray) -> Optional[int]:
-    """Mask of the first True entry of a cube slice, or None."""
+def _first_base(violated: np.ndarray, *bits: int) -> Optional[int]:
+    """First True index, with a zero put back at each of `bits` in turn, or None."""
     if not violated.any():
         return None
-    digits = np.unravel_index(int(violated.argmax()), violated.shape)
-    return sum(int(d) << (len(digits) - 1 - axis) for axis, d in enumerate(digits))
-
-
-def first_differences(values: np.ndarray):
-    """Yield (x, d) with d[S] = phi(S + x) - phi(S) for S without x."""
-    cube = _cube(values)
-    n = cube.ndim
-    for x in range(n):
-        yield x, np.diff(cube, axis=n - 1 - x)
+    base = int(violated.argmax())
+    for x in bits:
+        high, low = divmod(base, 1 << x)
+        base = high << x + 1 | low
+    return base
 
 
 def decrease_witness(values: np.ndarray, tol: float = TOL) -> Optional[tuple]:
     """A pair (S, S + x) with values[S] > values[S + x] + tol, or None."""
-    for x, d in first_differences(values):
-        base = _first_base(d < -tol)
+    for x in range(values.size.bit_length() - 1):
+        base = _first_base(_block_diff(values, x) < -tol, x)
         if base is not None:
             return base, base | 1 << x
     return None
@@ -370,7 +369,8 @@ class Verdict:
 
 # Second differences (phi(S+x+y) - phi(S+y)) - (phi(S+x) - phi(S)), pair
 # by pair (x < y in order) with the bases S ascending: one gather while they
-# fit the budget (n <= 10), else one np.diff per pair with an early exit.
+# fit the budget (n <= 10), else one block difference of the first
+# differences per pair, with an early exit.
 _GATHER_BUDGET = 1 << 14
 
 
@@ -388,9 +388,11 @@ def _second_difference_plan(n: int) -> np.ndarray:
 
 def _loop_verdict(values: np.ndarray, violates) -> Verdict:
     n = values.size.bit_length() - 1
-    for x, dx in first_differences(values):
+    for x in range(n):
+        dx = _block_diff(values, x)
         for y in range(x + 1, n):
-            base = _first_base(violates(np.diff(dx, axis=n - 1 - y)))
+            # in dx (bit x removed) element y sits at bit y - 1
+            base = _first_base(violates(_block_diff(dx, y - 1)), y - 1, x)
             if base is not None:
                 return Verdict(False, (base | 1 << x, base | 1 << y))
     return Verdict(True)
@@ -439,19 +441,19 @@ def is_modular(phi: SetFunction, tol: float = TOL) -> Verdict:
 def conjugate(phi: SetFunction) -> SetFunction:
     """Table-backed phi*(X) = phi(J) - phi(J \\ X)."""
     vals = phi.values
-    return SetFunction.from_table((vals[-1] - vals[::-1]).tolist(),
-                                  labels=phi.ground.labels)
+    return SetFunction.from_table(vals[-1] - vals[::-1], labels=phi.ground.labels)
 
 
 # ---- JSON schema -----------------------------------------------------
 
 
 def setfunction_to_json(phi: SetFunction) -> dict:
-    payload = phi.payload
-    out = dict(payload)
-    # tuples -> lists for JSON friendliness
+    out = dict(phi.payload)
+    # arrays and tuples -> lists for JSON friendliness
     for key, value in out.items():
-        if isinstance(value, tuple):
+        if isinstance(value, np.ndarray):
+            out[key] = value.tolist()
+        elif isinstance(value, tuple):
             out[key] = [list(v) if isinstance(v, tuple) else v for v in value]
     return {"n": phi.n, "kind": phi.kind, "payload": out}
 

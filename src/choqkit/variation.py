@@ -1,11 +1,11 @@
 """Total variation over chains and the canonical increasing decomposition.
 
-The suprema over chains from the empty set are computed by one dynamic
-program over the subset lattice with single-element steps, one
-popcount layer at a time.  Refining a chain never decreases either
-objective (|a+b| <= |a| + |b| and |a+b|_+ <= |a|_+ + |b|_+), so the
-restriction to maximal chains is lossless; tests validate this against
-an all-predecessor oracle.
+On a chain from the empty set to S, sum |delta| = 2 sum delta_+ - phi(S).
+So one DP over the subset lattice, single-element steps by popcount
+layer, gives mu(S) = max sum delta_+ over chains to S, K(phi) =
+2 mu(J) - phi(J), and (walking back from J) a chain attaining both.
+Refining a chain never lowers sum delta_+, so maximal chains suffice;
+tests check this against an all-predecessor oracle.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .setfunctions import SetFunction, decrease_witness, require_submodular
 
 @lru_cache(maxsize=4)
 def _layers(n: int) -> tuple:
-    """For each popcount k = 1..n: the masks of size k (int32) and, per
-    mask, its k elements in increasing order (uint8, shape (masks, k))."""
+    """For each popcount k = 1..n: the masks of size k (int32) and their
+    elements in increasing order (uint8, row j: each mask's j-th element)."""
     masks = np.arange(1 << n, dtype=np.int32)
     sizes = np.bitwise_count(masks)
     order = np.argsort(sizes, kind="stable").astype(np.int32)
@@ -29,53 +29,51 @@ def _layers(n: int) -> tuple:
     layers = []
     for k in range(1, n + 1):
         members = order[ends[k - 1]:ends[k]]
-        elements = np.empty((members.size, k), dtype=np.uint8)
+        elements = np.empty((k, members.size), dtype=np.uint8)
         rest = members.copy()
         for j in range(k):
             lowest = rest & -rest
-            elements[:, j] = np.bitwise_count(lowest - 1)
+            elements[j] = np.bitwise_count(lowest - 1)
             rest ^= lowest
         members.flags.writeable = elements.flags.writeable = False
         layers.append((members, elements))
     return tuple(layers)
 
 
-def _chain_dp(vals: np.ndarray, step):
-    """best[S] = max_{x in S} best[S - x] + step(phi(S) - phi(S - x)).
+def _candidates(vals: np.ndarray, mu: np.ndarray, masks, parents) -> np.ndarray:
+    """mu[S - x] + (phi(S) - phi(S - x))_+, with parents[..., i] = S - x."""
+    cand = vals[parents]
+    np.subtract(vals[masks], cand, out=cand)
+    np.maximum(cand, 0.0, out=cand)
+    cand += mu[parents]
+    return cand
 
-    Returns best and, per mask, the parent S - x attaining it (the
-    smallest x on ties).  step(delta, out=delta) works in place.
-    """
-    best = np.zeros(vals.size)
-    parent = np.zeros(vals.size, dtype=np.int32)
+
+def _positive_variation(vals: np.ndarray) -> np.ndarray:
+    """mu[S] = max_{x in S} mu[S - x] + (phi(S) - phi(S - x))_+, mu[0] = 0."""
+    mu = np.zeros(vals.size)
     for members, elements in _layers(vals.size.bit_length() - 1):
-        parents = members[:, None] ^ np.left_shift(1, elements, dtype=np.int32)
-        cand = vals[parents]
-        np.subtract(vals[members, None], cand, out=cand)
-        step(cand, out=cand)
-        cand += best[parents]
-        pick = cand.argmax(axis=1) + np.arange(0, cand.size, cand.shape[1])
-        best[members] = cand.ravel()[pick]
-        parent[members] = parents.ravel()[pick]
-    return best, parent
-
-
-def _positive_part(delta, out):
-    return np.maximum(delta, 0.0, out=out)
+        parents = members ^ np.left_shift(1, elements, dtype=np.int32)
+        mu[members] = _candidates(vals, mu, members, parents).max(axis=0)
+    return mu
 
 
 def total_variation(phi: SetFunction) -> float:
     """K(phi): largest sum of |increments| over chains from empty to J."""
-    return float(_chain_dp(phi.values, np.abs)[0][-1])
+    vals = phi.values
+    return float(2.0 * _positive_variation(vals)[-1] - vals[-1])
 
 
 def max_variation_chain(phi: SetFunction) -> list:
-    """One chain of masks from 0 to J attaining K(phi)."""
-    _, parent = _chain_dp(phi.values, np.abs)
+    """One chain of masks from 0 to J attaining K(phi), walked back from J:
+    each step drops the smallest x whose candidate attains mu[S]."""
+    vals = phi.values
+    mu = _positive_variation(vals)
+    bits = np.left_shift(1, np.arange(phi.n, dtype=np.int32))
     chain = [phi.ground.full_mask]
-    while chain[-1]:
-        chain.append(int(parent[chain[-1]]))
-    chain.reverse()
+    while chain[0]:
+        parents = chain[0] ^ bits[chain[0] & bits != 0]
+        chain.insert(0, int(parents[_candidates(vals, mu, chain[0], parents).argmax()]))
     return chain
 
 
@@ -88,20 +86,20 @@ def submodular_variation_closed_form(phi: SetFunction, tol: float = 1e-9) -> flo
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """phi = mu - nu with mu, nu increasing, both bounded by K(phi)."""
+    """phi = mu - nu with mu, nu increasing read-only float64 tables <= K(phi)."""
 
-    mu: tuple
-    nu: tuple
+    mu: np.ndarray
+    nu: np.ndarray
     variation: float
 
 
 def canonical_decomposition(phi: SetFunction) -> DecompositionResult:
     """Chain-wise positive/negative increment suprema ending exactly at S."""
     vals = phi.values
-    variation = float(_chain_dp(vals, np.abs)[0][-1])
-    mu, _ = _chain_dp(vals, _positive_part)
-    return DecompositionResult(tuple(mu.tolist()), tuple((mu - vals).tolist()),
-                               variation)
+    mu = _positive_variation(vals)
+    nu = mu - vals
+    mu.flags.writeable = nu.flags.writeable = False
+    return DecompositionResult(mu, nu, float(2.0 * mu[-1] - vals[-1]))
 
 
 def check_ls_parts(psi, remainder, tol: float = 1e-9) -> None:
@@ -115,17 +113,18 @@ def check_ls_parts(psi, remainder, tol: float = 1e-9) -> None:
 def ls_decomposition(phi: SetFunction, tol: float = 1e-9):
     """Split submodular phi into psi(S) = max_{Y subseteq S} phi(Y) plus a rest.
 
-    Returns (psi, remainder) as value tables; psi is increasing and the
-    remainder is decreasing whenever phi is submodular, which is checked.
-    psi is a running maximum along one bit at a time (a zeta transform
-    over the subset lattice with max in place of the sum).
+    Returns (psi, remainder) as read-only float64 tables; psi increases and
+    the remainder decreases whenever phi is submodular, which is checked.
+    psi is a running maximum along one bit at a time (a zeta transform with
+    max in place of the sum), taken in place on the blocks S, S + x.
     """
     require_submodular(phi, tol)
     vals = phi.values
-    psi = vals.reshape((2,) * phi.n)
-    for axis in range(phi.n):
-        psi = np.maximum.accumulate(psi, axis=axis)
-    psi = psi.ravel()
+    psi = vals.copy()
+    for x in reversed(range(phi.n)):
+        blocks = psi.reshape(-1, 2, 1 << x)
+        np.maximum(blocks[:, 0], blocks[:, 1], out=blocks[:, 1])
     remainder = vals - psi
     check_ls_parts(psi, remainder, tol)
-    return tuple(psi.tolist()), tuple(remainder.tolist())
+    psi.flags.writeable = remainder.flags.writeable = False
+    return psi, remainder

@@ -21,7 +21,7 @@ from choqkit import (FubiniInstance, IntervalSetFunction, PreconditionError,
                      is_modular, is_submodular, lln_run, ls_decomposition,
                      max_variation_chain, total_variation,
                      uniform_continuity_modulus)
-from choqkit import fubini, oracles
+from choqkit import fubini, oracles, variation
 from choqkit.randgen import (random_concave_of_modular, random_coverage,
                              random_cut, random_fubini_instance,
                              random_matroid_rank)
@@ -105,13 +105,13 @@ ROUTE_NS = (2, 9, 10, 11, 12)  # both sides of the one-gather budget (n <= 10)
 
 
 @st.composite
-def tables_across_the_budget(draw):
-    """At n in ROUTE_NS: dyadic sign-mixed tables (ties, all-zero), family
+def tables_across_the_budget(draw, ns=ROUTE_NS):
+    """At n in ns: dyadic sign-mixed tables (ties, all-zero), family
     members, and family members with a dyadic bump at one mask (so every
     violation sits next to that mask).
     The tables are drawn by numpy from a seed, since 2^12 entries would
     overrun hypothesis's buffer."""
-    n = draw(st.sampled_from(ROUTE_NS))
+    n = draw(st.sampled_from(ns))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     unit = 2.0 ** -draw(st.integers(0, 18))
     kind = draw(st.sampled_from(["table", "zero", "member", "bumped"]))
@@ -145,13 +145,39 @@ class TestSecondDifferenceRoutes:
                 patch.setattr("choqkit.setfunctions._GATHER_BUDGET", 1 << 20)
                 assert predicate(phi) == want
 
+    # first differences are block views at every n; the witness's base is
+    # mapped back from a block index, so check it is a decreasing pair
+    @settings(max_examples=40, deadline=None)
+    @given(tables_across_the_budget(ns=(2, 9, 11, 12)))
+    def test_increasing_witness_is_a_decreasing_pair(self, phi):
+        verdict = is_increasing(phi)
+        assert verdict.holds == oracles.increasing_by_pairs(phi).holds
+        if not verdict:
+            s, t = verdict.witness
+            assert _subset(s, t) and bin(s ^ t).count("1") == 1
+            assert phi(s) > phi(t) + TOL
+
 
 class TestChainDp:
     @SETTINGS
     @given(setfunctions)
     def test_total_variation_matches_all_predecessors(self, phi):
-        assert total_variation(phi) == pytest.approx(
-            oracles.variation_all_predecessors(phi), abs=TOL)
+        # K = 2 mu(J) - phi(J) from the one positive-part DP, against the
+        # |delta|-step oracle
+        dec = canonical_decomposition(phi)
+        k = dec.variation
+        assert k == total_variation(phi) == 2 * dec.mu[-1] - phi.values[-1]
+        assert abs(k - oracles.variation_all_predecessors(phi)) <= 1e-12 * max(1.0, k)
+
+    def test_one_layer_dp_per_call(self, path_cut, monkeypatch):
+        calls = []
+        layers = variation._layers
+        monkeypatch.setattr(variation, "_layers",
+                            lambda n: calls.append(n) or layers(n))
+        canonical_decomposition(path_cut)
+        assert calls == [3]
+        total_variation(path_cut)
+        assert calls == [3, 3]
 
     @SETTINGS
     @given(setfunctions)
@@ -213,6 +239,14 @@ class TestValues:
         assert path_cut.values is path_cut.values
         with pytest.raises(ValueError):
             path_cut.values[1] = 5.0
+
+    def test_decomposition_parts_are_read_only_arrays(self, path_cut):
+        dec = canonical_decomposition(path_cut)
+        psi, remainder = ls_decomposition(path_cut)
+        for part in (dec.mu, dec.nu, psi, remainder):
+            assert part.dtype == np.float64 and part.shape == (8,)
+            with pytest.raises(ValueError):
+                part[1] = 5.0
 
     def test_from_table_copies_its_input(self):
         source = np.array([0.0, 1.0])
