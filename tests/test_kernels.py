@@ -331,8 +331,11 @@ def interval_setfunctions(draw, f):
         return IntervalSetFunction.point_mass(location, draw(st.floats(0.0, 2.0)))
     slopes = sorted(draw(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3)),
                     reverse=True)
-    knots = sorted(draw(st.lists(st.floats(0.05, 2.0), min_size=len(slopes),
-                                 max_size=len(slopes), unique=True)))
+    # knots at least 1e-3 apart: on two adjacent floats the rounded values
+    # give a slope of 0 between larger ones, and the points are not concave
+    knots = draw(st.lists(st.floats(0.05, 2.0), min_size=len(slopes),
+                          max_size=len(slopes), unique=True).map(sorted).filter(
+        lambda ks: all(b - a >= 1e-3 for a, b in zip(ks, ks[1:]))))
     pts, value, prev = [(0.0, 0.0)], 0.0, 0.0
     for t, s in zip(knots, slopes):
         value += s * (t - prev)
