@@ -24,35 +24,6 @@ from .setfunctions import PreconditionError, SetFunction, _finite
 
 
 @dataclass(frozen=True)
-class BoundedFunction:
-    """Real vector f on the ground set; f(x) = values[x]."""
-
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _finite(self.values, "values"))
-
-    @classmethod
-    def indicator(cls, n: int, mask: int) -> "BoundedFunction":
-        return cls(tuple(1.0 if mask >> x & 1 else 0.0 for x in range(n)))
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-
-def _values(f) -> tuple:
-    if isinstance(f, BoundedFunction):
-        return f.values
-    return _finite(f, "function values")
-
-
-@dataclass(frozen=True)
 class LevelChain:
     """Distinct values of f in decreasing order with their superlevel masks."""
 
@@ -62,7 +33,7 @@ class LevelChain:
 
 def level_chain(f) -> LevelChain:
     """Layer-cake data of f: thresholds t_1 > ... > t_k and masks {f >= t_i}."""
-    vals = _values(f)
+    vals = _finite(f, "function values")
     order = sorted(range(len(vals)), key=lambda x: -vals[x])
     thresholds = []
     sets = []
@@ -85,7 +56,7 @@ def choquet(phi: SetFunction, f, shift: Optional[float] = None) -> float:
     whatphi(f + c) - c * phi(J) with c = max(0, sup|f|) (or the given
     shift, which must dominate sup|f|).
     """
-    vals = _values(f)
+    vals = _finite(f, "function values")
     if len(vals) != phi.n:
         raise PreconditionError(f"function length {len(vals)} != ground size {phi.n}")
     low = min(vals)
@@ -117,12 +88,14 @@ def choquet(phi: SetFunction, f, shift: Optional[float] = None) -> float:
 def choquet_batch(phi: SetFunction, F) -> np.ndarray:
     """whatphi of every row of a (B, n) matrix F, as a float64 array.
 
-    Lovasz's sorting formula, batched: each row is shifted by the same c
-    as in `choquet`, sorted in decreasing order (stable), and its level
-    masks are the running sums of 1 << order; one gather from
-    `phi.values` gives phi on every level set.  The terms are added
-    column by column in `choquet`'s order, so each row gets the same
-    float as a scalar call.  Ties give zero-width terms.  For a single
+    Lovasz's sorting formula, batched: each raw row is sorted in
+    decreasing order (stable), as `choquet` sorts it, so its first and
+    last entries give the same shift c as in `choquet`; the sorted row
+    is then shifted, and its level masks are the running sums of
+    1 << order.  One gather from `phi.values` gives phi on every level
+    set.  The terms are added column by column in `choquet`'s order, so
+    each row gets the same float as a scalar call.  Ties, including
+    those the shift creates, give zero-width terms.  For a single
     vector `choquet` is cheaper.
     """
     F = np.asarray(F, dtype=np.float64)
@@ -132,10 +105,11 @@ def choquet_batch(phi: SetFunction, F) -> np.ndarray:
     if not np.isfinite(F).all():
         raise ValueError("function values must be finite")
     vals = phi.values
-    c = np.where(F.min(axis=1) < 0.0, np.abs(F).max(axis=1), 0.0)
-    shifted = F + c[:, None]
-    order = np.argsort(-shifted, axis=1, kind="stable")
-    levels = np.take_along_axis(shifted, order, axis=1)
+    order = np.argsort(-F, axis=1, kind="stable")
+    levels = np.take_along_axis(F, order, axis=1)
+    # sup|f| = max(f_max, -f_min) where f_min < 0, as in `choquet`
+    c = np.where(levels[:, -1] < 0.0, np.maximum(levels[:, 0], -levels[:, -1]), 0.0)
+    levels += c[:, None]
     heights = vals[np.cumsum(1 << order, axis=1)]
     widths = levels.copy()
     widths[:, :-1] -= levels[:, 1:]

@@ -20,8 +20,7 @@ from .setfunctions import (GroundSet, PreconditionError,
                            is_increasing, is_modular, is_submodular,
                            setfunction_from_json)
 from .uncrossing import WeightedFamily, family_sum, uncross
-from .variation import (canonical_decomposition, max_variation_chain,
-                        total_variation)
+from .variation import _variation_and_chain, canonical_decomposition
 
 
 def _reject_constant(name: str):
@@ -91,8 +90,7 @@ def cmd_choquet(args):
 
 def cmd_variation(args):
     phi = setfunction_from_json(_load_json(args.input))
-    k = total_variation(phi)
-    chain = max_variation_chain(phi)
+    k, chain = _variation_and_chain(phi)
     if args.format == "json":
         print(json.dumps({"variation": k, "chain": chain}))
     else:
@@ -125,7 +123,7 @@ def cmd_uncross(args):
               f"{step.potential_after},{step.phi_sum_before!r},"
               f"{step.phi_sum_after!r}")
     print("final chain: " + json.dumps([list(e) for e in trace.final.entries]))
-    print("h: " + json.dumps(list(family_sum(trace.final).values)))
+    print("h: " + json.dumps(family_sum(trace.final).tolist()))
     return 0
 
 

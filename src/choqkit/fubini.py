@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .choquet import BoundedFunction, choquet_batch
+from .choquet import choquet_batch
 from .setfunctions import (PreconditionError, SetFunction, _finite,
                            require_submodular, subset_sums)
 from .variation import total_variation
@@ -64,10 +64,12 @@ class FubiniInstance:
         return len(self.pi)
 
 
-def marginal_g(inst: FubiniInstance) -> BoundedFunction:
-    """g(y) = sum_x lambda(x) F(x, y), the lambda-average of the rows."""
+def marginal_g(inst: FubiniInstance) -> np.ndarray:
+    """g(y) = sum_x lambda(x) F(x, y), the lambda-average of the rows,
+    as a read-only float64 array."""
     g = np.asarray(inst.lam) @ np.asarray(inst.F)
-    return BoundedFunction(tuple(g))
+    g.flags.writeable = False
+    return g
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class LopsidedResult:
 
 def lopsided_check(inst: FubiniInstance, tol: float = 1e-9) -> LopsidedResult:
     """whatphi(g) versus the lambda-average of whatphi over the rows."""
-    g = marginal_g(inst).values
+    g = marginal_g(inst)
     lhs, *rows = choquet_batch(inst.phi, np.vstack([g, inst.F])).tolist()
     rhs = sum(w * value for w, value in zip(inst.lam, rows))
     return LopsidedResult.of(lhs, rhs, tol)
@@ -98,13 +100,27 @@ class LlnRecord(NamedTuple):
     norm_h: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LlnTrace:
+    """An LLN run as read-only columns of length `steps`: the sampled row
+    indices and, per step k, the fields of `LlnRecord`."""
+
     seed: int
-    samples: tuple
-    records: tuple
+    samples: np.ndarray
+    k: np.ndarray
+    what_f: np.ndarray
+    running_avg: np.ndarray
+    what_h: np.ndarray
+    norm_h: np.ndarray
     lhs: float
     rhs: float
+
+    @property
+    def records(self) -> tuple:
+        """One `LlnRecord` of Python numbers per step, built from the
+        columns on every access."""
+        columns = (self.k, self.what_f, self.running_avg, self.what_h, self.norm_h)
+        return tuple(map(LlnRecord, *(col.tolist() for col in columns)))
 
 
 _BLOCK = 1024  # steps per batch; bounds the arrays' memory, leaves the arithmetic as is
@@ -121,7 +137,8 @@ def lln_run(inst: FubiniInstance, steps: int, seed: int = 0,
     steps run in blocks: per block, the running sums are cumulative sums
     that start from the previous block's last sum, so every f_k is the
     same sequence of additions as a step-by-step accumulation, and the
-    block's f_k and h_k are evaluated in two `choquet_batch` calls.
+    block's f_k and h_k are evaluated in two `choquet_batch` calls
+    whose results are written into the trace's columns.
     """
     if steps < 1:
         raise PreconditionError("steps must be >= 1")
@@ -133,33 +150,35 @@ def lln_run(inst: FubiniInstance, steps: int, seed: int = 0,
     row_values = choquet_batch(phi, F)
     variation = total_variation(phi)
 
-    records = []
+    k = np.arange(1, steps + 1)
+    what_f, avg, what_h, norm_h = np.empty((4, steps))
     # running sums so far, carried as the first row of the next block
     acc, running = np.zeros((1, inst.n)), np.zeros(1)
     for first in range(0, steps, _BLOCK):
-        block = samples[first:first + _BLOCK]
-        k = np.arange(first + 1, first + len(block) + 1)
+        part = slice(first, first + _BLOCK)
+        block, k_part = samples[part], k[part]
         sums = np.cumsum(np.vstack([acc, F[block]]), axis=0)[1:]
         totals = np.cumsum(np.concatenate([running, row_values[block]]))[1:]
         acc, running = sums[-1:], totals[-1:]
-        f_k = sums / k[:, None]
+        f_k = sums / k_part[:, None]
         h_k = g - f_k
-        what_f = choquet_batch(phi, f_k)
-        what_h = choquet_batch(phi, h_k)
-        avg = totals / k
-        norm_h = np.abs(h_k).max(axis=1)
-        subadditive = what_f <= avg + tol
-        lipschitz = np.abs(what_h) <= 2.0 * variation * norm_h + tol
+        what_f[part] = choquet_batch(phi, f_k)
+        what_h[part] = choquet_batch(phi, h_k)
+        avg[part] = totals / k_part
+        norm_h[part] = np.abs(h_k).max(axis=1)
+        subadditive = what_f[part] <= avg[part] + tol
+        lipschitz = np.abs(what_h[part]) <= 2.0 * variation * norm_h[part] + tol
         held = subadditive & lipschitz
         if not held.all():
             i = int(held.argmin())
             bound = "Lipschitz" if subadditive[i] else "finite subadditivity"
-            raise AssertionError(f"{bound} bound violated at step {k[i]}")
-        records.extend(map(LlnRecord, k.tolist(), what_f.tolist(), avg.tolist(),
-                           what_h.tolist(), norm_h.tolist()))
+            raise AssertionError(f"{bound} bound violated at step {k_part[i]}")
     result = lopsided_check(inst, tol)
-    return LlnTrace(seed=seed, samples=tuple(samples.tolist()),
-                    records=tuple(records), lhs=result.lhs, rhs=result.rhs)
+    for column in (samples, k, what_f, avg, what_h, norm_h):
+        column.flags.writeable = False
+    return LlnTrace(seed=seed, samples=samples, k=k, what_f=what_f,
+                    running_avg=avg, what_h=what_h, norm_h=norm_h,
+                    lhs=result.lhs, rhs=result.rhs)
 
 
 def uniform_continuity_modulus(phi: SetFunction, pi,

@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .choquet import BoundedFunction, choquet
+import numpy as np
+
+from .choquet import choquet
 from .setfunctions import GroundSet, PreconditionError, SetFunction
 
 
@@ -51,14 +53,12 @@ class WeightedFamily:
         return sum(mult * phi(mask) for mask, mult in self.entries)
 
 
-def family_sum(family: WeightedFamily) -> BoundedFunction:
-    """Pointwise h(x) = total multiplicity of entries containing x."""
-    n = family.ground.n
-    h = [0.0] * n
-    for mask, mult in family.entries:
-        for x in family.ground.elements(mask):
-            h[x] += mult
-    return BoundedFunction(tuple(h))
+def family_sum(family: WeightedFamily) -> np.ndarray:
+    """Pointwise h(x) = total multiplicity of entries containing x, as a
+    float64 array: each multiplicity times its mask's bit column."""
+    masks = np.array([mask for mask, _ in family.entries], dtype=np.int64)
+    mults = np.array([mult for _, mult in family.entries], dtype=np.float64)
+    return mults @ (masks[:, None] >> np.arange(family.ground.n) & 1)
 
 
 @dataclass(frozen=True)

@@ -64,9 +64,12 @@ def total_variation(phi: SetFunction) -> float:
     return float(2.0 * _positive_variation(vals)[-1] - vals[-1])
 
 
-def max_variation_chain(phi: SetFunction) -> list:
-    """One chain of masks from 0 to J attaining K(phi), walked back from J:
-    each step drops the smallest x whose candidate attains mu[S]."""
+def _variation_and_chain(phi: SetFunction) -> tuple:
+    """K(phi) and one chain of masks from 0 to J attaining it, from one DP.
+
+    The chain is walked back from J: each step drops the smallest x whose
+    candidate attains mu[S].
+    """
     vals = phi.values
     mu = _positive_variation(vals)
     bits = np.left_shift(1, np.arange(phi.n, dtype=np.int32))
@@ -74,7 +77,12 @@ def max_variation_chain(phi: SetFunction) -> list:
     while chain[0]:
         parents = chain[0] ^ bits[chain[0] & bits != 0]
         chain.insert(0, int(parents[_candidates(vals, mu, chain[0], parents).argmax()]))
-    return chain
+    return float(2.0 * mu[-1] - vals[-1]), chain
+
+
+def max_variation_chain(phi: SetFunction) -> list:
+    """One chain of masks from 0 to J attaining K(phi)."""
+    return _variation_and_chain(phi)[1]
 
 
 def submodular_variation_closed_form(phi: SetFunction, tol: float = 1e-9) -> float:

@@ -1,7 +1,18 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from choqkit import SetFunction
+
+# CI keeps no example database, so a failure there is reproducible only
+# from its @reproduce_failure blob.  This profile keeps every setting of
+# Hypothesis's built-in "ci" profile (derandomized, no deadline, no
+# database) and pins print_blob, so the blob is printed.
+settings.register_profile("ci", settings.get_profile("ci"), print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -3,13 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choqkit import (BoundedFunction, SetFunction, choquet, conjugate,
-                     level_chain, total_variation)
+from choqkit import (SetFunction, choquet, conjugate, level_chain,
+                     total_variation)
 from choqkit.randgen import random_table_setfunction
 
 TOL = 1e-9
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+
+
+def indicator(n, mask):
+    return np.asarray(mask >> np.arange(n) & 1, dtype=np.float64)
 
 
 class TestLevelChain:
@@ -24,7 +28,7 @@ class TestLevelChain:
         assert chain.sets == (0b111,)
 
     def test_indicator(self):
-        chain = level_chain(BoundedFunction.indicator(3, 0b101))
+        chain = level_chain(indicator(3, 0b101))
         assert chain.thresholds == (1.0, 0.0)
         assert chain.sets[0] == 0b101
 
@@ -51,7 +55,7 @@ class TestChoquetValues:
 
     def test_indicator_consistency(self, path_cut):
         for mask in range(8):
-            f = BoundedFunction.indicator(3, mask)
+            f = indicator(3, mask)
             assert choquet(path_cut, f) == pytest.approx(path_cut(mask), abs=TOL)
 
     def test_modular_linear(self):
@@ -131,7 +135,7 @@ class TestIdentities:
 
     def test_witness_indicators_break_subadditivity(self):
         phi = SetFunction.from_table([0, 0, 0, 1])
-        f = BoundedFunction.indicator(2, 0b01)
-        g = BoundedFunction.indicator(2, 0b10)
+        f = indicator(2, 0b01)
+        g = indicator(2, 0b10)
         combined = choquet(phi, (1.0, 1.0))
         assert combined > choquet(phi, f) + choquet(phi, g) + 0.5

@@ -112,6 +112,17 @@ class TestFubini:
         assert first.stdout == second.stdout
         assert first.stdout.splitlines()[0] == "k,what_f_k,running_avg,what_h_k,norm_h_k"
 
+    def test_steps_csv_is_pinned(self, capsys):
+        # every field is a Python int or float repr, never a numpy scalar's
+        assert cli.main(["fubini", self.PAYLOAD, "--steps", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "k,what_f_k,running_avg,what_h_k,norm_h_k\n"
+            "1,2.0,2.0,0.0,0.5\n"
+            "2,1.0,1.5,0.0,0.0\n"
+            "3,1.0,1.3333333333333333,0.33333333333333337,0.16666666666666669\n"
+            "lhs,rhs,slack,holds\n"
+            "1.0,1.5,0.5,True\n")
+
     def test_force_flag_allows_bad_phi(self):
         payload = json.dumps({
             "lambda": [1.0], "pi": [0.5, 0.5], "F": [[0.0, 1.0]],

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from choqkit import (FubiniInstance, PreconditionError, SetFunction, choquet,
                      lln_run, lopsided_check, marginal_g, total_variation,
                      uniform_continuity_modulus)
+from choqkit.fubini import LlnRecord
 from choqkit.randgen import random_fubini_instance
 
 
@@ -45,17 +47,18 @@ class TestMarginal:
         phi = SetFunction.uniform_matroid(2, 1)
         inst = FubiniInstance.of([0.3, 0.7], [0.5, 0.5],
                                  [[2.0, 2.0], [2.0, 2.0]], phi)
-        assert marginal_g(inst).values == pytest.approx((2.0, 2.0))
+        assert marginal_g(inst).tolist() == pytest.approx([2.0, 2.0])
 
     def test_point_mass_picks_row(self):
         phi = SetFunction.uniform_matroid(2, 1)
         inst = FubiniInstance.of([0.0, 1.0], [0.5, 0.5],
                                  [[1.0, 2.0], [3.0, 4.0]], phi)
-        assert marginal_g(inst).values == pytest.approx((3.0, 4.0))
+        assert marginal_g(inst).tolist() == pytest.approx([3.0, 4.0])
 
     def test_uniform_average(self):
-        assert marginal_g(simple_instance()).values == pytest.approx(
-            (0.5, 0.5, 0.5))
+        g = marginal_g(simple_instance())
+        assert g.tolist() == pytest.approx([0.5, 0.5, 0.5])
+        assert g.dtype == np.float64 and not g.flags.writeable
 
 
 class TestLopsided:
@@ -97,7 +100,7 @@ class TestLlnRun:
         rec = trace.records[0]
         row = inst.F[trace.samples[0]]
         assert rec.what_f == pytest.approx(choquet(inst.phi, row))
-        g = marginal_g(inst).values
+        g = marginal_g(inst)
         assert rec.norm_h == pytest.approx(
             max(abs(a - b) for a, b in zip(g, row)))
 
@@ -114,7 +117,7 @@ class TestLlnRun:
         inst = simple_instance()
         a = lln_run(inst, steps=100, seed=7)
         b = lln_run(inst, steps=100, seed=7)
-        assert a.samples == b.samples
+        assert np.array_equal(a.samples, b.samples)
         assert a.records == b.records
 
     def test_trace_invariants(self, rng):
@@ -126,6 +129,32 @@ class TestLlnRun:
         final = trace.records[-1]
         assert abs(final.what_h) <= 2.0 * k_phi * final.norm_h + 1e-9
         assert final.what_f <= final.running_avg + 1e-9
+
+    def test_columns_are_read_only_with_one_entry_per_step(self):
+        trace = lln_run(simple_instance(), steps=37, seed=2)
+        for name in ("samples",) + LlnRecord._fields:
+            column = getattr(trace, name)
+            assert column.shape == (37,) and not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
+        assert trace.samples.dtype.kind == trace.k.dtype.kind == "i"
+        assert trace.k.tolist() == list(range(1, 38))
+
+    def test_records_are_the_columns_row_by_row(self):
+        trace = lln_run(simple_instance(), steps=37, seed=2)
+        assert len(trace.records) == 37
+        for i, rec in enumerate(trace.records):
+            assert type(rec) is LlnRecord and type(rec.k) is int
+            assert all(type(value) is float for value in rec[1:])
+            assert rec == tuple(getattr(trace, name)[i] for name in LlnRecord._fields)
+
+    def test_columns_match_per_step_records_bit_for_bit(self):
+        # sha256 of repr(records) as built one LlnRecord per step, before
+        # the trace became columns; 2065 steps cross two block boundaries
+        inst = random_fubini_instance(np.random.default_rng(3), 6, 6)
+        trace = lln_run(inst, steps=2065, seed=3)
+        assert hashlib.sha256(repr(trace.records).encode()).hexdigest() == (
+            "342d9a4775266e9706aaa3713f452dd3e44819190740e88f2e8f551b2fc338b0")
 
     def test_rejects_zero_steps(self):
         with pytest.raises(PreconditionError):

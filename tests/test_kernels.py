@@ -21,7 +21,8 @@ from choqkit import (FubiniInstance, IntervalSetFunction, PreconditionError,
                      is_modular, is_submodular, lln_run, ls_decomposition,
                      max_variation_chain, total_variation,
                      uniform_continuity_modulus)
-from choqkit import fubini, oracles, variation
+from choqkit import cli, fubini, oracles, variation
+from choqkit.fubini import LlnRecord
 from choqkit.randgen import (random_concave_of_modular, random_coverage,
                              random_cut, random_fubini_instance,
                              random_matroid_rank)
@@ -169,7 +170,7 @@ class TestChainDp:
         assert k == total_variation(phi) == 2 * dec.mu[-1] - phi.values[-1]
         assert abs(k - oracles.variation_all_predecessors(phi)) <= 1e-12 * max(1.0, k)
 
-    def test_one_layer_dp_per_call(self, path_cut, monkeypatch):
+    def test_one_layer_dp_per_call(self, path_cut, monkeypatch, capsys):
         calls = []
         layers = variation._layers
         monkeypatch.setattr(variation, "_layers",
@@ -178,6 +179,14 @@ class TestChainDp:
         assert calls == [3]
         total_variation(path_cut)
         assert calls == [3, 3]
+        max_variation_chain(path_cut)
+        assert calls == [3, 3, 3]
+        # `choqkit variation` prints K and the chain from one DP
+        assert cli.main(["variation", '{"n": 3, "kind": "cut", "payload": '
+                                      '{"edges": [[0, 1, 1.0], [1, 2, 1.0]]}}']) == 0
+        assert calls == [3, 3, 3, 3]
+        assert capsys.readouterr().out == (
+            "total variation: 4.0\nmaximizing chain: {} -> {1} -> {1,2} -> {0,1,2}\n")
 
     @SETTINGS
     @given(setfunctions)
@@ -277,24 +286,45 @@ def _close(got, want):
     return bool((np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all())
 
 
+# entries whose sum with the shift c rounds to a tie (1e-17 + 1.0 == 1.0)
+# or that differ only in the sign of zero
+SHIFT_TIES = [1e-17, -1e-17, 0.0, -0.0, 1.0, -1.0, 2.0 ** -60]
+
+
 @st.composite
-def dyadic_matrices(draw, n):
-    """(B, n) sign-mixed dyadic rows: ties, negative entries, all-zero rows."""
+def batch_matrices(draw, n):
+    """(B, n) rows: sign-mixed dyadic rows with ties, all-zero rows, rows
+    where the shift creates ties, all-negative rows and arbitrary floats."""
     unit = 2.0 ** -draw(st.integers(0, 18))
-    row = st.one_of(st.just([0] * n),
-                    st.lists(st.integers(-4, 4), min_size=n, max_size=n))
-    rows = draw(st.lists(row, min_size=1, max_size=12))
-    return np.array(rows, dtype=float) * unit
+    dyadic = st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(
+        lambda row: [v * unit for v in row])
+    mixed = st.one_of(st.sampled_from(SHIFT_TIES), st.floats(-5.0, 5.0))
+    negative = st.floats(-5.0, -1e-17)
+    row = st.one_of(st.just([0.0] * n), dyadic,
+                    *(st.lists(entry, min_size=n, max_size=n)
+                      for entry in (mixed, negative)))
+    return np.array(draw(st.lists(row, min_size=1, max_size=12)), dtype=float)
 
 
 class TestChoquetBatch:
     @SETTINGS
     @given(setfunctions, st.data())
     def test_rows_match_scalar_choquet(self, phi, data):
-        F = data.draw(dyadic_matrices(phi.n))
+        F = data.draw(batch_matrices(phi.n))
         scalars = [choquet(phi, row) for row in F]
         assert all(type(value) is float for value in scalars)
-        assert _close(choquet_batch(phi, F), scalars)
+        assert choquet_batch(phi, F).tolist() == scalars
+
+    @pytest.mark.parametrize("row", [
+        [1e-17, 0.0, -1.0], [0.0, 1e-17, -1.0], [-1e-17, 0.0, 1.0],
+        [-0.0, 0.0, -0.0], [0.0, -0.0, -1.0], [-1.0, -2.0, -0.5],
+        [-1e-17, -0.0, -3.0]])
+    def test_shift_ties_equal_scalar_choquet(self, path_cut, row):
+        # phi(J) != 0 for the table, so a dropped shift changes the value
+        table = SetFunction.from_table([0, 1, 2, -1, 0.5, 3, -2, 1])
+        for phi in (path_cut, table):
+            F = np.array([row, row[::-1], [2 * v for v in row]])
+            assert choquet_batch(phi, F).tolist() == [choquet(phi, r) for r in F]
 
     def test_empty_batch(self, path_cut):
         assert choquet_batch(path_cut, np.zeros((0, 3))).shape == (0,)
@@ -449,9 +479,9 @@ class TestLlnAgainstLoop:
     def test_default_blocks_match_across_boundaries(self):
         inst = random_fubini_instance(np.random.default_rng(5), 4, 5)
         steps = 2 * fubini._BLOCK + 3
-        got = [(r.k, r.what_f, r.running_avg, r.what_h, r.norm_h)
-               for r in lln_run(inst, steps, seed=5).records]
-        assert got == _loop_lln(inst, steps, 5)
+        trace = lln_run(inst, steps, seed=5)
+        columns = [getattr(trace, name).tolist() for name in LlnRecord._fields]
+        assert list(zip(*columns)) == _loop_lln(inst, steps, 5)
 
     def test_nonsubmodular_instance_fails_at_the_loop_step(self):
         phi = SetFunction.from_table([0.0, 0.0, 0.0, 1.0])
