@@ -19,33 +19,36 @@ import numpy as np
 
 from .choquet import choquet_batch
 from .setfunctions import (PreconditionError, SetFunction, _finite,
-                           require_submodular, subset_sums)
+                           _finite_array, require_submodular, subset_sums)
 from .variation import total_variation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FubiniInstance:
-    """Finite probability spaces (I, lambda), (J, pi), matrix F, and phi on J."""
+    """Finite probability spaces (I, lambda), (J, pi), the m x n matrix F
+    and phi on J; lam, pi and F are read-only float64 arrays."""
 
-    lam: tuple
-    pi: tuple
-    F: tuple  # m rows of n reals
+    lam: np.ndarray
+    pi: np.ndarray
+    F: np.ndarray
     phi: SetFunction
     validated: bool = True
 
     @classmethod
     def of(cls, lam, pi, F, phi: SetFunction, validate: bool = True,
            tol: float = 1e-9) -> "FubiniInstance":
-        lam = _finite(lam, "lambda")
-        pi = _finite(pi, "pi")
-        F = tuple(_finite(row, "F") for row in F)
+        lam = _finite_array(lam, "lambda")
+        pi = _finite_array(pi, "pi")
         if len(F) != len(lam) or any(len(row) != len(pi) for row in F):
             raise ValueError("F must be an m x n matrix matching lambda and pi")
-        if abs(sum(lam) - 1.0) > tol or abs(sum(pi) - 1.0) > tol:
+        F = _finite_array(F, "F")
+        # on Python floats: m and n are small, and the sums stay sequential
+        weights, masses = lam.tolist(), pi.tolist()
+        if abs(sum(weights) - 1.0) > tol or abs(sum(masses) - 1.0) > tol:
             raise ValueError("lambda and pi must sum to 1")
-        if any(v < 0 for v in lam):
+        if any(v < 0 for v in weights):
             raise ValueError("lambda must be nonnegative")
-        if any(v <= 0 for v in pi):
+        if any(v <= 0 for v in masses):
             raise ValueError("pi entries must be positive")
         if phi.n != len(pi):
             raise ValueError("phi ground size must match pi")
@@ -67,7 +70,7 @@ class FubiniInstance:
 def marginal_g(inst: FubiniInstance) -> np.ndarray:
     """g(y) = sum_x lambda(x) F(x, y), the lambda-average of the rows,
     as a read-only float64 array."""
-    g = np.asarray(inst.lam) @ np.asarray(inst.F)
+    g = inst.lam @ inst.F
     g.flags.writeable = False
     return g
 
@@ -88,7 +91,7 @@ def lopsided_check(inst: FubiniInstance, tol: float = 1e-9) -> LopsidedResult:
     """whatphi(g) versus the lambda-average of whatphi over the rows."""
     g = marginal_g(inst)
     lhs, *rows = choquet_batch(inst.phi, np.vstack([g, inst.F])).tolist()
-    rhs = sum(w * value for w, value in zip(inst.lam, rows))
+    rhs = sum(w * value for w, value in zip(inst.lam.tolist(), rows))
     return LopsidedResult.of(lhs, rhs, tol)
 
 
@@ -143,10 +146,9 @@ def lln_run(inst: FubiniInstance, steps: int, seed: int = 0,
     if steps < 1:
         raise PreconditionError("steps must be >= 1")
     rng = np.random.default_rng(seed)
-    samples = rng.choice(inst.m, size=steps, p=np.asarray(inst.lam))
-    phi = inst.phi
-    F = np.asarray(inst.F)
-    g = np.asarray(inst.lam) @ F
+    samples = rng.choice(inst.m, size=steps, p=inst.lam)
+    phi, F = inst.phi, inst.F
+    g = inst.lam @ F
     row_values = choquet_batch(phi, F)
     variation = total_variation(phi)
 
@@ -189,7 +191,7 @@ def uniform_continuity_modulus(phi: SetFunction, pi,
     Any delta below min_x pi(x) forces S = T, so on a finite space
     every setfunction is uniformly continuous with respect to pi.
     """
-    pi = tuple(float(v) for v in pi)
+    pi = _finite(pi, "pi")
     if any(v <= 0 for v in pi):
         raise PreconditionError("pi entries must be positive")
     if len(pi) != phi.n:
@@ -204,6 +206,8 @@ def uniform_continuity_modulus(phi: SetFunction, pi,
     if epsilons is None:
         distinct = np.unique(gaps[gaps > 0]).tolist()
         epsilons = distinct if distinct else [1.0]
+    else:
+        epsilons = _finite(epsilons, "epsilons")
     qualifying = np.searchsorted(-descending, -np.asarray(epsilons, dtype=np.float64),
                                  side="right")
     return [(eps, float(running_min[count - 1]) if count else math.inf)

@@ -77,9 +77,22 @@ class GroundSet:
 
 def _finite(values, what: str) -> tuple:
     """Floats of `values`; ValueError if any is NaN or infinite."""
-    values = tuple(float(v) for v in values)
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        values = tuple(values.astype(np.float64, copy=False).tolist())
+    else:
+        values = tuple(float(v) for v in values)
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{what} must be finite")
+    return values
+
+
+def _finite_array(values, what: str) -> np.ndarray:
+    """`values` as a read-only float64 array; ValueError if any is NaN or
+    infinite."""
+    values = np.array(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite")
+    values.flags.writeable = False
     return values
 
 
@@ -180,15 +193,12 @@ class SetFunction:
 
     @classmethod
     def from_table(cls, values: Sequence[float], labels=None) -> "SetFunction":
-        values = np.array(values, dtype=np.float64)
-        if not np.isfinite(values).all():
-            raise ValueError("table values must be finite")
+        values = _finite_array(values, "table values")
         n = values.size.bit_length() - 1
         if values.ndim != 1 or values.size != 1 << n or n < 1:
             raise ValueError("table length must be 2^n with n >= 1")
         if values[0] != 0.0:
             raise PreconditionError("table[0] must be 0 (phi(empty) = 0)")
-        values.flags.writeable = False
         return cls(GroundSet(n, labels), "table", {"values": values}, lambda: values)
 
     @classmethod

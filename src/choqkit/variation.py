@@ -2,8 +2,9 @@
 
 On a chain from the empty set to S, sum |delta| = 2 sum delta_+ - phi(S).
 So one DP over the subset lattice, single-element steps by popcount
-layer, gives mu(S) = max sum delta_+ over chains to S, K(phi) =
-2 mu(J) - phi(J), and (walking back from J) a chain attaining both.
+layer, gives mu(S) = max sum delta_+ over chains to S together with
+nu = mu - phi, K(phi) = 2 mu(J) - phi(J), and (walking back from J) a
+chain attaining both.
 Refining a chain never lowers sum delta_+, so maximal chains suffice;
 tests check this against an all-predecessor oracle.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -19,64 +21,102 @@ from .setfunctions import SetFunction, decrease_witness, require_submodular
 
 
 @lru_cache(maxsize=4)
-def _layers(n: int) -> tuple:
-    """For each popcount k = 1..n: the masks of size k (int32) and their
-    elements in increasing order (uint8, row j: each mask's j-th element)."""
-    masks = np.arange(1 << n, dtype=np.int32)
-    sizes = np.bitwise_count(masks)
-    order = np.argsort(sizes, kind="stable").astype(np.int32)
-    ends = np.cumsum(np.bincount(sizes, minlength=n + 1))
-    layers = []
-    for k in range(1, n + 1):
-        members = order[ends[k - 1]:ends[k]]
-        elements = np.empty((k, members.size), dtype=np.uint8)
-        rest = members.copy()
-        for j in range(k):
-            lowest = rest & -rest
-            elements[j] = np.bitwise_count(lowest - 1)
-            rest ^= lowest
-        members.flags.writeable = elements.flags.writeable = False
-        layers.append((members, elements))
-    return tuple(layers)
+def _plan(n: int) -> tuple:
+    """The chain DP's index plan on n elements.
+
+    Returns the masks in popcount order (increasing within a popcount),
+    each mask's position in that order, and per popcount k = 1..n the
+    layer's slice of the order with its parents S - x: indices into layer
+    k - 1, shape (k, C(n, k)), row j dropping each member's j-th smallest
+    element.  The indices are uint16 while every layer fits them
+    (n <= 18), which halves the plan, and int32 above.
+
+    The k-subsets of {0..m} are the k-subsets of {0..m-1} followed by the
+    (k-1)-subsets with m added, so the plan grows one element at a time
+    by copying smaller layers' parents.
+    """
+    index = np.uint16 if comb(n, n // 2) <= 1 << 16 else np.int32
+    layers = [np.zeros(1, dtype=np.int32)]  # the k-subsets of {0..m-1}
+    parents = [np.zeros((0, 1), dtype=index)]
+    for m in range(n):
+        top = np.int32(1 << m)
+        grown, grown_parents = layers[:1], parents[:1]
+        for k in range(1, m + 2):
+            low = layers[k] if k <= m else layers[0][:0]  # none for k = m + 1
+            high = layers[k - 1]
+            grown.append(np.concatenate([low, high | top]))
+            rows = np.empty((k, low.size + high.size), dtype=index)
+            if k <= m:
+                rows[:, :low.size] = parents[k]
+            # S + m minus a smaller element sits past layer k - 1's low part
+            np.add(parents[k - 1], index(high.size), out=rows[:-1, low.size:])
+            # dropping m itself leaves the low part's own (k-1)-subset
+            rows[-1, low.size:] = np.arange(high.size, dtype=index)
+            grown_parents.append(rows)
+        layers, parents = grown, grown_parents
+    order = np.concatenate(layers)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size, dtype=np.int32)
+    ends = np.cumsum([layer.size for layer in layers]).tolist()
+    plan = tuple((slice(lo, hi), rows)
+                 for lo, hi, rows in zip(ends, ends[1:], parents[1:]))
+    for array in (order, rank, *parents):
+        array.flags.writeable = False
+    return order, rank, plan
 
 
-def _candidates(vals: np.ndarray, mu: np.ndarray, masks, parents) -> np.ndarray:
-    """mu[S - x] + (phi(S) - phi(S - x))_+, with parents[..., i] = S - x."""
-    cand = vals[parents]
-    np.subtract(vals[masks], cand, out=cand)
-    np.maximum(cand, 0.0, out=cand)
-    cand += mu[parents]
-    return cand
+_GATHER = 1 << 14  # parent entries gathered at once; bounds the DP's temporaries
 
 
 def _positive_variation(vals: np.ndarray) -> np.ndarray:
-    """mu[S] = max_{x in S} mu[S - x] + (phi(S) - phi(S - x))_+, mu[0] = 0."""
-    mu = np.zeros(vals.size)
-    for members, elements in _layers(vals.size.bit_length() - 1):
-        parents = members ^ np.left_shift(1, elements, dtype=np.int32)
-        mu[members] = _candidates(vals, mu, members, parents).max(axis=0)
-    return mu
+    """mu and nu = mu - phi, in mask order, as the rows of a (2, 2^n) view.
+
+    mu[S] = max_{x in S} mu[S - x] + (phi(S) - phi(S - x))_+ with
+    mu[0] = 0, and each candidate is max(phi(S) + nu[S - x], mu[S - x]);
+    so per popcount layer the DP gathers the previous layer's (mu, nu)
+    rows, in blocks of at most _GATHER parents, and takes one maximum
+    over the k parents.
+    """
+    order, rank, plan = _plan(vals.size.bit_length() - 1)
+    phi = np.take(vals, order)
+    table = np.empty((vals.size, 2))  # (mu, nu) in popcount order
+    table[0] = 0.0, 0.0 - phi[0]
+    previous = table[:1]
+    for layer, parents in plan:
+        best = np.empty((parents.shape[1], 2))
+        step = max(1, _GATHER // len(parents))
+        for first in range(0, parents.shape[1], step):
+            block = slice(first, first + step)
+            np.take(previous, parents[:, block], axis=0).max(axis=0, out=best[block])
+        mu, nu = table[layer].T
+        np.add(phi[layer], best[:, 1], out=mu)
+        np.maximum(mu, best[:, 0], out=mu)
+        np.subtract(mu, phi[layer], out=nu)
+        previous = table[layer]
+    del phi  # before the gather back to mask order, which peaks the memory
+    return np.take(table, rank, axis=0).T
 
 
 def total_variation(phi: SetFunction) -> float:
     """K(phi): largest sum of |increments| over chains from empty to J."""
     vals = phi.values
-    return float(2.0 * _positive_variation(vals)[-1] - vals[-1])
+    return float(2.0 * _positive_variation(vals)[0, -1] - vals[-1])
 
 
 def _variation_and_chain(phi: SetFunction) -> tuple:
     """K(phi) and one chain of masks from 0 to J attaining it, from one DP.
 
     The chain is walked back from J: each step drops the smallest x whose
-    candidate attains mu[S].
+    candidate max(phi(S) + nu[S - x], mu[S - x]) attains mu[S].
     """
     vals = phi.values
-    mu = _positive_variation(vals)
+    mu, nu = _positive_variation(vals)
     bits = np.left_shift(1, np.arange(phi.n, dtype=np.int32))
     chain = [phi.ground.full_mask]
     while chain[0]:
         parents = chain[0] ^ bits[chain[0] & bits != 0]
-        chain.insert(0, int(parents[_candidates(vals, mu, chain[0], parents).argmax()]))
+        candidates = np.maximum(vals[chain[0]] + nu[parents], mu[parents])
+        chain.insert(0, int(parents[candidates.argmax()]))
     return float(2.0 * mu[-1] - vals[-1]), chain
 
 
@@ -104,8 +144,7 @@ class DecompositionResult:
 def canonical_decomposition(phi: SetFunction) -> DecompositionResult:
     """Chain-wise positive/negative increment suprema ending exactly at S."""
     vals = phi.values
-    mu = _positive_variation(vals)
-    nu = mu - vals
+    mu, nu = _positive_variation(vals)
     mu.flags.writeable = nu.flags.writeable = False
     return DecompositionResult(mu, nu, float(2.0 * mu[-1] - vals[-1]))
 

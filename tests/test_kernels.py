@@ -172,9 +172,9 @@ class TestChainDp:
 
     def test_one_layer_dp_per_call(self, path_cut, monkeypatch, capsys):
         calls = []
-        layers = variation._layers
-        monkeypatch.setattr(variation, "_layers",
-                            lambda n: calls.append(n) or layers(n))
+        plan = variation._plan
+        monkeypatch.setattr(variation, "_plan",
+                            lambda n: calls.append(n) or plan(n))
         canonical_decomposition(path_cut)
         assert calls == [3]
         total_variation(path_cut)
@@ -207,6 +207,74 @@ class TestChainDp:
             oracles.positive_variation_all_predecessors(phi), abs=TOL)
         assert [m - v for m, v in zip(dec.mu, phi.table())] == pytest.approx(
             list(dec.nu), abs=TOL)
+
+
+def _dyadic_sign_mixed(n, seed):
+    rng = np.random.default_rng(seed)
+    quarters = rng.integers(-6, 7, size=1 << n)
+    quarters[0] = 0
+    return SetFunction.from_table(quarters * 2.0 ** -int(rng.integers(0, 19)) / 4)
+
+
+class TestPopcountDp:
+    # the (mu, nu) DP over the popcount-ordered table: exact on dyadic
+    # tables, and the chain walk re-derives its recurrence step by step
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dyadic_mu_equals_all_predecessors(self, n, seed):
+        phi = _dyadic_sign_mixed(n, seed)
+        dec = canonical_decomposition(phi)
+        assert dec.mu.tolist() == oracles.positive_variation_all_predecessors(phi)
+        assert dec.nu.tobytes() == (dec.mu - phi.values).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 14), st.integers(0, 2 ** 32 - 1))
+    def test_chain_steps_attain_mu(self, n, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(1 << n) * 10.0 ** rng.uniform(-3, 3)
+        values[0] = 0.0
+        phi = SetFunction.from_table(values)
+        dec = canonical_decomposition(phi)
+        mu, nu = dec.mu, dec.nu
+        chain = max_variation_chain(phi)
+        assert mu[0] == 0.0 and len(chain) == n + 1
+        for a, b in zip(chain, chain[1:]):
+            assert mu[b] == max(values[b] + nu[a], mu[a])
+        assert total_variation(phi) == dec.variation == 2 * mu[-1] - values[-1]
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 19])
+    def test_plan_parents_drop_one_element(self, n):
+        # uint16 indices while every layer fits them (n <= 18), else int32;
+        # at n = 19 only the widest layers are checked
+        order, rank, plan = variation._plan(n)
+        sizes = np.bitwise_count(order)
+        assert np.array_equal(rank[order], np.arange(1 << n))
+        assert np.all(np.diff(sizes) >= 0)
+        assert np.all(np.diff(order)[np.diff(sizes) == 0] > 0)
+        for k, (layer, parents) in enumerate(plan, start=1):
+            assert parents.dtype == (np.uint16 if n <= 18 else np.int32)
+            if n > 18 and k not in (n // 2, n // 2 + 1):
+                continue
+            members, previous = order[layer], order[sizes == k - 1]
+            assert np.all(sizes[layer] == k) and parents.shape == (k, members.size)
+            assert 0 <= parents.min() and parents.max() < previous.size
+            subsets = previous[parents]
+            assert np.all(subsets & ~members == 0)
+            assert np.all(np.bitwise_count(members ^ subsets) == 1)
+            assert np.all(np.diff(np.sort(subsets, axis=0), axis=0) > 0)
+        variation._plan.cache_clear()
+
+    def test_int32_plan_gives_the_same_tables(self, monkeypatch):
+        # above n = 18 the plan holds int32 indices; force them at n = 10
+        phi = _dyadic_sign_mixed(10, 7)
+        expected = canonical_decomposition(phi)
+        variation._plan.cache_clear()
+        monkeypatch.setattr(variation, "comb", lambda n, k: 1 << 17)
+        got = canonical_decomposition(phi)
+        assert variation._plan(10)[2][-1][1].dtype == np.int32
+        variation._plan.cache_clear()
+        assert got.mu.tobytes() == expected.mu.tobytes()
+        assert got.nu.tobytes() == expected.nu.tobytes()
 
 
 class TestPsi:
@@ -542,6 +610,14 @@ class TestNonFinite:
         with pytest.raises(ValueError):
             FubiniInstance.of(args["lam"], args["pi"], args["F"],
                               SetFunction.uniform_matroid(2, 1), validate=False)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("field", ["pi", "epsilons"])
+    def test_continuity_modulus(self, path_cut, bad, field):
+        args = {"pi": [0.2, 0.3, 0.5], "epsilons": [0.5, 1.0]}
+        args[field][0] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            uniform_continuity_modulus(path_cut, **args)
 
     @pytest.mark.parametrize("maker", [
         lambda: SetFunction.modular([1e308, 1e308]),
