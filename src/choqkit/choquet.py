@@ -93,27 +93,37 @@ def choquet_batch(phi: SetFunction, F) -> np.ndarray:
     last entries give the same shift c as in `choquet`; the sorted row
     is then shifted, and its level masks are the running sums of
     1 << order.  One gather from `phi.values` gives phi on every level
-    set.  The terms are added column by column in `choquet`'s order, so
-    each row gets the same float as a scalar call.  Ties, including
-    those the shift creates, give zero-width terms.  For a single
-    vector `choquet` is cheaper.
+    set.  The terms are added in `choquet`'s order, so each row gets the
+    same float as a scalar call.  Ties, including those the shift
+    creates, give zero-width terms.  F may have any memory layout; for a
+    single vector `choquet` is cheaper.
+
+    After the sort the work runs column-major: the order, levels, masks
+    and terms are (n, B) arrays whose rows are contiguous over the
+    batch, so each step is one operation on a row of length B.
     """
-    F = np.asarray(F, dtype=np.float64)
+    F = np.ascontiguousarray(F, dtype=np.float64)  # for the flat gather
     if F.ndim != 2 or F.shape[1] != phi.n:
         raise PreconditionError(
             f"expected a (B, {phi.n}) matrix, got shape {F.shape}")
     if not np.isfinite(F).all():
         raise ValueError("function values must be finite")
     vals = phi.values
-    order = np.argsort(-F, axis=1, kind="stable")
-    levels = np.take_along_axis(F, order, axis=1)
+    order = np.argsort(-F, axis=1, kind="stable").T.copy()  # (n, B)
+    masks = np.left_shift(1, order)
+    for j in range(1, phi.n):
+        masks[j] += masks[j - 1]
+    heights = vals[masks]
+    # flat positions in F's C order: order[j, b] lies in row b
+    order += np.arange(0, F.size, phi.n)
+    levels = np.take(F, order)
     # sup|f| = max(f_max, -f_min) where f_min < 0, as in `choquet`
-    c = np.where(levels[:, -1] < 0.0, np.maximum(levels[:, 0], -levels[:, -1]), 0.0)
-    levels += c[:, None]
-    heights = vals[np.cumsum(1 << order, axis=1)]
-    widths = levels.copy()
-    widths[:, :-1] -= levels[:, 1:]
+    c = np.where(levels[-1] < 0.0, np.maximum(levels[0], -levels[-1]), 0.0)
+    levels += c
+    terms = levels.copy()
+    terms[:-1] -= levels[1:]
+    terms *= heights
     total = np.zeros(len(F))
-    for j in range(phi.n):
-        total += widths[:, j] * heights[:, j]
+    for term in terms:
+        total += term
     return total - c * vals[-1]

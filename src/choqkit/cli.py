@@ -111,7 +111,7 @@ def cmd_decompose(args):
 def cmd_uncross(args):
     obj = _load_json(args.input)
     ground = GroundSet(int(obj["n"]))
-    family = WeightedFamily.of(ground, [(int(m), int(a)) for m, a in obj["entries"]])
+    family = WeightedFamily.of(ground, obj["entries"])
     phi = None
     if args.phi is not None:
         phi = setfunction_from_json(_load_json(args.phi))

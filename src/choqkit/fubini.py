@@ -141,7 +141,9 @@ def lln_run(inst: FubiniInstance, steps: int, seed: int = 0,
     that start from the previous block's last sum, so every f_k is the
     same sequence of additions as a step-by-step accumulation, and the
     block's f_k and h_k are evaluated in two `choquet_batch` calls
-    whose results are written into the trace's columns.
+    whose results are written into the trace's columns.  Within a block
+    the sums, f_k and h_k are (n, block) arrays, so the cumulative sums
+    run along contiguous rows.
     """
     if steps < 1:
         raise PreconditionError("steps must be >= 1")
@@ -154,20 +156,20 @@ def lln_run(inst: FubiniInstance, steps: int, seed: int = 0,
 
     k = np.arange(1, steps + 1)
     what_f, avg, what_h, norm_h = np.empty((4, steps))
-    # running sums so far, carried as the first row of the next block
-    acc, running = np.zeros((1, inst.n)), np.zeros(1)
+    # running sums so far, carried as the first column of the next block
+    acc, running = np.zeros((inst.n, 1)), np.zeros(1)
     for first in range(0, steps, _BLOCK):
         part = slice(first, first + _BLOCK)
         block, k_part = samples[part], k[part]
-        sums = np.cumsum(np.vstack([acc, F[block]]), axis=0)[1:]
+        sums = np.cumsum(np.hstack([acc, F[block].T]), axis=1)[:, 1:]
         totals = np.cumsum(np.concatenate([running, row_values[block]]))[1:]
-        acc, running = sums[-1:], totals[-1:]
-        f_k = sums / k_part[:, None]
-        h_k = g - f_k
-        what_f[part] = choquet_batch(phi, f_k)
-        what_h[part] = choquet_batch(phi, h_k)
+        acc, running = sums[:, -1:], totals[-1:]
+        f_k = sums / k_part
+        h_k = g[:, None] - f_k
+        what_f[part] = choquet_batch(phi, f_k.T)
+        what_h[part] = choquet_batch(phi, h_k.T)
         avg[part] = totals / k_part
-        norm_h[part] = np.abs(h_k).max(axis=1)
+        norm_h[part] = np.abs(h_k).max(axis=0)
         subadditive = what_f[part] <= avg[part] + tol
         lipschitz = np.abs(what_h[part]) <= 2.0 * variation * norm_h[part] + tol
         held = subadditive & lipschitz
@@ -183,6 +185,10 @@ def lln_run(inst: FubiniInstance, steps: int, seed: int = 0,
                     lhs=result.lhs, rhs=result.rhs)
 
 
+_PAIR_BYTES = 56  # the modulus's arrays per pair (S, T), at their peak
+_CONTINUITY_BUDGET = 1 << 30  # bytes the modulus may allocate for its pairs
+
+
 def uniform_continuity_modulus(phi: SetFunction, pi,
                                epsilons=None) -> list:
     """Table of (eps, delta): delta = min pi(S sym T) over pairs with
@@ -190,6 +196,9 @@ def uniform_continuity_modulus(phi: SetFunction, pi,
 
     Any delta below min_x pi(x) forces S = T, so on a finite space
     every setfunction is uniformly continuous with respect to pi.
+    The pairs cost about 56 bytes each, 4^n / 2 of them; above
+    _CONTINUITY_BUDGET bytes (from n = 13) a PreconditionError is raised
+    before anything is allocated.
     """
     pi = _finite(pi, "pi")
     if any(v <= 0 for v in pi):
@@ -197,6 +206,12 @@ def uniform_continuity_modulus(phi: SetFunction, pi,
     if len(pi) != phi.n:
         raise ValueError("pi length must match the ground set")
     vals = phi.values
+    estimate = _PAIR_BYTES * (vals.size * (vals.size - 1) // 2)
+    if estimate > _CONTINUITY_BUDGET:
+        raise PreconditionError(
+            f"uniform_continuity_modulus at n={phi.n} needs about "
+            f"{estimate:.3g} bytes for its subset pairs, over its budget "
+            f"of {_CONTINUITY_BUDGET:.3g} bytes")
     s, t = np.triu_indices(vals.size, 1)
     gaps = np.abs(vals[s] - vals[t])
     order = np.argsort(-gaps, kind="stable")
@@ -210,5 +225,5 @@ def uniform_continuity_modulus(phi: SetFunction, pi,
         epsilons = _finite(epsilons, "epsilons")
     qualifying = np.searchsorted(-descending, -np.asarray(epsilons, dtype=np.float64),
                                  side="right")
-    return [(eps, float(running_min[count - 1]) if count else math.inf)
-            for eps, count in zip(epsilons, qualifying.tolist())]
+    deltas = np.where(qualifying > 0, running_min[qualifying - 1], math.inf)
+    return list(zip(epsilons, deltas.tolist()))

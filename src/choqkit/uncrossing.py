@@ -11,12 +11,22 @@ along the way, which certifies whatphi(h) <= sum_i a_i * phi(H_i).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
 from .choquet import choquet
 from .setfunctions import GroundSet, PreconditionError, SetFunction
+
+
+def _integral(value, name: str) -> int:
+    """value as an int if it is an integer or an integral float."""
+    if type(value) is int:  # the common case, without the ABC check
+        return value
+    if isinstance(value, Integral) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be integers, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -28,10 +38,12 @@ class WeightedFamily:
 
     @classmethod
     def of(cls, ground: GroundSet, entries) -> "WeightedFamily":
+        """Merge (mask, multiplicity) pairs; both must be integers or
+        integral floats such as 3.0, else ValueError."""
         merged = {}
         for mask, mult in entries:
-            ground.check_mask(mask)
-            mult = int(mult)
+            mask = ground.check_mask(_integral(mask, "masks"))
+            mult = _integral(mult, "multiplicities")
             if mult < 1:
                 raise ValueError("multiplicities must be positive integers")
             merged[mask] = merged.get(mask, 0) + mult
@@ -98,6 +110,9 @@ def uncross(family: WeightedFamily, phi: Optional[SetFunction] = None) -> Uncros
         raise PreconditionError("family must be nonempty")
     current = family
     steps = []
+    # the previous step's "after" numbers are this step's "before"
+    potential = current.potential()
+    phi_sum = None if phi is None else current.phi_sum(phi)
     budget = family.total_multiplicity * family.ground.n ** 2 + 1
     for _ in range(budget):
         pair = _first_crossing(current.entries)
@@ -113,16 +128,18 @@ def uncross(family: WeightedFamily, phi: Optional[SetFunction] = None) -> Uncros
                 replaced.append((mask, mult))
         replaced.extend([(a | b, 1), (a & b, 1)])
         nxt = WeightedFamily.of(current.ground, replaced)
+        potential_after = nxt.potential()
+        phi_sum_after = None if phi is None else nxt.phi_sum(phi)
         steps.append(UncrossStep(
             pair=(a, b),
             before=current.entries,
             after=nxt.entries,
-            potential_before=current.potential(),
-            potential_after=nxt.potential(),
-            phi_sum_before=None if phi is None else current.phi_sum(phi),
-            phi_sum_after=None if phi is None else nxt.phi_sum(phi),
+            potential_before=potential,
+            potential_after=potential_after,
+            phi_sum_before=phi_sum,
+            phi_sum_after=phi_sum_after,
         ))
-        current = nxt
+        current, potential, phi_sum = nxt, potential_after, phi_sum_after
     else:
         raise AssertionError("uncrossing exceeded its termination budget")
     return UncrossTrace(initial=family, steps=tuple(steps), final=current)

@@ -68,8 +68,10 @@ def _plan(n: int) -> tuple:
 _GATHER = 1 << 14  # parent entries gathered at once; bounds the DP's temporaries
 
 
-def _positive_variation(vals: np.ndarray) -> np.ndarray:
-    """mu and nu = mu - phi, in mask order, as the rows of a (2, 2^n) view.
+def _positive_variation(vals: np.ndarray) -> tuple:
+    """mu and nu = mu - phi in popcount order, as the columns of a
+    (2^n, 2) table, with each mask's row in it (`rank`): J's row is the
+    last, and `np.take(table, rank, axis=0)` is mask order.
 
     mu[S] = max_{x in S} mu[S - x] + (phi(S) - phi(S - x))_+ with
     mu[0] = 0, and each candidate is max(phi(S) + nu[S - x], mu[S - x]);
@@ -93,14 +95,14 @@ def _positive_variation(vals: np.ndarray) -> np.ndarray:
         np.maximum(mu, best[:, 0], out=mu)
         np.subtract(mu, phi[layer], out=nu)
         previous = table[layer]
-    del phi  # before the gather back to mask order, which peaks the memory
-    return np.take(table, rank, axis=0).T
+    return table, rank
 
 
 def total_variation(phi: SetFunction) -> float:
     """K(phi): largest sum of |increments| over chains from empty to J."""
     vals = phi.values
-    return float(2.0 * _positive_variation(vals)[0, -1] - vals[-1])
+    table, _ = _positive_variation(vals)
+    return float(2.0 * table[-1, 0] - vals[-1])
 
 
 def _variation_and_chain(phi: SetFunction) -> tuple:
@@ -110,7 +112,8 @@ def _variation_and_chain(phi: SetFunction) -> tuple:
     candidate max(phi(S) + nu[S - x], mu[S - x]) attains mu[S].
     """
     vals = phi.values
-    mu, nu = _positive_variation(vals)
+    table, rank = _positive_variation(vals)
+    mu, nu = np.take(table, rank, axis=0).T  # mask order
     bits = np.left_shift(1, np.arange(phi.n, dtype=np.int32))
     chain = [phi.ground.full_mask]
     while chain[0]:
@@ -144,7 +147,8 @@ class DecompositionResult:
 def canonical_decomposition(phi: SetFunction) -> DecompositionResult:
     """Chain-wise positive/negative increment suprema ending exactly at S."""
     vals = phi.values
-    mu, nu = _positive_variation(vals)
+    table, rank = _positive_variation(vals)
+    mu, nu = np.take(table, rank, axis=0).T  # mask order
     mu.flags.writeable = nu.flags.writeable = False
     return DecompositionResult(mu, nu, float(2.0 * mu[-1] - vals[-1]))
 

@@ -74,6 +74,13 @@ class TestUncross:
         assert lines[0].startswith("step,mask_a,mask_b")
         assert "final chain: [[2, 1], [7, 1]]" in result.stdout
 
+    @pytest.mark.parametrize("entries", [[[3, 1.5], [6.9, 1]], [[3, 1], [6.5, 1]]])
+    def test_non_integral_entries_exit_2(self, entries):
+        result = run_cli("uncross", json.dumps({"n": 3, "entries": entries}))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "must be integers" in result.stderr
+
     def test_determinism(self):
         family = json.dumps({"n": 4, "entries": [[3, 2], [6, 1], [12, 1], [9, 1]]})
         first = run_cli("uncross", family, "--phi", PATH_CUT.replace('"n": 3', '"n": 4'))

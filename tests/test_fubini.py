@@ -7,6 +7,7 @@ import pytest
 from choqkit import (FubiniInstance, PreconditionError, SetFunction, choquet,
                      lln_run, lopsided_check, marginal_g, total_variation,
                      uniform_continuity_modulus)
+from choqkit import fubini
 from choqkit.fubini import LlnRecord
 from choqkit.randgen import random_fubini_instance
 
@@ -162,6 +163,20 @@ class TestLlnRun:
 
 
 class TestUniformContinuity:
+    def test_size_limit_fails_before_allocating(self, path_cut, monkeypatch):
+        # 28 pairs at n = 3, 56 bytes each
+        monkeypatch.setattr(fubini, "_CONTINUITY_BUDGET", 28 * 56)
+        assert uniform_continuity_modulus(path_cut, [1 / 3] * 3, [1.0]) == [(1.0, 1 / 3)]
+        monkeypatch.setattr(fubini, "_CONTINUITY_BUDGET", 28 * 56 - 1)
+        with pytest.raises(PreconditionError, match="uniform_continuity_modulus at n=3 "
+                                                    "needs about 1.57e[+]03 bytes"):
+            uniform_continuity_modulus(path_cut, [1 / 3] * 3, [1.0])
+
+    def test_default_budget_stops_at_n_13(self):
+        phi = SetFunction.modular([1.0] * 13)
+        with pytest.raises(PreconditionError, match="n=13 needs about 1.88e[+]09 bytes"):
+            uniform_continuity_modulus(phi, [1 / 13] * 13)
+
     def test_huge_epsilon_gives_infinite_delta(self, path_cut):
         table = uniform_continuity_modulus(path_cut, [1 / 3] * 3,
                                            epsilons=[100.0])

@@ -359,10 +359,20 @@ def _close(got, want):
 SHIFT_TIES = [1e-17, -1e-17, 0.0, -0.0, 1.0, -1.0, 2.0 ** -60]
 
 
+def _layouts(F):
+    """F as a C array, as the transposed view of an (n, B) array (as
+    lln_run passes it), as a Fortran-ordered copy and as a column slice."""
+    wide = np.zeros((len(F), 2 * F.shape[1] + 1))
+    wide[:, 1::2] = F
+    return {"C": F, "transposed": np.ascontiguousarray(F.T).T,
+            "fortran": np.asfortranarray(F), "columns": wide[:, 1::2]}
+
+
 @st.composite
 def batch_matrices(draw, n):
-    """(B, n) rows: sign-mixed dyadic rows with ties, all-zero rows, rows
-    where the shift creates ties, all-negative rows and arbitrary floats."""
+    """(B, n) rows, B >= 0: sign-mixed dyadic rows with ties, all-zero
+    rows, rows where the shift creates ties, all-negative rows and
+    arbitrary floats, in any of the memory layouts of `_layouts`."""
     unit = 2.0 ** -draw(st.integers(0, 18))
     dyadic = st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(
         lambda row: [v * unit for v in row])
@@ -371,14 +381,19 @@ def batch_matrices(draw, n):
     row = st.one_of(st.just([0.0] * n), dyadic,
                     *(st.lists(entry, min_size=n, max_size=n)
                       for entry in (mixed, negative)))
-    return np.array(draw(st.lists(row, min_size=1, max_size=12)), dtype=float)
+    F = np.array(draw(st.lists(row, max_size=12)), dtype=float).reshape(-1, n)
+    return draw(st.sampled_from(list(_layouts(F).values())))
 
 
 class TestChoquetBatch:
     @SETTINGS
-    @given(setfunctions, st.data())
-    def test_rows_match_scalar_choquet(self, phi, data):
-        F = data.draw(batch_matrices(phi.n))
+    @given(setfunctions.flatmap(
+        lambda phi: st.tuples(st.just(phi), batch_matrices(phi.n))))
+    @example((SetFunction.from_table([0.0, -1.5]), np.zeros((0, 1))))
+    @example((SetFunction.from_table([0.0, -1.5]),
+              _layouts(np.array([[-0.0], [2.5], [-1e-17]]))["transposed"]))
+    def test_rows_match_scalar_choquet(self, case):
+        phi, F = case
         scalars = [choquet(phi, row) for row in F]
         assert all(type(value) is float for value in scalars)
         assert choquet_batch(phi, F).tolist() == scalars

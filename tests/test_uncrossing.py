@@ -13,6 +13,19 @@ def make_family(n, entries):
     return WeightedFamily.of(GroundSet(n), entries)
 
 
+class TestIntegrality:
+    def test_integral_floats_are_accepted_as_ints(self):
+        fam = make_family(3, [(3.0, 2), (6, 1.0), (np.int64(6), 1)])
+        assert fam.entries == ((3, 2), (6, 2))
+        assert all(type(v) is int for entry in fam.entries for v in entry)
+
+    @pytest.mark.parametrize("entry", [(3, 2.9), (3, 1.5), (6.9, 1), (3, "2"),
+                                       ("3", 1)])
+    def test_non_integral_entries_rejected(self, entry):
+        with pytest.raises(ValueError):
+            make_family(3, [entry])
+
+
 class TestFamilySum:
     def test_two_overlapping_sets(self):
         fam = make_family(3, [(0b011, 1), (0b110, 1)])
@@ -49,6 +62,22 @@ class TestUncross:
         step = trace.steps[0]
         assert step.phi_sum_before == pytest.approx(2.0)
         assert step.phi_sum_after == pytest.approx(2.0)
+
+    def test_steps_carry_their_before_numbers(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            fam = random_weighted_family(rng, n)
+            phi = random_table_setfunction(rng, n)
+            steps = uncross(fam, phi).steps
+            if not steps:
+                continue
+            assert steps[0].potential_before == fam.potential()
+            assert steps[0].phi_sum_before == fam.phi_sum(phi)
+            for prev, step in zip(steps, steps[1:]):
+                assert step.before == prev.after
+                assert step.potential_before == prev.potential_after
+                assert step.phi_sum_before == prev.phi_sum_after
+            assert all(step.phi_sum_before is None for step in uncross(fam).steps)
 
     def test_empty_family_rejected(self):
         with pytest.raises(PreconditionError):
