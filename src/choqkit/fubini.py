@@ -32,7 +32,6 @@ class FubiniInstance:
     pi: np.ndarray
     F: np.ndarray
     phi: SetFunction
-    validated: bool = True
 
     @classmethod
     def of(cls, lam, pi, F, phi: SetFunction, validate: bool = True,
@@ -56,7 +55,7 @@ class FubiniInstance:
             require_submodular(phi, tol)
             if float(phi.values.min()) < -tol:
                 raise PreconditionError("phi must be nonnegative")
-        return cls(lam, pi, F, phi, validated=validate)
+        return cls(lam, pi, F, phi)
 
     @property
     def m(self) -> int:

@@ -281,18 +281,16 @@ def extend_ls(phi: IntervalSetFunction, x) -> float:
     return float(_closed_form(phi, x, "ls"))
 
 
-def choquet_interval(phi: IntervalSetFunction, f: StepFunction,
-                     extension: str = "exact") -> float:
+def choquet_interval(phi: IntervalSetFunction, f: StepFunction) -> float:
     """Choquet integral of a step function against an increasing phi.
 
     The integrand t -> phi{f >= t} is piecewise constant with
     breakpoints at the values of f, so the integral is a finite sum;
-    negative values go through the shift formula.  `extension` selects
-    how level sets are evaluated (direct, or through the ui/ls
-    extension; all three agree since level sets lie in the algebra).
+    negative values go through the shift formula.  Level sets lie in
+    the algebra, where phi and its ui/ls extensions agree.
     """
     sets = _Superlevels(f)
-    return sets.integral(_closed_form(phi, sets, extension))
+    return sets.integral(_closed_form(phi, sets, "exact"))
 
 
 def ae_gap(phi: IntervalSetFunction, f: StepFunction,

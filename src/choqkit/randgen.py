@@ -10,10 +10,9 @@ from .setfunctions import GroundSet, SetFunction
 from .uncrossing import WeightedFamily
 
 
-def random_table_setfunction(rng: np.random.Generator, n: int,
-                             scale: float = 1.0) -> SetFunction:
-    """Sign-mixed table with phi(empty) = 0."""
-    values = rng.uniform(-scale, scale, size=1 << n)
+def random_table_setfunction(rng: np.random.Generator, n: int) -> SetFunction:
+    """Sign-mixed table with values in [-1, 1) and phi(empty) = 0."""
+    values = rng.uniform(-1.0, 1.0, size=1 << n)
     values[0] = 0.0
     return SetFunction.from_table(values)
 
@@ -78,17 +77,16 @@ def random_submodular_setfunction(rng: np.random.Generator, n: int,
     return maker(rng, n)
 
 
-def random_weighted_family(rng: np.random.Generator, n: int,
-                           max_entries: int = 8,
-                           max_total: int = 20) -> WeightedFamily:
+def random_weighted_family(rng: np.random.Generator, n: int) -> WeightedFamily:
+    """At most 8 entries of total multiplicity at most 20."""
     ground = GroundSet(n)
-    count = int(rng.integers(1, max_entries + 1))
+    count = int(rng.integers(1, 9))
     entries = []
     total = 0
     for _ in range(count):
         mask = int(rng.integers(0, 1 << n))
-        mult = int(rng.integers(1, max(2, (max_total - total)) + 1))
-        if total + mult > max_total:
+        mult = int(rng.integers(1, max(2, 20 - total) + 1))
+        if total + mult > 20:
             break
         entries.append((mask, mult))
         total += mult
@@ -145,13 +143,13 @@ def random_interval_setfunction(rng: np.random.Generator) -> IntervalSetFunction
     return IntervalSetFunction.concave_of_measure(pts, density)
 
 
-def random_fubini_instance(rng: np.random.Generator, m: int, n: int,
-                           families=("coverage", "matroid-rank",
-                                     "concave-of-modular")) -> FubiniInstance:
+def random_fubini_instance(rng: np.random.Generator, m: int,
+                           n: int) -> FubiniInstance:
     lam = rng.uniform(0.05, 1.0, size=m)
     lam /= lam.sum()
     pi = rng.uniform(0.05, 1.0, size=n)
     pi /= pi.sum()
     F = rng.uniform(0.0, 1.0, size=(m, n))
-    phi = random_submodular_setfunction(rng, n, families=families)
+    phi = random_submodular_setfunction(
+        rng, n, families=("coverage", "matroid-rank", "concave-of-modular"))
     return FubiniInstance.of(lam, pi, F.tolist(), phi)

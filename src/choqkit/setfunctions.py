@@ -29,18 +29,13 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class GroundSet:
-    """Finite ground set {0, ..., n-1}, optionally with element labels."""
+    """Finite ground set {0, ..., n-1}."""
 
     n: int
-    labels: Optional[tuple] = None
 
     def __post_init__(self):
         if not 1 <= self.n <= 24:
             raise ValueError(f"ground set size must be in 1..24, got {self.n}")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != self.n:
-                raise ValueError("labels length must equal n")
 
     @property
     def full_mask(self) -> int:
@@ -69,10 +64,7 @@ class GroundSet:
         return mask
 
     def format_mask(self, mask: int) -> str:
-        if mask == 0:
-            return "{}"
-        names = self.labels or [str(x) for x in range(self.n)]
-        return "{" + ",".join(names[x] for x in self.elements(mask)) + "}"
+        return "{" + ",".join(map(str, self.elements(mask))) + "}"
 
 
 def _finite(values, what: str) -> tuple:
@@ -192,14 +184,14 @@ class SetFunction:
     # ---- constructors ------------------------------------------------
 
     @classmethod
-    def from_table(cls, values: Sequence[float], labels=None) -> "SetFunction":
+    def from_table(cls, values: Sequence[float]) -> "SetFunction":
         values = _finite_array(values, "table values")
         n = values.size.bit_length() - 1
         if values.ndim != 1 or values.size != 1 << n or n < 1:
             raise ValueError("table length must be 2^n with n >= 1")
         if values[0] != 0.0:
             raise PreconditionError("table[0] must be 0 (phi(empty) = 0)")
-        return cls(GroundSet(n, labels), "table", {"values": values}, lambda: values)
+        return cls(GroundSet(n), "table", {"values": values}, lambda: values)
 
     @classmethod
     def cut(cls, n: int, edges) -> "SetFunction":
@@ -451,7 +443,7 @@ def is_modular(phi: SetFunction, tol: float = TOL) -> Verdict:
 def conjugate(phi: SetFunction) -> SetFunction:
     """Table-backed phi*(X) = phi(J) - phi(J \\ X)."""
     vals = phi.values
-    return SetFunction.from_table(vals[-1] - vals[::-1], labels=phi.ground.labels)
+    return SetFunction.from_table(vals[-1] - vals[::-1])
 
 
 # ---- JSON schema -----------------------------------------------------
@@ -477,23 +469,23 @@ def setfunction_from_json(obj: dict) -> SetFunction:
         raise ValueError(f"malformed setfunction object: {exc}") from exc
     if kind == "table":
         phi = SetFunction.from_table(payload["values"])
-        if phi.n != n:
-            raise ValueError("table length inconsistent with n")
-        return phi
-    if kind == "cut":
-        return SetFunction.cut(n, payload["edges"])
-    if kind == "coverage":
-        return SetFunction.coverage(payload["covers"], payload["item_weights"])
-    if kind == "matroid-rank":
-        if payload["matroid"] == "uniform":
-            return SetFunction.uniform_matroid(n, payload["rank"])
-        if payload["matroid"] == "partition":
-            return SetFunction.partition_matroid(payload["blocks"],
-                                                 payload["capacities"])
+    elif kind == "cut":
+        phi = SetFunction.cut(n, payload["edges"])
+    elif kind == "coverage":
+        phi = SetFunction.coverage(payload["covers"], payload["item_weights"])
+    elif kind == "matroid-rank" and payload["matroid"] == "uniform":
+        phi = SetFunction.uniform_matroid(n, payload["rank"])
+    elif kind == "matroid-rank" and payload["matroid"] == "partition":
+        phi = SetFunction.partition_matroid(payload["blocks"], payload["capacities"])
+    elif kind == "matroid-rank":
         raise ValueError(f"unknown matroid family {payload['matroid']!r}")
-    if kind == "modular":
-        return SetFunction.modular(payload["weights"])
-    if kind == "concave-of-modular":
-        return SetFunction.concave_of_modular(payload["weights"],
-                                              payload["breakpoints"])
-    raise ValueError(f"unknown setfunction kind {kind!r}")
+    elif kind == "modular":
+        phi = SetFunction.modular(payload["weights"])
+    elif kind == "concave-of-modular":
+        phi = SetFunction.concave_of_modular(payload["weights"],
+                                             payload["breakpoints"])
+    else:
+        raise ValueError(f"unknown setfunction kind {kind!r}")
+    if phi.n != n:
+        raise ValueError(f"{kind} setfunction has n = {phi.n}, object says n = {n}")
+    return phi

@@ -166,6 +166,10 @@ class TestExitCodes:
         assert run_cli("check", '{"n": 2, "kind": "bogus", "payload": {}}'
                        ).returncode == 2
 
+    def test_n_disagreeing_with_the_payload(self):
+        wrong_n = {"n": 5, "kind": "modular", "payload": {"weights": [1, 2]}}
+        assert run_cli("check", json.dumps(wrong_n)).returncode == 2
+
     def test_precondition_violation(self):
         bad = json.dumps({"n": 2, "kind": "table",
                           "payload": {"values": [1, 0, 0, 0]}})

@@ -33,7 +33,6 @@ class TestInstanceValidation:
         phi = SetFunction.from_table([0, 0, 0, 1])
         inst = FubiniInstance.of([1.0], [0.5, 0.5], [[0.0, 1.0]], phi,
                                  validate=False)
-        assert not inst.validated
 
     def test_rejects_bad_probabilities(self):
         phi = SetFunction.uniform_matroid(2, 1)

@@ -471,16 +471,11 @@ class TestIntervalSweep:
     def test_sweep_matches_per_level_oracle(self, data):
         f = data.draw(step_functions())
         phi = data.draw(interval_setfunctions(f))
+        value = choquet_interval(phi, f)
+        assert type(value) is float
         for extension in ("exact", "ui", "ls"):
-            value = choquet_interval(phi, f, extension)
-            assert type(value) is float
             assert _close(value, oracles.choquet_interval_by_levels(phi, f, extension))
         assert ae_gap(phi, f) == oracles.ae_gap_by_levels(phi, f)
-
-    def test_unknown_extension(self):
-        phi = IntervalSetFunction.concave_of_measure([(0.0, 0.0), (1.0, 1.0)])
-        with pytest.raises(KeyError):
-            choquet_interval(phi, StepFunction((0.0, 1.0), (1.0,)), "bogus")
 
 
 def _loop_lln(inst, steps, seed, tol=TOL):

@@ -128,3 +128,21 @@ class TestJson:
         back = setfunction_from_json(json.loads(blob))
         assert back.kind == phi.kind
         assert back.table() == pytest.approx(phi.table(), abs=TOL)
+
+    # every kind whose payload fixes the ground-set size
+    @pytest.mark.parametrize("obj", [
+        {"n": 2, "kind": "table", "payload": {"values": [0, 1, 2, 2.5]}},
+        {"n": 2, "kind": "coverage",
+         "payload": {"covers": [[0], [0, 1]], "item_weights": [1.0, 3.0]}},
+        {"n": 3, "kind": "matroid-rank", "payload": {
+            "matroid": "partition", "blocks": [[0, 1], [2]], "capacities": [1, 1]}},
+        {"n": 2, "kind": "modular", "payload": {"weights": [1.5, -2.0]}},
+        {"n": 2, "kind": "concave-of-modular",
+         "payload": {"weights": [1, 2], "breakpoints": [[0, 0], [2, 1]]}},
+    ], ids=["table", "coverage", "partition-matroid", "modular",
+            "concave-of-modular"])
+    def test_n_must_match_the_payload(self, obj):
+        assert setfunction_from_json(obj).n == obj["n"]
+        for n in (obj["n"] - 1, obj["n"] + 1):
+            with pytest.raises(ValueError, match="object says n = "):
+                setfunction_from_json({**obj, "n": n})
