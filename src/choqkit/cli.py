@@ -1,8 +1,9 @@
 """Command-line entry point: one subcommand per module.
 
 Instances travel as JSON (path or inline), traces leave as CSV.
-Exit codes: 0 ok, 1 selftest violation, 2 malformed input, 3
-precondition violation.
+Exit codes: 0 ok, 1 selftest or inequality violation (including a
+bound that `fubini --steps` finds violated under --force), 2 malformed
+input, 3 precondition violation.
 """
 
 from __future__ import annotations
@@ -145,7 +146,11 @@ def cmd_fubini(args):
     inst = FubiniInstance.of(obj["lambda"], obj["pi"], obj["F"], phi,
                              validate=not args.force, tol=args.tol)
     if args.steps > 0:
-        trace = lln_run(inst, steps=args.steps, seed=args.seed, tol=args.tol)
+        try:
+            trace = lln_run(inst, steps=args.steps, seed=args.seed, tol=args.tol)
+        except AssertionError as exc:
+            print(f"inequality violation: {exc}", file=sys.stderr)
+            return 1
         result = LopsidedResult.of(trace.lhs, trace.rhs, args.tol)
         print("k,what_f_k,running_avg,what_h_k,norm_h_k")
         for rec in trace.records:

@@ -12,8 +12,8 @@ behind the general proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -76,22 +76,30 @@ def marginal_g(inst: FubiniInstance) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LopsidedResult:
+    """The two sides of the inequality; `rows` holds whatphi(F_x) for each
+    row x, a read-only slice of the batch that gave `lhs` (None when the
+    result is rebuilt from its two sides)."""
+
     lhs: float
     rhs: float
     slack: float
     holds: bool
+    rows: Optional[np.ndarray] = field(default=None, compare=False)
 
     @classmethod
-    def of(cls, lhs: float, rhs: float, tol: float) -> "LopsidedResult":
-        return cls(lhs, rhs, rhs - lhs, rhs - lhs >= -tol)
+    def of(cls, lhs: float, rhs: float, tol: float,
+           rows: Optional[np.ndarray] = None) -> "LopsidedResult":
+        return cls(lhs, rhs, rhs - lhs, rhs - lhs >= -tol, rows)
 
 
 def lopsided_check(inst: FubiniInstance, tol: float = 1e-9) -> LopsidedResult:
-    """whatphi(g) versus the lambda-average of whatphi over the rows."""
-    g = marginal_g(inst)
-    lhs, *rows = choquet_batch(inst.phi, np.vstack([g, inst.F])).tolist()
-    rhs = sum(w * value for w, value in zip(inst.lam.tolist(), rows))
-    return LopsidedResult.of(lhs, rhs, tol)
+    """whatphi(g) versus the lambda-average of whatphi over the rows, from
+    one `choquet_batch` call on the stacked matrix [g; F]."""
+    values = choquet_batch(inst.phi, np.vstack([marginal_g(inst), inst.F]))
+    values.flags.writeable = False
+    rows = values[1:]
+    rhs = sum(w * value for w, value in zip(inst.lam.tolist(), rows.tolist()))
+    return LopsidedResult.of(float(values[0]), rhs, tol, rows)
 
 
 class LlnRecord(NamedTuple):
@@ -126,6 +134,8 @@ class LlnTrace:
 
 
 _BLOCK = 1024  # steps per batch; bounds the arrays' memory, leaves the arithmetic as is
+_STEP_BYTES = 48  # the trace's six int64/float64 columns per step
+_LLN_BUDGET = 1 << 30  # bytes the trace's columns may take
 
 
 def lln_run(inst: FubiniInstance, steps: int, seed: int = 0,
@@ -136,22 +146,37 @@ def lln_run(inst: FubiniInstance, steps: int, seed: int = 0,
     whatphi(f_k) <= (1/k) sum_i whatphi(F_{x_i}) is checked, as is the
     Lipschitz bound |whatphi(h_k)| <= 2 K(phi) ||h_k|| for h_k = g - f_k;
     an AssertionError names the first step that violates either.  The
-    steps run in blocks: per block, the running sums are cumulative sums
-    that start from the previous block's last sum, so every f_k is the
-    same sequence of additions as a step-by-step accumulation, and the
-    block's f_k and h_k are evaluated in two `choquet_batch` calls
-    whose results are written into the trace's columns.  Within a block
-    the sums, f_k and h_k are (n, block) arrays, so the cumulative sums
-    run along contiguous rows.
+    Lipschitz bound is checked first with L = 2 max phi - phi(J), which
+    is at most K(phi) since mu(J) >= mu(S) >= phi(S); only when a block
+    fails with L is K(phi) computed by the chain DP, and that block and
+    the rest are checked with K.
+
+    The row values whatphi(F_x) and the trace's `lhs`/`rhs` come from
+    one `lopsided_check`.  The steps run in blocks: per block, the
+    running sums are cumulative sums that start from the previous
+    block's last sum, so every f_k is the same sequence of additions as
+    a step-by-step accumulation.  The block's f_k and h_k are the two
+    halves of one (n, 2 * width) array, evaluated by one `choquet_batch`
+    call, so the cumulative sums run along contiguous rows.  The
+    columns take about 48 bytes per step; above _LLN_BUDGET bytes (from
+    about 22 million steps) a PreconditionError is raised before
+    anything is allocated.
     """
     if steps < 1:
         raise PreconditionError("steps must be >= 1")
+    estimate = _STEP_BYTES * steps
+    if estimate > _LLN_BUDGET:
+        raise PreconditionError(
+            f"lln_run with steps={steps} needs about {estimate:.3g} bytes "
+            f"for its trace, over its budget of {_LLN_BUDGET:.3g} bytes")
+    result = lopsided_check(inst, tol)
     rng = np.random.default_rng(seed)
     samples = rng.choice(inst.m, size=steps, p=inst.lam)
     phi, F = inst.phi, inst.F
-    g = inst.lam @ F
-    row_values = choquet_batch(phi, F)
-    variation = total_variation(phi)
+    g = marginal_g(inst)
+    # L <= K(phi); from_dp is set once the DP's K(phi) has replaced it
+    slope = 2.0 * float(phi.values.max()) - float(phi.values[-1])
+    from_dp = False
 
     k = np.arange(1, steps + 1)
     what_f, avg, what_h, norm_h = np.empty((4, steps))
@@ -160,23 +185,28 @@ def lln_run(inst: FubiniInstance, steps: int, seed: int = 0,
     for first in range(0, steps, _BLOCK):
         part = slice(first, first + _BLOCK)
         block, k_part = samples[part], k[part]
+        width = len(block)
         sums = np.cumsum(np.hstack([acc, F[block].T]), axis=1)[:, 1:]
-        totals = np.cumsum(np.concatenate([running, row_values[block]]))[1:]
+        totals = np.cumsum(np.concatenate([running, result.rows[block]]))[1:]
         acc, running = sums[:, -1:], totals[-1:]
-        f_k = sums / k_part
-        h_k = g[:, None] - f_k
-        what_f[part] = choquet_batch(phi, f_k.T)
-        what_h[part] = choquet_batch(phi, h_k.T)
+        pair = np.empty((inst.n, 2 * width))
+        f_k, h_k = pair[:, :width], pair[:, width:]
+        np.divide(sums, k_part, out=f_k)
+        np.subtract(g[:, None], f_k, out=h_k)
+        values = choquet_batch(phi, pair.T)
+        what_f[part], what_h[part] = values[:width], values[width:]
         avg[part] = totals / k_part
         norm_h[part] = np.abs(h_k).max(axis=0)
         subadditive = what_f[part] <= avg[part] + tol
-        lipschitz = np.abs(what_h[part]) <= 2.0 * variation * norm_h[part] + tol
+        lipschitz = np.abs(what_h[part]) <= 2.0 * slope * norm_h[part] + tol
+        if not (from_dp or lipschitz.all()):
+            slope, from_dp = total_variation(phi), True
+            lipschitz = np.abs(what_h[part]) <= 2.0 * slope * norm_h[part] + tol
         held = subadditive & lipschitz
         if not held.all():
             i = int(held.argmin())
             bound = "Lipschitz" if subadditive[i] else "finite subadditivity"
             raise AssertionError(f"{bound} bound violated at step {k_part[i]}")
-    result = lopsided_check(inst, tol)
     for column in (samples, k, what_f, avg, what_h, norm_h):
         column.flags.writeable = False
     return LlnTrace(seed=seed, samples=samples, k=k, what_f=what_f,

@@ -174,3 +174,21 @@ class TestExitCodes:
         bad = json.dumps({"n": 2, "kind": "table",
                           "payload": {"values": [1, 0, 0, 0]}})
         assert run_cli("check", bad).returncode == 3
+
+    def test_forced_steps_violation_exits_1_without_traceback(self):
+        payload = json.dumps({
+            "lambda": [0.5, 0.5], "pi": [0.5, 0.5], "F": [[1, 0], [0, 1]],
+            "phi": {"n": 2, "kind": "table", "payload": {"values": [0, 0, 0, 1]}},
+        })
+        result = run_cli("fubini", payload, "--force", "--steps", "5")
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert result.stderr == ("inequality violation: finite subadditivity "
+                                 "bound violated at step 2\n")
+
+    def test_steps_over_the_trace_budget(self, monkeypatch, capsys):
+        # 48 bytes per step: four steps fit, five do not
+        monkeypatch.setattr(fubini, "_LLN_BUDGET", 4 * 48)
+        assert cli.main(["fubini", TestFubini.PAYLOAD, "--steps", "4"]) == 0
+        assert cli.main(["fubini", TestFubini.PAYLOAD, "--steps", "5"]) == 3
+        assert "lln_run with steps=5 needs about 240 bytes" in capsys.readouterr().err

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from choqkit import (FubiniInstance, PreconditionError, SetFunction, choquet,
-                     lln_run, lopsided_check, marginal_g, total_variation,
-                     uniform_continuity_modulus)
+                     choquet_batch, lln_run, lopsided_check, marginal_g,
+                     total_variation, uniform_continuity_modulus)
 from choqkit import fubini
 from choqkit.fubini import LlnRecord
 from choqkit.randgen import random_fubini_instance
@@ -93,6 +93,10 @@ class TestLopsided:
         assert direct == pytest.approx(result.rhs, abs=1e-9)
 
 
+def _unreachable(*args):
+    raise RuntimeError("evaluated before the step budget was checked")
+
+
 class TestLlnRun:
     def test_single_step(self):
         inst = simple_instance()
@@ -159,6 +163,71 @@ class TestLlnRun:
     def test_rejects_zero_steps(self):
         with pytest.raises(PreconditionError):
             lln_run(simple_instance(), steps=0)
+
+    def test_step_budget_fails_before_any_work(self, monkeypatch):
+        # 48 bytes per step: ten steps fit the patched budget, eleven do not
+        monkeypatch.setattr(fubini, "_LLN_BUDGET", 10 * 48)
+        assert len(lln_run(simple_instance(), steps=10).k) == 10
+        monkeypatch.setattr(fubini, "lopsided_check", _unreachable)
+        with pytest.raises(PreconditionError,
+                           match="lln_run with steps=11 needs about 528 bytes"):
+            lln_run(simple_instance(), steps=11)
+
+    def test_default_budget_stops_above_22_million_steps(self, monkeypatch):
+        monkeypatch.setattr(fubini, "lopsided_check", _unreachable)
+        steps = (1 << 30) // 48 + 1
+        with pytest.raises(PreconditionError, match=f"steps={steps} needs about 1.07e[+]09"):
+            lln_run(simple_instance(), steps=steps)
+
+
+def _counting(monkeypatch, name):
+    """Replace fubini.<name> by a wrapper that records each call."""
+    calls, original = [], getattr(fubini, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fubini, name, counted)
+    return calls
+
+
+class TestLlnEvaluatesOnce:
+    def test_rows_are_the_batch_values_read_only(self, rng):
+        inst = random_fubini_instance(rng, 5, 4)
+        result = lopsided_check(inst)
+        want = choquet_batch(inst.phi, inst.F)
+        assert result.rows.tobytes() == want.tobytes()
+        assert result.rows.dtype == np.float64 and not result.rows.flags.writeable
+        with pytest.raises(ValueError):
+            result.rows[0] = 0.0
+
+    @pytest.mark.parametrize("steps", [1, fubini._BLOCK, fubini._BLOCK + 1, 2065])
+    def test_one_batch_for_the_rows_and_one_per_block(self, monkeypatch, steps):
+        calls = _counting(monkeypatch, "choquet_batch")
+        lln_run(random_fubini_instance(np.random.default_rng(3), 6, 6), steps, seed=3)
+        assert len(calls) == 1 + math.ceil(steps / fubini._BLOCK)
+
+    def test_validated_instance_skips_the_chain_dp(self, monkeypatch):
+        calls = _counting(monkeypatch, "total_variation")
+        for seed in range(5):
+            inst = random_fubini_instance(np.random.default_rng(seed), 6, 6)
+            lln_run(inst, steps=2065, seed=seed)
+        assert calls == []
+
+    def test_forced_instance_falls_back_to_the_chain_dp(self, monkeypatch):
+        # L = 2 max phi - phi(J) = 0 < K(phi) = 2; the rows are comonotone,
+        # so subadditivity is tight while |whatphi(h_k)| = ||h_k|| > 0
+        phi = SetFunction.from_table([0, -1, -1, 0])
+        inst = FubiniInstance.of([0.5, 0.5], [0.5, 0.5], [[1, 0], [0.5, 0]],
+                                 phi, validate=False)
+        assert 2.0 * phi.values.max() - phi.values[-1] == 0.0
+        assert total_variation(phi) == 2.0
+        calls = _counting(monkeypatch, "total_variation")
+        trace = lln_run(inst, steps=50, seed=1)
+        assert len(calls) == 1
+        assert np.abs(trace.what_h).max() > 1e-9
+        assert np.array_equal(np.abs(trace.what_h), trace.norm_h)
 
 
 class TestUniformContinuity:
