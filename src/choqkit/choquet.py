@@ -7,7 +7,7 @@ with negative entries are handled by the shift formula
 whatphi(f) = whatphi(f + c) - c * phi(J) for any c >= sup|f|.
 
 Both routes read phi from its value table `phi.values`: `choquet` for
-one vector, by one gather of the n masks of its chain, and
+one vector, entry by entry as Python floats along its level chain, and
 `choquet_batch` for the rows of a matrix, by one gather for all rows.
 Both add the same terms in the same order.
 """
@@ -15,7 +15,6 @@ Both add the same terms in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -68,20 +67,23 @@ def choquet(phi: SetFunction, f, shift: Optional[float] = None) -> float:
         c = 0.0
     else:
         c = max(abs(v) for v in vals)
-    order = sorted(range(len(vals)), key=lambda x: -vals[x])
-    # heights[i] = phi(set of the first i + 1 elements of order)
-    heights = phi.values[list(accumulate(1 << x for x in order))].tolist()
+    # reverse=True keeps ties in index order, as a stable sort on -f does
+    order = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
+    item = phi.values.item
     total = 0.0
     prev = vals[order[0]] + c
-    for x, height in zip(order[1:], heights):
+    mask = 0
+    for x in order:
         value = vals[x] + c
-        if value < prev:
-            total += (prev - value) * height
+        if value < prev:  # mask is the level set above value
+            total += (prev - value) * item(mask)
         prev = value
+        mask |= 1 << x
+    height = item(mask)  # phi(J)
     if prev > 0.0:
-        total += prev * heights[-1]
+        total += prev * height
     if c:
-        total -= c * heights[-1]
+        total -= c * height
     return total
 
 
@@ -106,7 +108,7 @@ def choquet_batch(phi: SetFunction, F) -> np.ndarray:
     if F.ndim != 2 or F.shape[1] != phi.n:
         raise PreconditionError(
             f"expected a (B, {phi.n}) matrix, got shape {F.shape}")
-    if not np.isfinite(F).all():
+    if np.count_nonzero(np.isfinite(F)) != F.size:
         raise ValueError("function values must be finite")
     vals = phi.values
     order = np.argsort(-F, axis=1, kind="stable").T.copy()  # (n, B)

@@ -1,6 +1,7 @@
 """Command-line entry point: one subcommand per module.
 
-Instances travel as JSON (path or inline), traces leave as CSV.
+Instances travel as JSON (path or inline), traces leave as CSV
+(`uncross` also as one JSON object under --format json).
 Exit codes: 0 ok, 1 selftest or inequality violation (including a
 bound that `fubini --steps` finds violated under --force), 2 malformed
 input, 3 precondition violation.
@@ -117,14 +118,22 @@ def cmd_uncross(args):
     if args.phi is not None:
         phi = setfunction_from_json(_load_json(args.phi))
     trace = uncross(family, phi)
-    print("step,mask_a,mask_b,potential_before,potential_after,"
-          "phi_sum_before,phi_sum_after")
-    for i, step in enumerate(trace.steps):
-        print(f"{i},{step.pair[0]},{step.pair[1]},{step.potential_before},"
-              f"{step.potential_after},{step.phi_sum_before!r},"
-              f"{step.phi_sum_after!r}")
-    print("final chain: " + json.dumps([list(e) for e in trace.final.entries]))
-    print("h: " + json.dumps(family_sum(trace.final).tolist()))
+    columns = ("step", "mask_a", "mask_b", "potential_before",
+               "potential_after", "phi_sum_before", "phi_sum_after")
+    rows = [(i, *step.pair, step.potential_before, step.potential_after,
+             step.phi_sum_before, step.phi_sum_after)
+            for i, step in enumerate(trace.steps)]
+    chain = [list(e) for e in trace.final.entries]
+    h = family_sum(trace.final).tolist()
+    if args.format == "json":
+        print(json.dumps({"steps": [dict(zip(columns, row)) for row in rows],
+                          "final_chain": chain, "h": h}))
+        return 0
+    print(",".join(columns))
+    for row in rows:
+        print(",".join(map(repr, row)))
+    print("final chain: " + json.dumps(chain))
+    print("h: " + json.dumps(h))
     return 0
 
 

@@ -248,10 +248,13 @@ def uniform_continuity_modulus(phi: SetFunction, pi,
     # delta over the pairs with the largest gaps, one more pair at a time
     running_min = np.minimum.accumulate(subset_sums(pi)[s ^ t][order])
     if epsilons is None:
-        distinct = np.unique(gaps[gaps > 0]).tolist()
-        epsilons = distinct if distinct else [1.0]
-    else:
-        epsilons = _finite(epsilons, "epsilons")
+        # each distinct positive gap, ascending, with delta at its run's end
+        ends = np.flatnonzero(np.append(descending[:-1] != descending[1:], True))
+        ends = ends[descending[ends] > 0][::-1]
+        if not ends.size:
+            return [(1.0, math.inf)]
+        return list(zip(descending[ends].tolist(), running_min[ends].tolist()))
+    epsilons = _finite(epsilons, "epsilons")
     qualifying = np.searchsorted(-descending, -np.asarray(epsilons, dtype=np.float64),
                                  side="right")
     deltas = np.where(qualifying > 0, running_min[qualifying - 1], math.inf)

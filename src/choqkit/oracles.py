@@ -13,7 +13,21 @@ import math
 
 from .intervals import (FlaggedSet, IntervalSet, IntervalSetFunction, StepFunction,
                         extend_ls, extend_ui)
-from .setfunctions import SetFunction, Verdict, piecewise_linear
+from .setfunctions import SetFunction, Verdict
+
+
+def piecewise_linear(pts, t: float) -> float:
+    """`setfunctions.piecewise_linear_array` at one t, in plain Python."""
+    if t <= pts[0][0]:
+        return pts[0][1]
+    for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
+        if t <= t1:
+            return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+    if len(pts) == 1:
+        return pts[0][1]
+    # extend with the last slope
+    (t0, v0), (t1, v1) = pts[-2], pts[-1]
+    return v1 + (v1 - v0) / (t1 - t0) * (t - t1)
 
 
 def value_by_payload(phi: SetFunction, mask: int) -> float:

@@ -82,7 +82,7 @@ def _finite_array(values, what: str) -> np.ndarray:
     """`values` as a read-only float64 array; ValueError if any is NaN or
     infinite."""
     values = np.array(values, dtype=np.float64)
-    if not np.isfinite(values).all():
+    if np.count_nonzero(np.isfinite(values)) != values.size:
         raise ValueError(f"{what} must be finite")
     values.flags.writeable = False
     return values
@@ -117,28 +117,14 @@ def _concave_validate(breakpoints):
     return pts
 
 
-def piecewise_linear(pts, t: float) -> float:
-    """Evaluate the piecewise-linear function through pts, extended linearly."""
-    if t <= pts[0][0]:
-        return pts[0][1]
-    for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-        if t <= t1:
-            return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-    if len(pts) == 1:
-        return pts[0][1]
-    # extend with the last slope
-    (t0, v0), (t1, v1) = pts[-2], pts[-1]
-    return v1 + (v1 - v0) / (t1 - t0) * (t - t1)
-
-
 def piecewise_linear_array(pts, t: np.ndarray) -> np.ndarray:
-    """`piecewise_linear` at every entry of t, with the same arithmetic."""
-    ts = np.array([p[0] for p in pts])
-    vs = np.array([p[1] for p in pts])
+    """The piecewise-linear function through pts, extended linearly, at
+    every entry of t; `oracles.piecewise_linear` is its scalar reference."""
+    ts, vs = np.array(pts, dtype=np.float64).T
     if len(pts) == 1:
         return np.full(t.shape, vs[0])
-    j = np.clip(np.searchsorted(ts, t), 1, len(pts) - 1)
-    t0, t1, v0, v1 = ts[j - 1], ts[j], vs[j - 1], vs[j]
+    j = np.searchsorted(ts[1:-1], t)  # segment [j, j + 1], ends clamped
+    t0, t1, v0, v1 = ts[:-1][j], ts[1:][j], vs[:-1][j], vs[1:][j]
     inside = v0 + (v1 - v0) * (t - t0) / (t1 - t0)
     beyond = vs[-1] + (vs[-1] - vs[-2]) / (ts[-1] - ts[-2]) * (t - ts[-1])
     return np.where(t <= ts[0], vs[0], np.where(t > ts[-1], beyond, inside))
@@ -292,8 +278,9 @@ class SetFunction:
         pts = _concave_validate(breakpoints)
         # on [0, sum(weights)] a concave g with g(0) = 0 stays between
         # min(0, g(sum)) and the largest of g(sum) and its breakpoint values
-        if not math.isfinite(piecewise_linear(pts, sum(weights))):
-            raise ValueError("g overflows float64 on the subset sums")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(piecewise_linear_array(pts, np.array(sum(weights)))):
+                raise ValueError("g overflows float64 on the subset sums")
         payload = {"weights": weights, "breakpoints": tuple(pts)}
         return cls(GroundSet(len(weights)), "concave-of-modular", payload,
                    lambda: piecewise_linear_array(pts, subset_sums(weights)))
@@ -301,7 +288,8 @@ class SetFunction:
     # ---- evaluation --------------------------------------------------
 
     def __call__(self, mask: int) -> float:
-        return float(self.values[self.ground.check_mask(mask)])
+        # check_mask first: item(-1) would wrap around to the last entry
+        return self.values.item(self.ground.check_mask(mask))
 
     @property
     def n(self) -> int:
@@ -312,7 +300,7 @@ class SetFunction:
         """All 2^n values, values[mask] = phi(mask): cached, read-only float64."""
         if self._values is None:
             values = np.asarray(self._build(), dtype=np.float64)
-            if not np.isfinite(values).all():
+            if np.count_nonzero(np.isfinite(values)) != values.size:
                 raise ValueError("setfunction values must be finite")
             if values[0] != 0.0:
                 raise PreconditionError("setfunction must satisfy phi(empty) = 0")

@@ -54,23 +54,25 @@ class WeightedFamily:
         return sum(mult for _, mult in self.entries)
 
     def is_chain(self) -> bool:
-        masks = sorted((mask for mask, _ in self.entries),
-                       key=lambda m: bin(m).count("1"))
+        masks = sorted((mask for mask, _ in self.entries), key=int.bit_count)
         return all(a & b == a for a, b in zip(masks, masks[1:]))
 
     def potential(self) -> int:
-        return sum(mult * bin(mask).count("1") ** 2 for mask, mult in self.entries)
+        return sum(mult * mask.bit_count() ** 2 for mask, mult in self.entries)
 
     def phi_sum(self, phi: SetFunction) -> float:
-        return sum(mult * phi(mask) for mask, mult in self.entries)
+        """sum_i a_i * phi(H_i), added left to right in entry order."""
+        if phi.n != self.ground.n:
+            raise PreconditionError(f"phi has n = {phi.n}, family n = {self.ground.n}")
+        item = phi.values.item
+        return sum(mult * item(mask) for mask, mult in self.entries)
 
 
 def family_sum(family: WeightedFamily) -> np.ndarray:
     """Pointwise h(x) = total multiplicity of entries containing x, as a
-    float64 array: each multiplicity times its mask's bit column."""
-    masks = np.array([mask for mask, _ in family.entries], dtype=np.int64)
-    mults = np.array([mult for _, mult in family.entries], dtype=np.float64)
-    return mults @ (masks[:, None] >> np.arange(family.ground.n) & 1)
+    float64 array of the exact integer sums."""
+    return np.array([sum(mult for mask, mult in family.entries if mask >> x & 1)
+                     for x in range(family.ground.n)], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -119,15 +121,14 @@ def uncross(family: WeightedFamily, phi: Optional[SetFunction] = None) -> Uncros
         if pair is None:
             break
         a, b = pair
-        replaced = []
-        for mask, mult in current.entries:
-            if mask in (a, b):
-                if mult > 1:
-                    replaced.append((mask, mult - 1))
-            else:
-                replaced.append((mask, mult))
-        replaced.extend([(a | b, 1), (a & b, 1)])
-        nxt = WeightedFamily.of(current.ground, replaced)
+        # one copy each of a and b out, one of a | b and a & b in
+        entries = dict(current.entries)
+        for mask in pair:
+            entries[mask] -= 1
+        for mask in (a | b, a & b):
+            entries[mask] = entries.get(mask, 0) + 1
+        nxt = WeightedFamily(current.ground,
+                             tuple(sorted(e for e in entries.items() if e[1])))
         potential_after = nxt.potential()
         phi_sum_after = None if phi is None else nxt.phi_sum(phi)
         steps.append(UncrossStep(

@@ -81,6 +81,39 @@ class TestUncross:
         assert result.stdout == ""
         assert "must be integers" in result.stderr
 
+    FAMILY = json.dumps({"n": 3, "entries": [[3, 1], [6, 1]]})
+
+    def test_csv_is_pinned(self, capsys):
+        assert cli.main(["uncross", self.FAMILY, "--phi", PATH_CUT]) == 0
+        assert capsys.readouterr().out == (
+            "step,mask_a,mask_b,potential_before,potential_after,"
+            "phi_sum_before,phi_sum_after\n"
+            "0,3,6,8,10,2.0,2.0\n"
+            "final chain: [[2, 1], [7, 1]]\n"
+            "h: [1.0, 2.0, 1.0]\n")
+
+    def test_json_format(self, capsys):
+        assert cli.main(["--format", "json", "uncross", self.FAMILY]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == ["steps", "final_chain", "h"]
+        assert report["steps"] == [{
+            "step": 0, "mask_a": 3, "mask_b": 6, "potential_before": 8,
+            "potential_after": 10, "phi_sum_before": None, "phi_sum_after": None}]
+        assert report["final_chain"] == [[2, 1], [7, 1]]
+        assert report["h"] == [1.0, 2.0, 1.0]
+
+    def test_json_phi_sums(self, capsys):
+        assert cli.main(["--format", "json", "uncross", self.FAMILY,
+                         "--phi", PATH_CUT]) == 0
+        step, = json.loads(capsys.readouterr().out)["steps"]
+        assert (step["phi_sum_before"], step["phi_sum_after"]) == (2.0, 2.0)
+
+    def test_phi_on_another_ground_set_exits_3(self):
+        result = run_cli("uncross", self.FAMILY, "--phi",
+                         PATH_CUT.replace('"n": 3', '"n": 4'))
+        assert result.returncode == 3
+        assert "precondition violation" in result.stderr
+
     def test_determinism(self):
         family = json.dumps({"n": 4, "entries": [[3, 2], [6, 1], [12, 1], [9, 1]]})
         first = run_cli("uncross", family, "--phi", PATH_CUT.replace('"n": 3', '"n": 4'))
