@@ -23,14 +23,16 @@ pass, and one tier-1 run.  The sizes and passes are those of `FULL`;
 `--smoke` runs the small `SMOKE` profile, which the tests use to pin
 the schema.
 Only numpy and the standard library are used.  The file records the
-git revision of `--src` (with `-dirty` for uncommitted changes), the
-Python and numpy versions and the number of usable CPUs.
+git revision of `--src` (with `-dirty` and a digest of `git diff HEAD`
+for uncommitted changes), the Python and numpy versions and the number
+of usable CPUs.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import os
 import platform
@@ -105,7 +107,8 @@ def one_pass(profile) -> list:
     from choqkit import randgen, selftest, variation
     from choqkit.choquet import choquet, choquet_batch
     from choqkit.fubini import lln_run, uniform_continuity_modulus
-    from choqkit.intervals import IntervalSetFunction, StepFunction, choquet_interval
+    from choqkit.intervals import (IntervalSet, IntervalSetFunction, StepFunction,
+                                   ae_gap, choquet_interval, extend_ui)
     from choqkit.setfunctions import (GroundSet, SetFunction, conjugate,
                                       is_increasing, is_submodular)
     from choqkit.uncrossing import WeightedFamily, certify_chain_equality, uncross
@@ -182,12 +185,20 @@ def one_pass(profile) -> list:
     inst = randgen.random_fubini_instance(np.random.default_rng(60), 8, 6)
     row("lln_run", f"m=8 n=6 steps={profile.lln_steps}",
         lambda: lln_run(inst, steps=profile.lln_steps, seed=1))
-    g = IntervalSetFunction.concave_of_measure([(0.0, 0.0), (0.4, 0.8), (1.0, 1.1)])
+    g_points = [(0.0, 0.0), (0.4, 0.8), (1.0, 1.1)]
+    g = IntervalSetFunction.concave_of_measure(g_points)
+    weighted = IntervalSetFunction.concave_of_measure(
+        g_points, ((0.0, 0.3, 0.7, 1.0), (0.5, 2.0, 1.0)))
+    atom = IntervalSetFunction.point_mass(0.37, 1.5)
     for pieces in profile.pieces:
         values = np.random.default_rng(pieces).uniform(-1.0, 1.0, pieces)
         step = StepFunction(tuple(np.linspace(0.0, 1.0, pieces + 1).tolist()),
                             tuple(values.tolist()))
         row("choquet_interval", f"pieces={pieces}", lambda: choquet_interval(g, step))
+        row("ae_gap", f"density pieces={pieces}", lambda: ae_gap(weighted, step))
+        row("ae_gap", f"point-mass pieces={pieces}", lambda: ae_gap(atom, step))
+    iset = IntervalSet.of([(0.1, 0.25), (0.5, 0.8)])
+    row("extend_ui", "density, one set of 2 intervals", lambda: extend_ui(weighted, iset))
 
     if profile.end_to_end:
         for index, criterion in enumerate(selftest.CRITERIA, start=1):
@@ -212,9 +223,17 @@ def tier1(src: Path) -> dict:
 
 
 def revision(src: Path):
+    """`git describe --always --dirty` of src; a dirty tree's revision
+    ends in the first 12 hex digits of the sha256 of `git diff HEAD`."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=src, capture_output=True,
+                              check=True).stdout
+
     try:
-        return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=src,
-                              capture_output=True, text=True, check=True).stdout.strip()
+        rev = git("describe", "--always", "--dirty").decode().strip()
+        if rev.endswith("-dirty"):
+            rev += "." + hashlib.sha256(git("diff", "HEAD")).hexdigest()[:12]
+        return rev
     except (OSError, subprocess.CalledProcessError):
         return None
 

@@ -1,7 +1,7 @@
 """Command-line entry point: one subcommand per module.
 
 Instances travel as JSON (path or inline), traces leave as CSV
-(`uncross` also as one JSON object under --format json).
+(`uncross` and `fubini` also as one JSON object under --format json).
 Exit codes: 0 ok, 1 selftest or inequality violation (including a
 bound that `fubini --steps` finds violated under --force), 2 malformed
 input, 3 precondition violation.
@@ -161,14 +161,22 @@ def cmd_fubini(args):
             print(f"inequality violation: {exc}", file=sys.stderr)
             return 1
         result = LopsidedResult.of(trace.lhs, trace.rhs, args.tol)
-        print("k,what_f_k,running_avg,what_h_k,norm_h_k")
-        for rec in trace.records:
-            print(f"{rec.k},{rec.what_f!r},{rec.running_avg!r},"
-                  f"{rec.what_h!r},{rec.norm_h!r}")
     else:
         result = lopsided_check(inst, args.tol)
-    print("lhs,rhs,slack,holds")
-    print(f"{result.lhs!r},{result.rhs!r},{result.slack!r},{result.holds}")
+    summary = {"lhs": result.lhs, "rhs": result.rhs, "slack": result.slack,
+               "holds": result.holds}
+    columns = ("k", "what_f_k", "running_avg", "what_h_k", "norm_h_k")
+    if args.format == "json":
+        if args.steps > 0:
+            summary["steps"] = [dict(zip(columns, rec)) for rec in trace.records]
+        print(json.dumps(summary))
+    else:
+        if args.steps > 0:
+            print(",".join(columns))
+            for rec in trace.records:
+                print(",".join(map(repr, rec)))
+        print(",".join(summary))
+        print(",".join(map(repr, summary.values())))
     return 0 if (result.holds or args.force) else 1
 
 

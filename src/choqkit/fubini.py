@@ -234,6 +234,8 @@ def uniform_continuity_modulus(phi: SetFunction, pi,
         raise PreconditionError("pi entries must be positive")
     if len(pi) != phi.n:
         raise ValueError("pi length must match the ground set")
+    if epsilons is not None:  # before the pair work, which takes seconds at n = 12
+        epsilons = _finite(epsilons, "epsilons")
     vals = phi.values
     estimate = _PAIR_BYTES * (vals.size * (vals.size - 1) // 2)
     if estimate > _CONTINUITY_BUDGET:
@@ -254,7 +256,6 @@ def uniform_continuity_modulus(phi: SetFunction, pi,
         if not ends.size:
             return [(1.0, math.inf)]
         return list(zip(descending[ends].tolist(), running_min[ends].tolist()))
-    epsilons = _finite(epsilons, "epsilons")
     qualifying = np.searchsorted(-descending, -np.asarray(epsilons, dtype=np.float64),
                                  side="right")
     deltas = np.where(qualifying > 0, running_min[qualifying - 1], math.inf)

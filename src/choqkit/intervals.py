@@ -5,8 +5,8 @@ The algebra is closed under union, intersection and complement within
 upper-infimum and lower-supremum extensions of an increasing
 setfunction can genuinely differ (they agree on the algebra itself).
 
-Each family has one closed form per extension, for one `FlaggedSet` or for
-every superlevel set of a step function at once (one sort of its pieces).
+Each family has one closed form per extension (one for all, for a measure),
+for one `FlaggedSet` or for every superlevel set of a step function at once.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .setfunctions import _concave_validate, _finite, piecewise_linear_array
+from .setfunctions import (_concave_validate, _finite, _finite_array,
+                           piecewise_linear_array)
 
 
 def _validate_unit(a: float, b: float):
@@ -132,7 +133,8 @@ class FlaggedSet:
         return False
 
     def weighted_measure(self, density) -> float:
-        return _density_mass(density, [piece[:2] for piece in self.pieces]).sum()
+        ends = np.array(self.pieces, dtype=np.float64).reshape(-1, 4)
+        return _density_mass(density, ends[:, 0], ends[:, 1]).sum()
 
 
 def _step_parts(breakpoints, values, what: str) -> tuple:
@@ -164,13 +166,11 @@ class StepFunction:
         return self.values[bisect_right(self.breakpoints, x) - 1]
 
 
-def _density_mass(density, pairs) -> np.ndarray:
-    """Weighted measure of each [a, b) in pairs under a step density."""
-    bps, weights = (np.array(part) for part in density)
-    lo, hi = np.array(pairs, dtype=float).reshape(-1, 2).T
-    overlap = (np.minimum(hi[:, None], bps[None, 1:])
-               - np.maximum(lo[:, None], bps[None, :-1]))
-    return (np.clip(overlap, 0.0, None) * weights).sum(axis=1)
+def _density_mass(density, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Weighted measure of each [lo[i], hi[i]) under a step density."""
+    bps, weights = density
+    overlap = np.minimum(hi[:, None], bps[1:]) - np.maximum(lo[:, None], bps[:-1])
+    return (np.maximum(overlap, 0.0, out=overlap) * weights).sum(axis=1)
 
 
 class _Superlevels:
@@ -187,16 +187,26 @@ class _Superlevels:
         values = np.array(f.values)
         self.order = np.argsort(-values, kind="stable")
         descending = values[self.order]
-        self.levels = descending[np.r_[True, descending[1:] != descending[:-1]]]
-        probes = np.r_[(self.levels[:-1] + self.levels[1:]) / 2.0, -np.inf, np.inf]
-        self.thresholds = np.r_[self.levels, probes]
-        self.count = np.searchsorted(-descending, -self.thresholds, side="right")
+        distinct = np.ones(descending.size, dtype=bool)
+        np.not_equal(descending[1:], descending[:-1], out=distinct[1:])
+        self.levels = levels = descending[distinct]
+        size = levels.size
+        self.thresholds = thresholds = np.empty(2 * size + 1)
+        thresholds[:size] = levels
+        np.add(levels[:-1], levels[1:], out=thresholds[size:-2])
+        thresholds[size:-2] /= 2.0
+        thresholds[-2:] = -np.inf, np.inf
+        self.count = np.searchsorted(-descending, -thresholds, side="right")
+        self.widths = levels.copy()  # t_k - t_{k+1}, with t_L - 0 last
+        self.widths[:-1] -= levels[1:]
         self.f = f
 
     def weighted_measure(self, density) -> np.ndarray:
-        bps = self.f.breakpoints
-        mass = _density_mass(density, list(zip(bps, bps[1:])))[self.order]
-        return np.r_[0.0, np.cumsum(mass)][self.count]
+        bps = np.array(self.f.breakpoints)
+        mass = _density_mass(density, bps[:-1], bps[1:])[self.order]
+        prefix = np.zeros(mass.size + 1)  # prefix[k]: the first k pieces in order
+        np.cumsum(mass, out=prefix[1:])
+        return prefix[self.count]
 
     def contains(self, x: float) -> np.ndarray:
         return self.f(x) >= self.thresholds
@@ -205,8 +215,7 @@ class _Superlevels:
 
     def integral(self, heights: np.ndarray) -> float:
         """sum_k (t_k - t_{k+1}) phi{f >= t_k} over the levels, t_L = 0."""
-        levels = self.levels
-        return float(((levels - np.r_[levels[1:], 0.0]) * heights[:len(levels)]).sum())
+        return float((self.widths * heights[:self.widths.size]).sum())
 
 
 class IntervalSetFunction:
@@ -233,7 +242,9 @@ class IntervalSetFunction:
         density = _step_parts(*density, "density")
         if any(w < 0 for w in density[1]):
             raise ValueError("density must be nonnegative")
-        return cls("concave-of-measure", {"g": tuple(pts), "density": density})
+        # read-only float64 arrays, so no closed form converts them again
+        density = tuple(_finite_array(part, "density") for part in density)
+        return cls("concave-of-measure", {"g": _finite_array(pts, "g"), "density": density})
 
     @classmethod
     def point_mass(cls, location: float, mass: float) -> "IntervalSetFunction":
@@ -245,7 +256,7 @@ class IntervalSetFunction:
         return cls("point-mass", {"location": location, "mass": mass})
 
     def __call__(self, iset: IntervalSet) -> float:
-        return float(_closed_form(self, iset, "exact"))
+        return float(_closed_form(self, iset, "exact")[0])
 
 
 _HITS = {  # when a point mass at p charges x, per extension
@@ -258,27 +269,29 @@ _HITS = {  # when a point mass at p charges x, per extension
 }
 
 
-def _closed_form(phi: IntervalSetFunction, x, extension: str):
-    """phi (`exact`) or its ui/ls extension on x, per family; x may be `_Superlevels`."""
-    hits = _HITS[extension]
+def _closed_form(phi: IntervalSetFunction, x, *extensions: str) -> tuple:
+    """phi (`exact`) or its ui/ls extensions on x, one result per entry of
+    `extensions`, per family; x may be `_Superlevels`."""
     if isinstance(x, IntervalSet):
         x = FlaggedSet.from_interval_set(x)
     if phi.kind == "concave-of-measure":
-        # endpoint flags change the weighted measure by zero
-        return piecewise_linear_array(phi.payload["g"],
-                                      x.weighted_measure(phi.payload["density"]))
+        # endpoint flags change the weighted measure by zero, so phi and
+        # both extensions share one evaluation
+        value = piecewise_linear_array(phi.payload["g"],
+                                       x.weighted_measure(phi.payload["density"]))
+        return (value,) * len(extensions)
     p, m = phi.payload["location"], phi.payload["mass"]
-    return np.where(hits(x, p), m, 0.0)
+    return tuple(np.where(_HITS[extension](x, p), m, 0.0) for extension in extensions)
 
 
 def extend_ui(phi: IntervalSetFunction, x) -> float:
     """inf of phi over algebra supersets of x, in closed form per family."""
-    return float(_closed_form(phi, x, "ui"))
+    return float(_closed_form(phi, x, "ui")[0])
 
 
 def extend_ls(phi: IntervalSetFunction, x) -> float:
     """sup of phi over algebra subsets of x, in closed form per family."""
-    return float(_closed_form(phi, x, "ls"))
+    return float(_closed_form(phi, x, "ls")[0])
 
 
 def choquet_interval(phi: IntervalSetFunction, f: StepFunction) -> float:
@@ -290,7 +303,7 @@ def choquet_interval(phi: IntervalSetFunction, f: StepFunction) -> float:
     the algebra, where phi and its ui/ls extensions agree.
     """
     sets = _Superlevels(f)
-    return sets.integral(_closed_form(phi, sets, "exact"))
+    return sets.integral(_closed_form(phi, sets, "exact")[0])
 
 
 def ae_gap(phi: IntervalSetFunction, f: StepFunction,
@@ -305,7 +318,7 @@ def ae_gap(phi: IntervalSetFunction, f: StepFunction,
     that the ui- and ls-integrals agree.
     """
     sets = _Superlevels(f)
-    ui, ls = (_closed_form(phi, sets, extension) for extension in ("ui", "ls"))
+    ui, ls = _closed_form(phi, sets, "ui", "ls")
     gap = np.abs(ui - ls) > tol
     n_levels = len(sets.levels)
     if gap[n_levels:].any():

@@ -120,7 +120,7 @@ def _concave_validate(breakpoints):
 def piecewise_linear_array(pts, t: np.ndarray) -> np.ndarray:
     """The piecewise-linear function through pts, extended linearly, at
     every entry of t; `oracles.piecewise_linear` is its scalar reference."""
-    ts, vs = np.array(pts, dtype=np.float64).T
+    ts, vs = np.asarray(pts, dtype=np.float64).T
     if len(pts) == 1:
         return np.full(t.shape, vs[0])
     j = np.searchsorted(ts[1:-1], t)  # segment [j, j + 1], ends clamped

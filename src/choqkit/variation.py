@@ -20,8 +20,13 @@ import numpy as np
 from .setfunctions import SetFunction, decrease_witness, require_submodular
 
 
-@lru_cache(maxsize=4)
 def _plan(n: int) -> tuple:
+    """The chain DP's plan (`_build_plan`), cached: every plan up to n = 12
+    (0.16 MB together) and the four most recently used larger ones."""
+    return (_small_plans if n <= 12 else _large_plans)(n)
+
+
+def _build_plan(n: int) -> tuple:
     """The chain DP's index plan on n elements.
 
     Returns the masks in popcount order (increasing within a popcount),
@@ -64,6 +69,10 @@ def _plan(n: int) -> tuple:
         array.flags.writeable = False
     return order, rank, plan
 
+
+_small_plans = lru_cache(maxsize=None)(_build_plan)
+_large_plans = lru_cache(maxsize=4)(_build_plan)
+_plan.cache_clear = lambda: (_small_plans.cache_clear(), _large_plans.cache_clear())
 
 _GATHER = 1 << 14  # parent entries gathered at once; bounds the DP's temporaries
 

@@ -163,6 +163,20 @@ class TestFubini:
             "lhs,rhs,slack,holds\n"
             "1.0,1.5,0.5,True\n")
 
+    @pytest.mark.parametrize("steps", ["0", "3"])
+    def test_json_output(self, capsys, steps):
+        assert cli.main(["--format", "json", "fubini", self.PAYLOAD, "--steps", steps]) == 0
+        out = json.loads(capsys.readouterr().out)
+        keys = ["lhs", "rhs", "slack", "holds"] + (["steps"] if steps == "3" else [])
+        assert list(out) == keys
+        assert (out["lhs"], out["rhs"], out["slack"], out["holds"]) == (1.0, 1.5, 0.5, True)
+        if steps == "3":  # the --steps CSV, one object per row, keyed by its columns
+            assert out["steps"][2] == {"k": 3, "what_f_k": 1.0,
+                                       "running_avg": 1.3333333333333333,
+                                       "what_h_k": 0.33333333333333337,
+                                       "norm_h_k": 0.16666666666666669}
+            assert [row["k"] for row in out["steps"]] == [1, 2, 3]
+
     def test_force_flag_allows_bad_phi(self):
         payload = json.dumps({
             "lambda": [1.0], "pi": [0.5, 0.5], "F": [[0.0, 1.0]],

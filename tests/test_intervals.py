@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choqkit import (FlaggedSet, IntervalSet, IntervalSetFunction, StepFunction,
-                     ae_gap, choquet_interval, extend_ls, extend_ui, oracles)
+                     ae_gap, choquet_interval, extend_ls, extend_ui, intervals,
+                     oracles)
 from choqkit.intervals import _Superlevels
 from choqkit.randgen import random_interval_setfunction, random_step_function
 
@@ -176,6 +179,41 @@ class TestMalformedInput:
         # (0, 0.7, 0.3, 1) with unit weights would give [0, 1) measure 1.4
         with pytest.raises(ValueError):
             IntervalSetFunction.concave_of_measure(SQRT_LIKE, (bps, (1.0, 1.0, 1.0)))
+
+
+class TestSweepArrays:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([-1e17, -1.0, 0.0, 0.5, 1e17]),
+                              st.floats(-1e17, 1e17)), min_size=1, max_size=30))
+    def test_superlevels_match_a_direct_construction(self, values):
+        # ties come from the sampled values, a single piece from size 1
+        f = StepFunction(tuple(np.linspace(0.0, 1.0, len(values) + 1).tolist()),
+                         tuple(values))
+        sets = _Superlevels(f)
+        levels = sorted(set(values), reverse=True)
+        probes = [(a + b) / 2.0 for a, b in zip(levels, levels[1:])]
+        thresholds = levels + probes + [-np.inf, np.inf]
+        assert sets.levels.tolist() == levels
+        assert sets.thresholds.tolist() == thresholds
+        assert sets.count.tolist() == [sum(v >= t for v in values) for t in thresholds]
+
+    def test_ae_gap_evaluates_a_measure_once(self, monkeypatch):
+        # ui and ls of a concave-of-measure phi agree on every set
+        calls = []
+        evaluate = intervals.piecewise_linear_array
+        monkeypatch.setattr(intervals, "piecewise_linear_array",
+                            lambda pts, t: calls.append(t) or evaluate(pts, t))
+        phi = IntervalSetFunction.concave_of_measure(SQRT_LIKE, ((0.0, 0.5, 1.0), (1.0, 2.0)))
+        assert ae_gap(phi, StepFunction((0.0, 0.3, 1.0), (1.0, -0.5))) == []
+        assert len(calls) == 1
+
+    def test_stored_arrays_are_read_only(self):
+        phi = IntervalSetFunction.concave_of_measure(SQRT_LIKE, ((0.0, 0.5, 1.0), (1.0, 2.0)))
+        bps, weights = phi.payload["density"]
+        for array in (phi.payload["g"], bps, weights):
+            assert array.dtype == np.float64 and not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 class TestAeGap:

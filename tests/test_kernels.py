@@ -264,6 +264,20 @@ class TestPopcountDp:
             assert np.all(np.diff(np.sort(subsets, axis=0), axis=0) > 0)
         variation._plan.cache_clear()
 
+    def test_plans_up_to_n_12_are_built_once(self, monkeypatch):
+        # selftest criterion 2 draws n from 3 to 10 in turn; each plan
+        # build calls `comb` once
+        built = []
+        comb = variation.comb
+        monkeypatch.setattr(variation, "comb", lambda n, k: built.append(n) or comb(n, k))
+        variation._plan.cache_clear()
+        tables = [random_cut(np.random.default_rng(n), n) for n in range(3, 11)]
+        for _ in range(2):
+            for phi in tables:
+                total_variation(phi)
+        assert built == list(range(3, 11))
+        variation._plan.cache_clear()
+
     def test_int32_plan_gives_the_same_tables(self, monkeypatch):
         # above n = 18 the plan holds int32 indices; force them at n = 10
         phi = _dyadic_sign_mixed(10, 7)
@@ -628,6 +642,14 @@ class TestNonFinite:
         args[field][0] = bad
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             uniform_continuity_modulus(path_cut, **args)
+
+    def test_continuity_epsilons_rejected_before_the_pairs(self, path_cut, monkeypatch):
+        def no_pairs(*args, **kwargs):
+            raise AssertionError("pair arrays built before the epsilons were checked")
+
+        monkeypatch.setattr(fubini.np, "triu_indices", no_pairs)
+        with pytest.raises(ValueError, match="epsilons must be finite"):
+            uniform_continuity_modulus(path_cut, [0.2, 0.3, 0.5], [0.5, float("nan")])
 
     @pytest.mark.parametrize("maker", [
         lambda: SetFunction.modular([1e308, 1e308]),
