@@ -107,8 +107,9 @@ def one_pass(profile) -> list:
     from choqkit import randgen, selftest, variation
     from choqkit.choquet import choquet, choquet_batch
     from choqkit.fubini import lln_run, uniform_continuity_modulus
-    from choqkit.intervals import (IntervalSet, IntervalSetFunction, StepFunction,
-                                   ae_gap, choquet_interval, extend_ui)
+    from choqkit.intervals import (FlaggedSet, IntervalSet, IntervalSetFunction,
+                                   StepFunction, ae_gap, choquet_interval, extend_ls,
+                                   extend_ui)
     from choqkit.setfunctions import (GroundSet, SetFunction, conjugate,
                                       is_increasing, is_submodular)
     from choqkit.uncrossing import WeightedFamily, certify_chain_equality, uncross
@@ -195,10 +196,14 @@ def one_pass(profile) -> list:
         step = StepFunction(tuple(np.linspace(0.0, 1.0, pieces + 1).tolist()),
                             tuple(values.tolist()))
         row("choquet_interval", f"pieces={pieces}", lambda: choquet_interval(g, step))
+        row("choquet_interval", f"point-mass pieces={pieces}",
+            lambda: choquet_interval(atom, step))
         row("ae_gap", f"density pieces={pieces}", lambda: ae_gap(weighted, step))
         row("ae_gap", f"point-mass pieces={pieces}", lambda: ae_gap(atom, step))
     iset = IntervalSet.of([(0.1, 0.25), (0.5, 0.8)])
     row("extend_ui", "density, one set of 2 intervals", lambda: extend_ui(weighted, iset))
+    touching = FlaggedSet.of([(0.2, 0.37, True, True), (0.37, 0.8, False, False)])
+    row("extend_ls", "point mass, 2 touching pieces", lambda: extend_ls(atom, touching))
 
     if profile.end_to_end:
         for index, criterion in enumerate(selftest.CRITERIA, start=1):

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .setfunctions import PreconditionError, SetFunction, _finite
+from .setfunctions import PreconditionError, SetFunction, _finite, _require_finite
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,7 @@ def choquet_batch(phi: SetFunction, F) -> np.ndarray:
     if F.ndim != 2 or F.shape[1] != phi.n:
         raise PreconditionError(
             f"expected a (B, {phi.n}) matrix, got shape {F.shape}")
-    if np.count_nonzero(np.isfinite(F)) != F.size:
-        raise ValueError("function values must be finite")
+    _require_finite(F, "function values")
     vals = phi.values
     order = np.argsort(-F, axis=1, kind="stable").T.copy()  # (n, B)
     masks = np.left_shift(1, order)

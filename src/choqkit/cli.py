@@ -18,7 +18,7 @@ from .choquet import choquet, level_chain
 from .fubini import FubiniInstance, LopsidedResult, lln_run, lopsided_check
 from .intervals import IntervalSetFunction, StepFunction, choquet_interval
 from .selftest import run_all
-from .setfunctions import (GroundSet, PreconditionError,
+from .setfunctions import (TOL, GroundSet, PreconditionError,
                            is_increasing, is_modular, is_submodular,
                            setfunction_from_json)
 from .uncrossing import WeightedFamily, family_sum, uncross
@@ -57,18 +57,14 @@ def _verdict_text(name, verdict, ground):
 
 def cmd_check(args):
     phi = setfunction_from_json(_load_json(args.input))
-    sub = is_submodular(phi, args.tol)
-    inc = is_increasing(phi, args.tol)
-    mod = is_modular(phi, args.tol)
+    verdicts = {"submodular": is_submodular(phi, args.tol),
+                "increasing": is_increasing(phi, args.tol),
+                "modular": is_modular(phi, args.tol)}
     if args.format == "json":
-        print(json.dumps({
-            "submodular": {"holds": sub.holds, "witness": sub.witness},
-            "increasing": {"holds": inc.holds, "witness": inc.witness},
-            "modular": {"holds": mod.holds, "witness": mod.witness},
-        }))
+        print(json.dumps({name: {"holds": verdict.holds, "witness": verdict.witness}
+                          for name, verdict in verdicts.items()}))
     else:
-        for name, verdict in (("submodular", sub), ("increasing", inc),
-                              ("modular", mod)):
+        for name, verdict in verdicts.items():
             print(_verdict_text(name, verdict, phi.ground))
     return 0
 
@@ -190,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="choqkit",
         description="Choquet extensions of submodular setfunctions: "
                     "evaluation, variation, uncrossing, and checks.")
-    parser.add_argument("--tol", type=float, default=1e-9,
+    parser.add_argument("--tol", type=float, default=TOL,
                         help="absolute comparison tolerance (default 1e-9)")
     parser.add_argument("--format", choices=("human", "json"), default="human")
     sub = parser.add_subparsers(dest="command", required=True)

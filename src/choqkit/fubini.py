@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .choquet import choquet_batch
-from .setfunctions import (PreconditionError, SetFunction, _finite,
+from .setfunctions import (TOL, PreconditionError, SetFunction, _finite,
                            _finite_array, require_submodular, subset_sums)
 from .variation import total_variation
 
@@ -35,7 +35,7 @@ class FubiniInstance:
 
     @classmethod
     def of(cls, lam, pi, F, phi: SetFunction, validate: bool = True,
-           tol: float = 1e-9) -> "FubiniInstance":
+           tol: float = TOL) -> "FubiniInstance":
         lam = _finite_array(lam, "lambda")
         pi = _finite_array(pi, "pi")
         if len(F) != len(lam) or any(len(row) != len(pi) for row in F):
@@ -92,7 +92,7 @@ class LopsidedResult:
         return cls(lhs, rhs, rhs - lhs, rhs - lhs >= -tol, rows)
 
 
-def lopsided_check(inst: FubiniInstance, tol: float = 1e-9) -> LopsidedResult:
+def lopsided_check(inst: FubiniInstance, tol: float = TOL) -> LopsidedResult:
     """whatphi(g) versus the lambda-average of whatphi over the rows, from
     one `choquet_batch` call on the stacked matrix [g; F]."""
     values = choquet_batch(inst.phi, np.vstack([marginal_g(inst), inst.F]))
@@ -139,7 +139,7 @@ _LLN_BUDGET = 1 << 30  # bytes the trace's columns may take
 
 
 def lln_run(inst: FubiniInstance, steps: int, seed: int = 0,
-            tol: float = 1e-9) -> LlnTrace:
+            tol: float = TOL) -> LlnTrace:
     """Sample rows i.i.d. from lambda and track the empirical averages.
 
     At every step k the finite subadditivity bound

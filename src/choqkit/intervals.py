@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .setfunctions import (_concave_validate, _finite, _finite_array,
+from .setfunctions import (TOL, _concave_validate, _finite, _finite_array,
                            piecewise_linear_array)
 
 
@@ -123,14 +123,7 @@ class FlaggedSet:
 
     def accumulates_from_right(self, x: float) -> bool:
         """True if the set meets (x, x + eps) for every eps > 0."""
-        return any(a <= x < b for a, b, _, _ in self.pieces if a < b)
-
-    def has_right_room(self, x: float) -> bool:
-        """True if the set contains [x, x + eps) for some eps > 0."""
-        for a, b, lc, _ in self.pieces:
-            if a < b and (a < x < b or (x == a and lc)):
-                return True
-        return False
+        return any(a <= x < b for a, b, _, _ in self.pieces)
 
     def weighted_measure(self, density) -> float:
         ends = np.array(self.pieces, dtype=np.float64).reshape(-1, 4)
@@ -179,8 +172,8 @@ class _Superlevels:
     and the empty set (t = +inf).
 
     Each set is a prefix of one stable sort of the pieces by value, so
-    it contains x, approaches x from the right and has room just right
-    of x exactly when f(x) >= t.
+    it contains x exactly when f(x) >= t; f is right-continuous on its
+    [a, b) pieces, so the set also approaches x from the right exactly then.
     """
 
     def __init__(self, f: StepFunction):
@@ -211,7 +204,7 @@ class _Superlevels:
     def contains(self, x: float) -> np.ndarray:
         return self.f(x) >= self.thresholds
 
-    accumulates_from_right = has_right_room = contains
+    accumulates_from_right = contains
 
     def integral(self, heights: np.ndarray) -> float:
         """sum_k (t_k - t_{k+1}) phi{f >= t_k} over the levels, t_L = 0."""
@@ -259,16 +252,6 @@ class IntervalSetFunction:
         return float(_closed_form(self, iset, "exact")[0])
 
 
-_HITS = {  # when a point mass at p charges x, per extension
-    "exact": lambda x, p: x.contains(p),
-    # every half-open superset of x contains p iff x contains p or
-    # approaches p from the right
-    "ui": lambda x, p: x.contains(p) | x.accumulates_from_right(p),
-    # some half-open subset of x contains p iff x has room just right of p
-    "ls": lambda x, p: x.has_right_room(p),
-}
-
-
 def _closed_form(phi: IntervalSetFunction, x, *extensions: str) -> tuple:
     """phi (`exact`) or its ui/ls extensions on x, one result per entry of
     `extensions`, per family; x may be `_Superlevels`."""
@@ -280,8 +263,12 @@ def _closed_form(phi: IntervalSetFunction, x, *extensions: str) -> tuple:
         value = piecewise_linear_array(phi.payload["g"],
                                        x.weighted_measure(phi.payload["density"]))
         return (value,) * len(extensions)
+    # a point mass at p charges every half-open superset of x iff x contains
+    # p or approaches it from the right, and some half-open subset iff both
     p, m = phi.payload["location"], phi.payload["mass"]
-    return tuple(np.where(_HITS[extension](x, p), m, 0.0) for extension in extensions)
+    inside, right = x.contains(p), x.accumulates_from_right(p)
+    hits = {"exact": inside, "ui": inside | right, "ls": inside & right}
+    return tuple(np.where(hits[extension], m, 0.0) for extension in extensions)
 
 
 def extend_ui(phi: IntervalSetFunction, x) -> float:
@@ -307,7 +294,7 @@ def choquet_interval(phi: IntervalSetFunction, f: StepFunction) -> float:
 
 
 def ae_gap(phi: IntervalSetFunction, f: StepFunction,
-           tol: float = 1e-9) -> list:
+           tol: float = TOL) -> list:
     """Thresholds t where the ui- and ls-extensions disagree on {f >= t}.
 
     For step functions every level set lies in the algebra, so the
@@ -323,6 +310,6 @@ def ae_gap(phi: IntervalSetFunction, f: StepFunction,
     n_levels = len(sets.levels)
     if gap[n_levels:].any():
         raise AssertionError("exceptional set has positive measure")
-    if abs(sets.integral(ui) - sets.integral(ls)) > max(tol, 1e-9):
+    if abs(sets.integral(ui) - sets.integral(ls)) > max(tol, TOL):
         raise AssertionError("ui- and ls-integrals disagree")
     return sets.levels[gap[:n_levels]].tolist()

@@ -3,8 +3,8 @@
 These deliberately avoid the shortcuts taken by the main modules
 (local submodularity characterization, single-element-step DP,
 difference kernels over the value array, sorted gaps, the one-sort
-level chain of a step function) so that agreement between the two
-routes is meaningful evidence.
+level chain of a step function, the point-mass charge rule) so that
+agreement between the two routes is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 
 from .intervals import (FlaggedSet, IntervalSet, IntervalSetFunction, StepFunction,
                         extend_ls, extend_ui)
-from .setfunctions import SetFunction, Verdict
+from .setfunctions import TOL, SetFunction, Verdict
 
 
 def piecewise_linear(pts, t: float) -> float:
@@ -67,17 +67,17 @@ def _pairs_verdict(phi: SetFunction, violates) -> Verdict:
     return Verdict(True)
 
 
-def submodular_by_pairs(phi: SetFunction, tol: float = 1e-9) -> Verdict:
+def submodular_by_pairs(phi: SetFunction, tol: float = TOL) -> Verdict:
     """Direct O(4^n) check of the defining inequality over all pairs."""
     return _pairs_verdict(phi, lambda meet_join, parts: meet_join > parts + tol)
 
 
-def modular_by_pairs(phi: SetFunction, tol: float = 1e-9) -> Verdict:
+def modular_by_pairs(phi: SetFunction, tol: float = TOL) -> Verdict:
     """Direct O(4^n) check of the modular equality over all pairs."""
     return _pairs_verdict(phi, lambda meet_join, parts: abs(meet_join - parts) > tol)
 
 
-def increasing_by_pairs(phi: SetFunction, tol: float = 1e-9) -> Verdict:
+def increasing_by_pairs(phi: SetFunction, tol: float = TOL) -> Verdict:
     """Direct O(3^n) check of phi(S) <= phi(T) over all S subset of T."""
     vals = phi.table()
     for big in range(len(vals)):
@@ -161,6 +161,20 @@ def superlevel(f: StepFunction, t: float) -> IntervalSet:
         if v >= t)
 
 
+def point_mass_extensions_by_probes(phi: IntervalSetFunction, x: FlaggedSet) -> tuple:
+    """(ui, ls) of a point mass at p on x, reading only membership in x.
+
+    Membership in x is constant between p and the next endpoint of x above
+    p (or 1), so that gap's midpoint stands for every point just right of
+    p: each algebra superset of x contains p iff x contains p or the
+    midpoint, and some algebra subset of x contains p iff x contains both.
+    """
+    p, mass = phi.payload["location"], phi.payload["mass"]
+    above = [end for a, b, _, _ in x.pieces for end in (a, b) if end > p]
+    inside, right = x.contains(p), x.contains((p + min(above, default=1.0)) / 2.0)
+    return (mass if inside or right else 0.0), (mass if inside and right else 0.0)
+
+
 def choquet_interval_by_levels(phi: IntervalSetFunction, f: StepFunction,
                                extension: str = "exact") -> float:
     """`intervals.choquet_interval` by building and evaluating every level set."""
@@ -180,7 +194,7 @@ def choquet_interval_by_levels(phi: IntervalSetFunction, f: StepFunction,
 
 
 def ae_gap_by_levels(phi: IntervalSetFunction, f: StepFunction,
-                     tol: float = 1e-9) -> list:
+                     tol: float = TOL) -> list:
     """`intervals.ae_gap` by comparing ui and ls on every level set in turn."""
     values = sorted(set(f.values), reverse=True)
     exceptional = []
@@ -198,6 +212,6 @@ def ae_gap_by_levels(phi: IntervalSetFunction, f: StepFunction,
             exceptional.append(t)
     ui = choquet_interval_by_levels(phi, f, extension="ui")
     ls = choquet_interval_by_levels(phi, f, extension="ls")
-    if abs(ui - ls) > max(tol, 1e-9):
+    if abs(ui - ls) > max(tol, TOL):
         raise AssertionError("ui- and ls-integrals disagree")
     return exceptional

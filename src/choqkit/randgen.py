@@ -35,23 +35,27 @@ def random_coverage(rng: np.random.Generator, n: int) -> SetFunction:
     return SetFunction.coverage(covers, weights)
 
 
-def random_concave_of_modular(rng: np.random.Generator, n: int) -> SetFunction:
-    weights = rng.uniform(0.1, 1.0, size=n)
-    total = float(weights.sum())
-    # concave nondecreasing piecewise-linear g with g(0) = 0
-    knots = np.sort(rng.uniform(0.0, total, size=2))
-    slopes = np.sort(rng.uniform(0.0, 2.0, size=3))[::-1]
+def _concave_points(knots, slopes) -> list:
+    """Breakpoints of g with g(0) = 0 and slope slopes[i] up to knots[i]
+    (a knot not above the last is skipped): concave for decreasing slopes."""
     pts = [(0.0, 0.0)]
     t_prev, v_prev = 0.0, 0.0
-    for t, s in zip(list(knots) + [total + 1.0], slopes):
+    for t, s in zip(knots, slopes):
         if t <= t_prev:
             continue
         v_prev += s * (t - t_prev)
         pts.append((float(t), float(v_prev)))
         t_prev = t
-    if len(pts) == 1:
-        pts.append((1.0, 1.0))
-    return SetFunction.concave_of_modular(weights, pts)
+    return pts
+
+
+def random_concave_of_modular(rng: np.random.Generator, n: int) -> SetFunction:
+    weights = rng.uniform(0.1, 1.0, size=n)
+    total = float(weights.sum())
+    knots = np.sort(rng.uniform(0.0, total, size=2))
+    slopes = np.sort(rng.uniform(0.0, 2.0, size=3))[::-1]
+    return SetFunction.concave_of_modular(
+        weights, _concave_points(list(knots) + [total + 1.0], slopes))
 
 
 def random_matroid_rank(rng: np.random.Generator, n: int) -> SetFunction:
@@ -127,14 +131,7 @@ def random_interval_setfunction(rng: np.random.Generator) -> IntervalSetFunction
                                               float(rng.uniform(0.1, 2.0)))
     slopes = np.sort(rng.uniform(0.0, 3.0, size=3))[::-1]
     knots = np.sort(rng.uniform(0.1, 0.9, size=2))
-    pts = [(0.0, 0.0)]
-    t_prev, v_prev = 0.0, 0.0
-    for t, s in zip(list(knots) + [1.5], slopes):
-        if t <= t_prev:
-            continue
-        v_prev += s * (t - t_prev)
-        pts.append((float(t), float(v_prev)))
-        t_prev = t
+    pts = _concave_points(list(knots) + [1.5], slopes)
     density = None
     if rng.random() < 0.5:
         cuts = sorted(set(float(c) for c in rng.uniform(0.1, 0.9, size=2)))

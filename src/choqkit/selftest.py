@@ -16,12 +16,10 @@ from . import oracles, randgen
 from .choquet import choquet, choquet_batch
 from .fubini import lln_run, lopsided_check
 from .intervals import ae_gap, choquet_interval
-from .setfunctions import SetFunction, conjugate, is_submodular
+from .setfunctions import TOL, SetFunction, conjugate, is_submodular
 from .uncrossing import certify_chain_equality, family_sum, uncross
 from .variation import (canonical_decomposition, submodular_variation_closed_form,
                         total_variation)
-
-TOL = 1e-9
 
 
 @dataclass
@@ -50,236 +48,220 @@ def _require(ok, message="check failed"):
                              else message)
 
 
-def _timed(index, name, fn):
-    start = time.perf_counter()
-    try:
-        passed, detail = fn()
-    except AssertionError as exc:
-        passed, detail = False, str(exc)
-    return CriterionResult(index, name, passed, detail,
-                           time.perf_counter() - start)
+def _criterion(index: int, name: str):
+    """Make `check(rng, seed) -> detail` selftest criterion `index`.
+
+    The criterion, called as `criterion_k(seed=k)`, runs the check on
+    `rng = default_rng(seed)` (`seed` seeds any further generators), times
+    it and reports an AssertionError as FAIL with its message.
+    """
+    def wrap(check):
+        def criterion(seed: int = index) -> CriterionResult:
+            start = time.perf_counter()
+            try:
+                passed, detail = True, check(np.random.default_rng(seed), seed)
+            except AssertionError as exc:
+                passed, detail = False, str(exc)
+            return CriterionResult(index, name, passed, detail,
+                                   time.perf_counter() - start)
+
+        criterion.__name__, criterion.__doc__ = check.__name__, check.__doc__
+        return criterion
+
+    return wrap
 
 
-def criterion_1(seed: int = 1) -> CriterionResult:
+@_criterion(1, "convexity iff submodularity")
+def criterion_1(rng, seed) -> str:
     """Convexity iff submodularity on random table setfunctions."""
-
-    def run():
-        rng = np.random.default_rng(seed)
-        submodular_seen = nonsub_seen = 0
-        for i in range(500):
-            n = int(rng.integers(3, 7))
-            if i % 2 == 0:
-                phi = randgen.random_table_setfunction(rng, n)
-            else:
-                phi = randgen.random_submodular_setfunction(rng, n)
-            verdict = is_submodular(phi)
-            if verdict:
-                submodular_seen += 1
-                f, g = rng.uniform(-1.0, 1.0, size=(100, 2, n)).transpose(1, 0, 2)
-                lhs = choquet_batch(phi, f + g)
-                rhs = choquet_batch(phi, f) + choquet_batch(phi, g)
-                _require(lhs <= rhs + TOL, lambda i: (
-                    f"subadditivity failed for submodular phi: "
-                    f"{lhs[i]} > {rhs[i]}"))
-            else:
-                nonsub_seen += 1
-                s, t = verdict.witness
-                violation = phi(s | t) + phi(s & t) - phi(s) - phi(t)
-                _require(violation > 0, "witness does not violate the inequality")
-                ind_s, ind_t = (np.asarray(m >> np.arange(n) & 1, dtype=np.float64)
-                                for m in (s, t))
-                both = ind_s + ind_t
-                gap = choquet(phi, both) - choquet(phi, ind_s) - choquet(phi, ind_t)
-                _require(gap >= violation - TOL,
-                         f"witness indicators under-violate: {gap} < {violation}")
-        return True, (f"{submodular_seen} submodular / {nonsub_seen} "
-                      f"non-submodular instances checked")
-
-    return _timed(1, "convexity iff submodularity", run)
-
-
-def criterion_2(seed: int = 2) -> CriterionResult:
-    """Variation DP vs the submodular closed form and the O(3^n) oracle."""
-
-    def run():
-        rng = np.random.default_rng(seed)
-        oracle_checked = 0
-        for _ in range(200):
-            n = int(rng.integers(3, 11))
-            phi = randgen.random_submodular_setfunction(
-                rng, n, families=("cut", "coverage", "concave-of-modular"))
-            dp = total_variation(phi)
-            closed = submodular_variation_closed_form(phi)
-            _require(abs(dp - closed) <= TOL, f"DP {dp} != closed form {closed}")
-            if n <= 6:
-                _require(abs(dp - oracles.variation_all_predecessors(phi)) <= TOL,
-                         "DP disagrees with the all-predecessor oracle")
-                oracle_checked += 1
-        # the all-predecessor agreement also on sign-mixed tables
-        for _ in range(50):
-            n = int(rng.integers(3, 7))
+    submodular_seen = nonsub_seen = 0
+    for i in range(500):
+        n = int(rng.integers(3, 7))
+        if i % 2 == 0:
             phi = randgen.random_table_setfunction(rng, n)
-            _require(abs(total_variation(phi)
-                         - oracles.variation_all_predecessors(phi)) <= TOL,
+        else:
+            phi = randgen.random_submodular_setfunction(rng, n)
+        verdict = is_submodular(phi)
+        if verdict:
+            submodular_seen += 1
+            f, g = rng.uniform(-1.0, 1.0, size=(100, 2, n)).transpose(1, 0, 2)
+            lhs = choquet_batch(phi, f + g)
+            rhs = choquet_batch(phi, f) + choquet_batch(phi, g)
+            _require(lhs <= rhs + TOL, lambda i: (
+                f"subadditivity failed for submodular phi: "
+                f"{lhs[i]} > {rhs[i]}"))
+        else:
+            nonsub_seen += 1
+            s, t = verdict.witness
+            violation = phi(s | t) + phi(s & t) - phi(s) - phi(t)
+            _require(violation > 0, "witness does not violate the inequality")
+            ind_s, ind_t = (np.asarray(m >> np.arange(n) & 1, dtype=np.float64)
+                            for m in (s, t))
+            both = ind_s + ind_t
+            gap = choquet(phi, both) - choquet(phi, ind_s) - choquet(phi, ind_t)
+            _require(gap >= violation - TOL,
+                     f"witness indicators under-violate: {gap} < {violation}")
+    return (f"{submodular_seen} submodular / {nonsub_seen} "
+            f"non-submodular instances checked")
+
+
+@_criterion(2, "variation closed form")
+def criterion_2(rng, seed) -> str:
+    """Variation DP vs the submodular closed form and the O(3^n) oracle."""
+    oracle_checked = 0
+    for _ in range(200):
+        n = int(rng.integers(3, 11))
+        phi = randgen.random_submodular_setfunction(
+            rng, n, families=("cut", "coverage", "concave-of-modular"))
+        dp = total_variation(phi)
+        closed = submodular_variation_closed_form(phi)
+        _require(abs(dp - closed) <= TOL, f"DP {dp} != closed form {closed}")
+        if n <= 6:
+            _require(abs(dp - oracles.variation_all_predecessors(phi)) <= TOL,
                      "DP disagrees with the all-predecessor oracle")
             oracle_checked += 1
-        return True, f"200 closed-form checks, {oracle_checked} oracle checks"
+    # the all-predecessor agreement also on sign-mixed tables
+    for _ in range(50):
+        n = int(rng.integers(3, 7))
+        phi = randgen.random_table_setfunction(rng, n)
+        _require(abs(total_variation(phi)
+                     - oracles.variation_all_predecessors(phi)) <= TOL,
+                 "DP disagrees with the all-predecessor oracle")
+        oracle_checked += 1
+    return f"200 closed-form checks, {oracle_checked} oracle checks"
 
-    return _timed(2, "variation closed form", run)
 
-
-def criterion_3(seed: int = 3) -> CriterionResult:
+@_criterion(3, "canonical decomposition")
+def criterion_3(rng, seed) -> str:
     """Canonical decomposition invariants and the two-route extension value."""
-
-    def run():
-        rng = np.random.default_rng(seed)
-        for _ in range(200):
-            n = int(rng.integers(3, 8))
-            phi = randgen.random_table_setfunction(rng, n)
-            dec = canonical_decomposition(phi)
-            _require(np.abs(dec.mu - dec.nu - phi.values) <= TOL, "mu - nu != phi")
-            _require(dec.mu <= dec.variation + TOL, "mu exceeds K(phi)")
-            _require(dec.nu <= dec.variation + TOL, "nu exceeds K(phi)")
-            masks = np.arange(1 << n)
-            for x in range(n):
-                low = masks[masks >> x & 1 == 0]
-                _require(dec.mu[low] <= dec.mu[low | 1 << x] + TOL, "mu not increasing")
-                _require(dec.nu[low] <= dec.nu[low | 1 << x] + TOL, "nu not increasing")
-            fs = rng.uniform(-1.0, 1.0, size=(50, n))
-            direct = choquet_batch(phi, fs)
-            split = (choquet_batch(SetFunction.from_table(dec.mu), fs)
-                     - choquet_batch(SetFunction.from_table(dec.nu), fs))
-            _require(np.abs(direct - split) <= TOL, lambda i: (
-                f"decomposition route disagrees: {direct[i]} vs {split[i]}"))
-        return True, "200 decompositions, 50 functions each"
-
-    return _timed(3, "canonical decomposition", run)
+    for _ in range(200):
+        n = int(rng.integers(3, 8))
+        phi = randgen.random_table_setfunction(rng, n)
+        dec = canonical_decomposition(phi)
+        _require(np.abs(dec.mu - dec.nu - phi.values) <= TOL, "mu - nu != phi")
+        _require(dec.mu <= dec.variation + TOL, "mu exceeds K(phi)")
+        _require(dec.nu <= dec.variation + TOL, "nu exceeds K(phi)")
+        masks = np.arange(1 << n)
+        for x in range(n):
+            low = masks[masks >> x & 1 == 0]
+            _require(dec.mu[low] <= dec.mu[low | 1 << x] + TOL, "mu not increasing")
+            _require(dec.nu[low] <= dec.nu[low | 1 << x] + TOL, "nu not increasing")
+        fs = rng.uniform(-1.0, 1.0, size=(50, n))
+        direct = choquet_batch(phi, fs)
+        split = (choquet_batch(SetFunction.from_table(dec.mu), fs)
+                 - choquet_batch(SetFunction.from_table(dec.nu), fs))
+        _require(np.abs(direct - split) <= TOL, lambda i: (
+            f"decomposition route disagrees: {direct[i]} vs {split[i]}"))
+    return "200 decompositions, 50 functions each"
 
 
-def criterion_4(seed: int = 4) -> CriterionResult:
+@_criterion(4, "extension identities")
+def criterion_4(rng, seed) -> str:
     """Homogeneity, translation, reflection, linearity, shift, Lipschitz."""
-
-    def run():
-        rng = np.random.default_rng(seed)
-        for _ in range(1000):
-            n = int(rng.integers(3, 7))
-            phi = randgen.random_table_setfunction(rng, n)
-            psi = randgen.random_table_setfunction(rng, n)
-            f, g = rng.uniform(-1.0, 1.0, size=(2, n))
-            a = float(rng.uniform(-2.0, 2.0))
-            c = float(rng.uniform(0.1, 3.0))
-            full = phi.ground.full_mask
-            base = choquet(phi, f)
-            _require(abs(choquet(phi, c * f) - c * base) <= TOL,
-                     "positive homogeneity failed")
-            _require(abs(choquet(phi, f + a) - (base + a * phi(full))) <= TOL,
-                     "translation identity failed")
-            _require(abs(choquet(phi, -f) + choquet(conjugate(phi), f)) <= TOL,
-                     "reflection through the conjugate failed")
-            combo = SetFunction.from_table(a * phi.values + c * psi.values)
-            _require(abs(choquet(combo, f)
-                         - (a * base + c * choquet(psi, f))) <= TOL,
-                     "linearity in phi failed")
-            norm = float(np.max(np.abs(f)))
-            shifted = choquet(phi, f, shift=norm + c)
-            _require(abs(shifted - base) <= TOL, "shift parameter leaked")
-            lip = 2.0 * total_variation(phi) * float(np.max(np.abs(f - g)))
-            _require(abs(base - choquet(phi, g)) <= lip + TOL,
-                     "Lipschitz bound failed")
-        return True, "1000 draws, six identities each"
-
-    return _timed(4, "extension identities", run)
+    for _ in range(1000):
+        n = int(rng.integers(3, 7))
+        phi = randgen.random_table_setfunction(rng, n)
+        psi = randgen.random_table_setfunction(rng, n)
+        f, g = rng.uniform(-1.0, 1.0, size=(2, n))
+        a = float(rng.uniform(-2.0, 2.0))
+        c = float(rng.uniform(0.1, 3.0))
+        full = phi.ground.full_mask
+        base = choquet(phi, f)
+        _require(abs(choquet(phi, c * f) - c * base) <= TOL,
+                 "positive homogeneity failed")
+        _require(abs(choquet(phi, f + a) - (base + a * phi(full))) <= TOL,
+                 "translation identity failed")
+        _require(abs(choquet(phi, -f) + choquet(conjugate(phi), f)) <= TOL,
+                 "reflection through the conjugate failed")
+        combo = SetFunction.from_table(a * phi.values + c * psi.values)
+        _require(abs(choquet(combo, f)
+                     - (a * base + c * choquet(psi, f))) <= TOL,
+                 "linearity in phi failed")
+        norm = float(np.max(np.abs(f)))
+        shifted = choquet(phi, f, shift=norm + c)
+        _require(abs(shifted - base) <= TOL, "shift parameter leaked")
+        lip = 2.0 * total_variation(phi) * float(np.max(np.abs(f - g)))
+        _require(abs(base - choquet(phi, g)) <= lip + TOL,
+                 "Lipschitz bound failed")
+    return "1000 draws, six identities each"
 
 
-def criterion_5(seed: int = 5) -> CriterionResult:
+@_criterion(5, "uncrossing")
+def criterion_5(rng, seed) -> str:
     """Uncrossing invariants, termination, and chain equality."""
-
-    def run():
-        rng = np.random.default_rng(seed)
-        for _ in range(500):
-            n = int(rng.integers(2, 11))
-            family = randgen.random_weighted_family(rng, n)
-            sub = randgen.random_submodular_setfunction(rng, n)
-            trace = uncross(family, sub)
-            h0 = family_sum(family)
-            _require(len(trace.steps) <= family.total_multiplicity * n * n,
-                     "uncrossing took too many steps")
-            prev_phi = None
-            for step in trace.steps:
-                ground = family.ground
-                before = type(family)(ground, step.before)
-                after = type(family)(ground, step.after)
-                _require(np.array_equal(family_sum(before), h0),
-                         "step changed the pointwise sum")
-                _require(np.array_equal(family_sum(after), h0),
-                         "step changed the pointwise sum")
-                _require(step.potential_after > step.potential_before,
-                         "potential did not increase")
-                _require(step.phi_sum_after <= step.phi_sum_before + TOL,
-                         "phi-sum increased under a submodular setfunction")
-                prev_phi = step.phi_sum_after
-            _require(trace.final.is_chain(), "final family is not a chain")
-            _require(np.array_equal(family_sum(trace.final), h0),
-                     "final family changed the pointwise sum")
-            if prev_phi is not None:
-                lhs, rhs, ok = certify_chain_equality(sub, trace.final)
-                _require(ok and lhs <= trace.steps[0].phi_sum_before + TOL,
-                         "chain equality failed for the submodular phi")
-            arbitrary = randgen.random_table_setfunction(rng, n)
-            lhs, rhs, ok = certify_chain_equality(arbitrary, trace.final)
-            _require(ok, f"chain equality failed for arbitrary phi: {lhs} vs {rhs}")
-        return True, "500 families uncrossed and certified"
-
-    return _timed(5, "uncrossing", run)
+    for _ in range(500):
+        n = int(rng.integers(2, 11))
+        family = randgen.random_weighted_family(rng, n)
+        sub = randgen.random_submodular_setfunction(rng, n)
+        trace = uncross(family, sub)
+        h0 = family_sum(family)
+        _require(len(trace.steps) <= family.total_multiplicity * n * n,
+                 "uncrossing took too many steps")
+        prev_phi = None
+        for step in trace.steps:
+            ground = family.ground
+            before = type(family)(ground, step.before)
+            after = type(family)(ground, step.after)
+            _require(np.array_equal(family_sum(before), h0),
+                     "step changed the pointwise sum")
+            _require(np.array_equal(family_sum(after), h0),
+                     "step changed the pointwise sum")
+            _require(step.potential_after > step.potential_before,
+                     "potential did not increase")
+            _require(step.phi_sum_after <= step.phi_sum_before + TOL,
+                     "phi-sum increased under a submodular setfunction")
+            prev_phi = step.phi_sum_after
+        _require(trace.final.is_chain(), "final family is not a chain")
+        _require(np.array_equal(family_sum(trace.final), h0),
+                 "final family changed the pointwise sum")
+        if prev_phi is not None:
+            lhs, rhs, ok = certify_chain_equality(sub, trace.final)
+            _require(ok and lhs <= trace.steps[0].phi_sum_before + TOL,
+                     "chain equality failed for the submodular phi")
+        arbitrary = randgen.random_table_setfunction(rng, n)
+        lhs, rhs, ok = certify_chain_equality(arbitrary, trace.final)
+        _require(ok, f"chain equality failed for arbitrary phi: {lhs} vs {rhs}")
+    return "500 families uncrossed and certified"
 
 
-def criterion_6(seed: int = 6) -> CriterionResult:
+@_criterion(6, "interval set-algebra")
+def criterion_6(rng, seed) -> str:
     """Interval algebra: a.e. agreement of the ui/ls extensions."""
-
-    def run():
-        rng = np.random.default_rng(seed)
-        for _ in range(200):
-            phi = randgen.random_interval_setfunction(rng)
-            f = randgen.random_step_function(rng, max_pieces=20)
-            exceptional = ae_gap(phi, f)
-            _require(len(exceptional) <= len(set(f.values)),
-                     "exceptional set larger than the number of levels")
-            value = choquet_interval(phi, f)
-            ui, ls = (oracles.choquet_interval_by_levels(phi, f, extension)
-                      for extension in ("ui", "ls"))
-            _require(abs(ui - ls) <= TOL, f"ui and ls values differ: {ui} vs {ls}")
-            for extension, ref in (("ui", ui), ("ls", ls)):
-                _require(abs(value - ref) <= TOL * max(1.0, abs(ref)),
-                         f"sweep {value} vs {extension} per-level route {ref}")
-        return True, "200 (phi, f) pairs, exceptional sets all finite"
-
-    return _timed(6, "interval set-algebra", run)
+    for _ in range(200):
+        phi = randgen.random_interval_setfunction(rng)
+        f = randgen.random_step_function(rng, max_pieces=20)
+        exceptional = ae_gap(phi, f)
+        _require(len(exceptional) <= len(set(f.values)),
+                 "exceptional set larger than the number of levels")
+        value = choquet_interval(phi, f)
+        ui, ls = (oracles.choquet_interval_by_levels(phi, f, extension)
+                  for extension in ("ui", "ls"))
+        _require(abs(ui - ls) <= TOL, f"ui and ls values differ: {ui} vs {ls}")
+        for extension, ref in (("ui", ui), ("ls", ls)):
+            _require(abs(value - ref) <= TOL * max(1.0, abs(ref)),
+                     f"sweep {value} vs {extension} per-level route {ref}")
+    return "200 (phi, f) pairs, exceptional sets all finite"
 
 
-def criterion_7(seed: int = 7) -> CriterionResult:
+@_criterion(7, "lopsided Fubini")
+def criterion_7(rng, seed) -> str:
     """Lopsided Fubini: exact inequality plus Monte Carlo traces."""
-
-    def run():
-        rng = np.random.default_rng(seed)
-        for _ in range(1000):
-            m = int(rng.integers(2, 9))
-            n = int(rng.integers(2, 9))
-            inst = randgen.random_fubini_instance(rng, m, n)
-            result = lopsided_check(inst)
-            _require(result.slack >= -TOL,
-                     lambda _: f"lopsided inequality violated: {result}")
-        gaps = []
-        for run_seed in range(20):
-            inst = randgen.random_fubini_instance(
-                np.random.default_rng(seed + 1000 + run_seed), 6, 6)
-            trace = lln_run(inst, steps=10_000, seed=run_seed)
-            gaps.append(abs(float(trace.running_avg[-1]) - trace.rhs))
-        detail = ("1000 exact instances; 20 traces of 10^4 steps; "
-                  "running-average gaps: "
-                  + ", ".join(f"{g:.4f}" for g in gaps))
-        return True, detail
-
-    return _timed(7, "lopsided Fubini", run)
+    for _ in range(1000):
+        m = int(rng.integers(2, 9))
+        n = int(rng.integers(2, 9))
+        inst = randgen.random_fubini_instance(rng, m, n)
+        result = lopsided_check(inst)
+        _require(result.slack >= -TOL,
+                 lambda _: f"lopsided inequality violated: {result}")
+    gaps = []
+    for run_seed in range(20):
+        inst = randgen.random_fubini_instance(
+            np.random.default_rng(seed + 1000 + run_seed), 6, 6)
+        trace = lln_run(inst, steps=10_000, seed=run_seed)
+        gaps.append(abs(float(trace.running_avg[-1]) - trace.rhs))
+    return ("1000 exact instances; 20 traces of 10^4 steps; "
+            "running-average gaps: "
+            + ", ".join(f"{g:.4f}" for g in gaps))
 
 
 CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4,

@@ -78,12 +78,17 @@ def _finite(values, what: str) -> tuple:
     return values
 
 
+def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    """`values` itself, not copied; ValueError if any entry is NaN or infinite."""
+    if np.count_nonzero(np.isfinite(values)) != values.size:
+        raise ValueError(f"{what} must be finite")
+    return values
+
+
 def _finite_array(values, what: str) -> np.ndarray:
     """`values` as a read-only float64 array; ValueError if any is NaN or
     infinite."""
-    values = np.array(values, dtype=np.float64)
-    if np.count_nonzero(np.isfinite(values)) != values.size:
-        raise ValueError(f"{what} must be finite")
+    values = _require_finite(np.array(values, dtype=np.float64), what)
     values.flags.writeable = False
     return values
 
@@ -299,9 +304,8 @@ class SetFunction:
     def values(self) -> np.ndarray:
         """All 2^n values, values[mask] = phi(mask): cached, read-only float64."""
         if self._values is None:
-            values = np.asarray(self._build(), dtype=np.float64)
-            if np.count_nonzero(np.isfinite(values)) != values.size:
-                raise ValueError("setfunction values must be finite")
+            values = _require_finite(np.asarray(self._build(), dtype=np.float64),
+                                     "setfunction values")
             if values[0] != 0.0:
                 raise PreconditionError("setfunction must satisfy phi(empty) = 0")
             values.flags.writeable = False

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .choquet import choquet
-from .setfunctions import GroundSet, PreconditionError, SetFunction
+from .setfunctions import TOL, GroundSet, PreconditionError, SetFunction
 
 
 def _integral(value, name: str) -> int:
@@ -146,7 +146,7 @@ def uncross(family: WeightedFamily, phi: Optional[SetFunction] = None) -> Uncros
     return UncrossTrace(initial=family, steps=tuple(steps), final=current)
 
 
-def certify_chain_equality(phi: SetFunction, chain: WeightedFamily, tol: float = 1e-9):
+def certify_chain_equality(phi: SetFunction, chain: WeightedFamily, tol: float = TOL):
     """Check whatphi(h) = sum_i a_i * phi(H_i) for a chain family.
 
     Holds for any setfunction with phi(empty) = 0, submodular or not:

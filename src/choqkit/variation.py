@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .setfunctions import SetFunction, decrease_witness, require_submodular
+from .setfunctions import TOL, SetFunction, decrease_witness, require_submodular
 
 
 def _plan(n: int) -> tuple:
@@ -115,21 +115,20 @@ def total_variation(phi: SetFunction) -> float:
 
 
 def _variation_and_chain(phi: SetFunction) -> tuple:
-    """K(phi) and one chain of masks from 0 to J attaining it, from one DP.
+    """K(phi) and one chain of masks from 0 to J attaining it, from the one
+    DP of `canonical_decomposition`.
 
     The chain is walked back from J: each step drops the smallest x whose
     candidate max(phi(S) + nu[S - x], mu[S - x]) attains mu[S].
     """
-    vals = phi.values
-    table, rank = _positive_variation(vals)
-    mu, nu = np.take(table, rank, axis=0).T  # mask order
+    vals, dec = phi.values, canonical_decomposition(phi)
     bits = np.left_shift(1, np.arange(phi.n, dtype=np.int32))
     chain = [phi.ground.full_mask]
     while chain[0]:
         parents = chain[0] ^ bits[chain[0] & bits != 0]
-        candidates = np.maximum(vals[chain[0]] + nu[parents], mu[parents])
+        candidates = np.maximum(vals[chain[0]] + dec.nu[parents], dec.mu[parents])
         chain.insert(0, int(parents[candidates.argmax()]))
-    return float(2.0 * mu[-1] - vals[-1]), chain
+    return dec.variation, chain
 
 
 def max_variation_chain(phi: SetFunction) -> list:
@@ -137,7 +136,7 @@ def max_variation_chain(phi: SetFunction) -> list:
     return _variation_and_chain(phi)[1]
 
 
-def submodular_variation_closed_form(phi: SetFunction, tol: float = 1e-9) -> float:
+def submodular_variation_closed_form(phi: SetFunction, tol: float = TOL) -> float:
     """K(phi) = 2 * max_S phi(S) - phi(J), valid for submodular phi."""
     require_submodular(phi, tol)
     vals = phi.values
@@ -162,7 +161,7 @@ def canonical_decomposition(phi: SetFunction) -> DecompositionResult:
     return DecompositionResult(mu, nu, float(2.0 * mu[-1] - vals[-1]))
 
 
-def check_ls_parts(psi, remainder, tol: float = 1e-9) -> None:
+def check_ls_parts(psi, remainder, tol: float = TOL) -> None:
     """Raise AssertionError unless psi is increasing and remainder decreasing."""
     if decrease_witness(np.asarray(psi, dtype=np.float64), tol) is not None:
         raise AssertionError("psi not increasing")
@@ -170,7 +169,7 @@ def check_ls_parts(psi, remainder, tol: float = 1e-9) -> None:
         raise AssertionError("remainder not decreasing")
 
 
-def ls_decomposition(phi: SetFunction, tol: float = 1e-9):
+def ls_decomposition(phi: SetFunction, tol: float = TOL):
     """Split submodular phi into psi(S) = max_{Y subseteq S} phi(Y) plus a rest.
 
     Returns (psi, remainder) as read-only float64 tables; psi increases and

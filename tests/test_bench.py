@@ -16,7 +16,7 @@ LAYERS = {"table build", "from_table", "is_submodular", "is_increasing",
           "canonical_decomposition", "ls_decomposition", "conjugate", "choquet",
           "choquet_batch", "phi(mask)", "uncross+certify",
           "uniform_continuity_modulus", "lln_run", "choquet_interval", "ae_gap",
-          "extend_ui", "host kernel"}
+          "extend_ui", "extend_ls", "host kernel"}
 
 
 def test_small_sweep_schema(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choqkit import (FlaggedSet, IntervalSet, IntervalSetFunction, StepFunction,
@@ -89,6 +89,44 @@ class TestExtensions:
             lhs = extend_ui(phi, x.union(y)) + extend_ui(phi, x.intersection(y))
             rhs = extend_ui(phi, x) + extend_ui(phi, y)
             assert lhs <= rhs + TOL
+
+
+GRID = [i / 10 for i in range(11)]  # the junctions of the drawn flagged sets
+
+
+@st.composite
+def flagged_sets(draw):
+    """Pieces between grid cuts, touching where neighbouring gaps are both
+    drawn; each cut below 1 goes to the piece on its left, the piece on its
+    right, a singleton or nothing."""
+    cuts = sorted(draw(st.sets(st.sampled_from(GRID), min_size=2, max_size=7)))
+    gaps = [[a, b, False, False] if draw(st.booleans()) else None
+            for a, b in zip(cuts, cuts[1:])]
+    singletons = []
+    for i, cut in enumerate(cuts):
+        owner = draw(st.sampled_from(["none", "left", "right", "singleton"]))
+        left = gaps[i - 1] if i > 0 else None
+        right = gaps[i] if i < len(gaps) else None
+        if cut == 1.0 or owner == "none":
+            continue
+        if owner == "left" and left:
+            left[3] = True
+        elif owner == "right" and right:
+            right[2] = True
+        elif owner == "singleton":
+            singletons.append((cut, cut, True, True))
+    return FlaggedSet.of([gap for gap in gaps if gap] + singletons)
+
+
+class TestPointMassRule:
+    @settings(max_examples=200, deadline=None)
+    @given(flagged_sets(), st.integers(0, 39).map(lambda i: i / 40))
+    @example(FlaggedSet.of([(0.2, 0.5, True, True), (0.5, 0.8, False, False)]), 0.5)
+    def test_extensions_match_membership_probes(self, x, p):
+        # the example is the algebra set [0.2, 0.8), where ui = ls
+        phi = IntervalSetFunction.point_mass(p, 1.5)
+        ui, ls = oracles.point_mass_extensions_by_probes(phi, x)
+        assert (extend_ui(phi, x), extend_ls(phi, x)) == (ui, ls)
 
 
 class TestChoquetInterval:

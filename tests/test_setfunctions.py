@@ -1,8 +1,13 @@
+import importlib
+import inspect
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
+import choqkit
+from choqkit import cli, setfunctions
 from choqkit import (PreconditionError, SetFunction, conjugate, is_increasing,
                      is_modular, is_submodular, setfunction_from_json,
                      setfunction_to_json)
@@ -146,3 +151,40 @@ class TestJson:
         for n in (obj["n"] - 1, obj["n"] + 1):
             with pytest.raises(ValueError, match="object says n = "):
                 setfunction_from_json({**obj, "n": n})
+
+
+def _public_callables(module):
+    """(name, callable) for the module's own public functions and the
+    public methods of its own public classes."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isclass(obj):
+            yield from ((f"{name}.{attr}", getattr(obj, attr)) for attr in vars(obj)
+                        if not attr.startswith("_") and callable(getattr(obj, attr)))
+        elif callable(obj):
+            yield name, obj
+
+
+class TestTolerance:
+    def test_every_tol_default_is_TOL(self):
+        # identity, not equality: a literal 1e-9 elsewhere compares equal
+        # to TOL but would not follow a change of it
+        defaults = {}
+        for info in pkgutil.iter_modules(choqkit.__path__):
+            if info.name.startswith("_"):
+                continue
+            module = importlib.import_module(f"choqkit.{info.name}")
+            for name, fn in _public_callables(module):
+                tol = inspect.signature(fn).parameters.get("tol")
+                if tol is not None and tol.default is not tol.empty:
+                    defaults[f"{module.__name__}.{name}"] = tol.default
+        assert {"choqkit.setfunctions.is_submodular", "choqkit.fubini.FubiniInstance.of",
+                "choqkit.intervals.ae_gap", "choqkit.uncrossing.certify_chain_equality",
+                "choqkit.variation.ls_decomposition",
+                "choqkit.oracles.ae_gap_by_levels"} <= set(defaults)
+        assert {name for name, default in defaults.items()
+                if default is not setfunctions.TOL} == set()
+
+    def test_cli_tol_default_is_TOL(self):
+        assert cli.build_parser().parse_args(["selftest"]).tol is setfunctions.TOL
