@@ -1,7 +1,7 @@
 """Command-line entry point: one subcommand per module.
 
-Instances travel as JSON (path or inline), traces leave as CSV
-(`uncross` and `fubini` also as one JSON object under --format json).
+Instances travel as JSON (path or inline).  Every subcommand prints
+one JSON object under --format json; otherwise traces leave as CSV.
 Exit codes: 0 ok, 1 selftest or inequality violation (including a
 bound that `fubini --steps` finds violated under --force), 2 malformed
 input, 3 precondition violation.
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -47,6 +48,34 @@ def _interval_phi_from_json(obj) -> IntervalSetFunction:
     raise ValueError(f"unknown interval setfunction kind {obj['kind']!r}")
 
 
+def _nonnegative(convert):
+    """argparse type: `convert(text)`, which must be finite and >= 0."""
+    def parse(text):
+        value = convert(text)
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # for argparse's "invalid int value" error
+    return parse
+
+
+def _emit(args, report: dict, table=None, text=(), status: int = 0) -> int:
+    """The one stdout path, returning `status`.  Under --format json it
+    prints `report` as one JSON object, a `table` (key, columns, rows)
+    setting report[key] to one object per row keyed by the columns (a key
+    already in `report` keeps its place); otherwise the table as CSV of
+    reprs, then the `text` lines."""
+    key, columns, rows = table or (None, (), ())
+    if args.format == "json":
+        if key is not None:
+            report[key] = [dict(zip(columns, row)) for row in rows]
+        text = [json.dumps(report)]
+    elif key is not None:
+        text = [",".join(columns), *(",".join(map(repr, row)) for row in rows), *text]
+    print("\n".join(text))
+    return status
+
+
 def _verdict_text(name, verdict, ground):
     if verdict:
         return f"{name}: yes"
@@ -60,50 +89,40 @@ def cmd_check(args):
     verdicts = {"submodular": is_submodular(phi, args.tol),
                 "increasing": is_increasing(phi, args.tol),
                 "modular": is_modular(phi, args.tol)}
-    if args.format == "json":
-        print(json.dumps({name: {"holds": verdict.holds, "witness": verdict.witness}
-                          for name, verdict in verdicts.items()}))
-    else:
-        for name, verdict in verdicts.items():
-            print(_verdict_text(name, verdict, phi.ground))
-    return 0
+    return _emit(args, {name: {"holds": verdict.holds, "witness": verdict.witness}
+                        for name, verdict in verdicts.items()},
+                 text=[_verdict_text(name, verdict, phi.ground)
+                       for name, verdict in verdicts.items()])
 
 
 def cmd_choquet(args):
     phi = setfunction_from_json(_load_json(args.input))
     f = [float(v) for v in _load_json(args.function)]
     value = choquet(phi, f, shift=args.shift)
+    table = None
     if args.chain:
-        chain = level_chain(f)
-        print("threshold,mask,phi,contribution")
-        thresholds = list(chain.thresholds)
-        for t, mask, nxt in zip(thresholds, chain.sets, thresholds[1:] + [0.0]):
-            print(f"{t!r},{mask},{phi(mask)!r},{((t - nxt) * phi(mask))!r}")
-    if args.format == "json":
-        print(json.dumps({"value": value}))
-    else:
-        print(f"choquet value: {value!r}")
-    return 0
+        levels = level_chain(f)
+        columns = ("threshold", "mask", "phi", "contribution")
+        rows = [(t, mask, phi(mask), (t - nxt) * phi(mask)) for t, mask, nxt in
+                zip(levels.thresholds, levels.sets, levels.thresholds[1:] + (0.0,))]
+        table = ("chain", columns, rows)
+    return _emit(args, {"value": value}, table, [f"choquet value: {value!r}"])
 
 
 def cmd_variation(args):
     phi = setfunction_from_json(_load_json(args.input))
     k, chain = _variation_and_chain(phi)
-    if args.format == "json":
-        print(json.dumps({"variation": k, "chain": chain}))
-    else:
-        print(f"total variation: {k!r}")
-        print("maximizing chain: " + " -> ".join(
-            phi.ground.format_mask(m) for m in chain))
-    return 0
+    return _emit(args, {"variation": k, "chain": chain},
+                 text=[f"total variation: {k!r}", "maximizing chain: "
+                       + " -> ".join(phi.ground.format_mask(m) for m in chain)])
 
 
 def cmd_decompose(args):
     phi = setfunction_from_json(_load_json(args.input))
     dec = canonical_decomposition(phi)
-    print(json.dumps({"mu": dec.mu.tolist(), "nu": dec.nu.tolist(),
-                      "variation": dec.variation}))
-    return 0
+    report = {"mu": dec.mu.tolist(), "nu": dec.nu.tolist(),
+              "variation": dec.variation}
+    return _emit(args, report, text=[json.dumps(report)])
 
 
 def cmd_uncross(args):
@@ -121,16 +140,10 @@ def cmd_uncross(args):
             for i, step in enumerate(trace.steps)]
     chain = [list(e) for e in trace.final.entries]
     h = family_sum(trace.final).tolist()
-    if args.format == "json":
-        print(json.dumps({"steps": [dict(zip(columns, row)) for row in rows],
-                          "final_chain": chain, "h": h}))
-        return 0
-    print(",".join(columns))
-    for row in rows:
-        print(",".join(map(repr, row)))
-    print("final chain: " + json.dumps(chain))
-    print("h: " + json.dumps(h))
-    return 0
+    # "steps" leads the JSON object; _emit fills it in from the table
+    return _emit(args, {"steps": None, "final_chain": chain, "h": h},
+                 ("steps", columns, rows),
+                 [f"final chain: {json.dumps(chain)}", f"h: {json.dumps(h)}"])
 
 
 def cmd_interval_choquet(args):
@@ -138,11 +151,7 @@ def cmd_interval_choquet(args):
     phi = _interval_phi_from_json(obj["phi"])
     f = StepFunction(tuple(obj["f"]["breakpoints"]), tuple(obj["f"]["values"]))
     value = choquet_interval(phi, f)
-    if args.format == "json":
-        print(json.dumps({"value": value}))
-    else:
-        print(f"interval choquet value: {value!r}")
-    return 0
+    return _emit(args, {"value": value}, text=[f"interval choquet value: {value!r}"])
 
 
 def cmd_fubini(args):
@@ -150,6 +159,7 @@ def cmd_fubini(args):
     phi = setfunction_from_json(obj["phi"])
     inst = FubiniInstance.of(obj["lambda"], obj["pi"], obj["F"], phi,
                              validate=not args.force, tol=args.tol)
+    table = None
     if args.steps > 0:
         try:
             trace = lln_run(inst, steps=args.steps, seed=args.seed, tol=args.tol)
@@ -157,28 +167,22 @@ def cmd_fubini(args):
             print(f"inequality violation: {exc}", file=sys.stderr)
             return 1
         result = LopsidedResult.of(trace.lhs, trace.rhs, args.tol)
+        table = ("steps", ("k", "what_f_k", "running_avg", "what_h_k", "norm_h_k"),
+                 trace.records)
     else:
         result = lopsided_check(inst, args.tol)
     summary = {"lhs": result.lhs, "rhs": result.rhs, "slack": result.slack,
                "holds": result.holds}
-    columns = ("k", "what_f_k", "running_avg", "what_h_k", "norm_h_k")
-    if args.format == "json":
-        if args.steps > 0:
-            summary["steps"] = [dict(zip(columns, rec)) for rec in trace.records]
-        print(json.dumps(summary))
-    else:
-        if args.steps > 0:
-            print(",".join(columns))
-            for rec in trace.records:
-                print(",".join(map(repr, rec)))
-        print(",".join(summary))
-        print(",".join(map(repr, summary.values())))
-    return 0 if (result.holds or args.force) else 1
+    return _emit(args, summary, table,
+                 [",".join(summary), ",".join(map(repr, summary.values()))],
+                 status=0 if (result.holds or args.force) else 1)
 
 
 def cmd_selftest(args):
     results = run_all(seed=args.seed)
-    return 0 if all(r.passed for r in results) else 1
+    passed = all(r.passed for r in results)
+    return _emit(args, {"passed": passed, "criteria": [vars(r) for r in results]},
+                 text=[r.line() for r in results], status=0 if passed else 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="choqkit",
         description="Choquet extensions of submodular setfunctions: "
                     "evaluation, variation, uncrossing, and checks.")
-    parser.add_argument("--tol", type=float, default=TOL,
-                        help="absolute comparison tolerance (default 1e-9)")
+    parser.add_argument("--tol", type=_nonnegative(float), default=TOL,
+                        help="absolute comparison tolerance >= 0 (default 1e-9)")
     parser.add_argument("--format", choices=("human", "json"), default="human")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -226,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fubini", help="lopsided Fubini check and LLN trace")
     p.add_argument("input")
-    p.add_argument("--steps", type=int, default=0)
+    p.add_argument("--steps", type=_nonnegative(int), default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true",
                    help="skip the submodular/nonnegative hypothesis check")

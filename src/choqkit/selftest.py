@@ -26,9 +26,10 @@ from .variation import (canonical_decomposition, submodular_variation_closed_for
 class CriterionResult:
     index: int
     name: str
+    seed: int
     passed: bool
-    detail: str
     seconds: float
+    detail: str
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -62,8 +63,8 @@ def _criterion(index: int, name: str):
                 passed, detail = True, check(np.random.default_rng(seed), seed)
             except AssertionError as exc:
                 passed, detail = False, str(exc)
-            return CriterionResult(index, name, passed, detail,
-                                   time.perf_counter() - start)
+            return CriterionResult(index, name, seed, passed,
+                                   time.perf_counter() - start, detail)
 
         criterion.__name__, criterion.__doc__ = check.__name__, check.__doc__
         return criterion
@@ -197,7 +198,6 @@ def criterion_5(rng, seed) -> str:
         h0 = family_sum(family)
         _require(len(trace.steps) <= family.total_multiplicity * n * n,
                  "uncrossing took too many steps")
-        prev_phi = None
         for step in trace.steps:
             ground = family.ground
             before = type(family)(ground, step.before)
@@ -210,11 +210,10 @@ def criterion_5(rng, seed) -> str:
                      "potential did not increase")
             _require(step.phi_sum_after <= step.phi_sum_before + TOL,
                      "phi-sum increased under a submodular setfunction")
-            prev_phi = step.phi_sum_after
         _require(trace.final.is_chain(), "final family is not a chain")
         _require(np.array_equal(family_sum(trace.final), h0),
                  "final family changed the pointwise sum")
-        if prev_phi is not None:
+        if trace.steps:
             lhs, rhs, ok = certify_chain_equality(sub, trace.final)
             _require(ok and lhs <= trace.steps[0].phi_sum_before + TOL,
                      "chain equality failed for the submodular phi")
@@ -269,9 +268,5 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4,
 
 
 def run_all(seed: int = 0) -> list:
-    """Run every criterion from base seed `seed`, printing each result line."""
-    results = []
-    for offset, criterion in enumerate(CRITERIA, start=1):
-        results.append(criterion(seed + offset))
-        print(results[-1].line())
-    return results
+    """Run criterion k at seed `seed + k`, in order; return the results."""
+    return [criterion(seed + k) for k, criterion in enumerate(CRITERIA, start=1)]

@@ -93,6 +93,14 @@ class UncrossTrace:
     final: WeightedFamily
 
 
+# Trace memory, estimated like `fubini.lln_run`'s.  The step count grows
+# with the multiplicities, and each step holds an UncrossStep and a new
+# snapshot of the entries (about 700 bytes for four, by tracemalloc).
+_STEP_BYTES = 400  # the UncrossStep, its pair tuple and its numbers
+_ENTRY_BYTES = 64  # one (mask, multiplicity) pair of the snapshot
+_UNCROSS_BUDGET = 1 << 28  # bytes the recorded steps may take
+
+
 def _first_crossing(entries):
     for i, (a, _) in enumerate(entries):
         for b, _ in entries[i + 1:]:
@@ -106,7 +114,9 @@ def uncross(family: WeightedFamily, phi: Optional[SetFunction] = None) -> Uncros
     """Run the exchange procedure to completion, recording every step.
 
     Pair selection is the first crossing pair in sorted entry order;
-    any order terminates, this one makes traces reproducible.
+    any order terminates, this one makes traces reproducible.  Once the
+    recorded steps would pass _UNCROSS_BUDGET bytes, a PreconditionError
+    names the steps taken; a chain takes no step, whatever its weights.
     """
     if not family.entries:
         raise PreconditionError("family must be nonempty")
@@ -116,6 +126,7 @@ def uncross(family: WeightedFamily, phi: Optional[SetFunction] = None) -> Uncros
     potential = current.potential()
     phi_sum = None if phi is None else current.phi_sum(phi)
     budget = family.total_multiplicity * family.ground.n ** 2 + 1
+    recorded = 0  # estimated bytes of the steps so far
     for _ in range(budget):
         pair = _first_crossing(current.entries)
         if pair is None:
@@ -129,6 +140,11 @@ def uncross(family: WeightedFamily, phi: Optional[SetFunction] = None) -> Uncros
             entries[mask] = entries.get(mask, 0) + 1
         nxt = WeightedFamily(current.ground,
                              tuple(sorted(e for e in entries.items() if e[1])))
+        recorded += _STEP_BYTES + _ENTRY_BYTES * len(nxt.entries)
+        if recorded > _UNCROSS_BUDGET:
+            raise PreconditionError(
+                f"uncross stopped after {len(steps)} steps: its trace would "
+                f"pass its budget of {_UNCROSS_BUDGET:.3g} bytes")
         potential_after = nxt.potential()
         phi_sum_after = None if phi is None else nxt.phi_sum(phi)
         steps.append(UncrossStep(

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from choqkit import cli, fubini
+from choqkit import cli, fubini, selftest, uncrossing
+from choqkit.setfunctions import GroundSet
 
 PATH_CUT = json.dumps({"n": 3, "kind": "cut",
                        "payload": {"edges": [[0, 1, 1.0], [1, 2, 1.0]]}})
@@ -239,3 +240,134 @@ class TestExitCodes:
         assert cli.main(["fubini", TestFubini.PAYLOAD, "--steps", "4"]) == 0
         assert cli.main(["fubini", TestFubini.PAYLOAD, "--steps", "5"]) == 3
         assert "lln_run with steps=5 needs about 240 bytes" in capsys.readouterr().err
+
+
+class TestNumericFlags:
+    NON_SUBMODULAR = json.dumps({"n": 2, "kind": "table",
+                                 "payload": {"values": [0, 1, 1, 5]}})
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_tol_must_be_finite_and_nonnegative(self, capsys, tol):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([f"--tol={tol}", "check", self.NON_SUBMODULAR])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --tol: must be finite and >= 0" in err
+
+    def test_tol_zero_is_allowed(self, capsys):
+        modular = json.dumps({"n": 2, "kind": "modular", "payload": {"weights": [1, 1]}})
+        assert cli.main(["--tol", "0", "check", modular]) == 0
+        assert capsys.readouterr().out == (
+            "submodular: yes\nincreasing: yes\nmodular: yes\n")
+
+    def test_negative_steps(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fubini", TestFubini.PAYLOAD, "--steps=-3"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --steps: must be finite and >= 0" in err
+
+
+class TestUncrossBudget:
+    FAMILY = json.dumps({"n": 4, "entries": [[1, 2], [2, 2], [4, 2], [8, 2]]})
+
+    def _trace_bytes(self):
+        trace = uncrossing.uncross(uncrossing.WeightedFamily.of(
+            GroundSet(4), json.loads(self.FAMILY)["entries"]))
+        return len(trace.steps), sum(
+            uncrossing._STEP_BYTES + uncrossing._ENTRY_BYTES * len(step.after)
+            for step in trace.steps)
+
+    def test_stops_at_the_budget_and_names_the_steps(self, monkeypatch, capsys):
+        steps, size = self._trace_bytes()
+        monkeypatch.setattr(uncrossing, "_UNCROSS_BUDGET", size)
+        assert cli.main(["uncross", self.FAMILY]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(uncrossing, "_UNCROSS_BUDGET", size - 1)
+        assert cli.main(["uncross", self.FAMILY]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"uncross stopped after {steps - 1} steps" in err
+
+    def test_a_chain_runs_whatever_its_multiplicities(self, monkeypatch, capsys):
+        monkeypatch.setattr(uncrossing, "_UNCROSS_BUDGET", 0)
+        chain = json.dumps({"n": 3, "entries": [[1, 10 ** 7], [3, 10 ** 7], [7, 1]]})
+        assert cli.main(["--format", "json", "uncross", chain]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["steps"] == []
+        assert report["final_chain"] == [[1, 10 ** 7], [3, 10 ** 7], [7, 1]]
+
+
+def _passing(rng, seed):
+    return f"drew {rng.integers(10)} at seed {seed}"
+
+
+def _failing(rng, seed):
+    raise AssertionError("deliberate failure")
+
+
+INTERVAL = json.dumps({"phi": {"kind": "point-mass", "location": 0.5, "mass": 1.0},
+                       "f": {"breakpoints": [0.0, 0.4, 1.0], "values": [0.2, 0.9]}})
+
+EVERY_SUBCOMMAND = {
+    "check": ["check", PATH_CUT],
+    "choquet-eval": ["choquet-eval", PATH_CUT, "--function", "[0.5, 1, 0]", "--chain"],
+    "variation": ["variation", PATH_CUT],
+    "decompose": ["decompose", PATH_CUT],
+    "uncross": ["uncross", TestUncross.FAMILY, "--phi", PATH_CUT],
+    "interval-choquet": ["interval-choquet", INTERVAL],
+    "fubini": ["fubini", TestFubini.PAYLOAD, "--steps", "3"],
+    "selftest": ["selftest", "--seed", "5"],
+}
+
+
+class TestJsonFormat:
+    @pytest.fixture(autouse=True)
+    def short_selftest(self, monkeypatch):
+        monkeypatch.setattr(selftest, "CRITERIA", (
+            selftest._criterion(1, "passes")(_passing),
+            selftest._criterion(2, "passes too")(_passing)))
+
+    @staticmethod
+    def _run(capsys, argv):
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        return code, out
+
+    @pytest.mark.parametrize("command", sorted(EVERY_SUBCOMMAND))
+    def test_stdout_is_one_json_object(self, capsys, command):
+        argv = EVERY_SUBCOMMAND[command]
+        code, out = self._run(capsys, ["--format", "json", *argv])
+        assert out.endswith("}\n") and out.count("\n") == 1
+        assert isinstance(json.loads(out), dict)
+        assert code == 0 == self._run(capsys, argv)[0]
+
+    def test_choquet_chain_rows_are_the_csv_rows(self, capsys):
+        argv = EVERY_SUBCOMMAND["choquet-eval"]
+        report = json.loads(self._run(capsys, ["--format", "json", *argv])[1])
+        csv = self._run(capsys, argv)[1].splitlines()
+        assert list(report) == ["value", "chain"]
+        assert ",".join(report["chain"][0]) == csv[0]
+        assert [",".join(map(repr, row.values())) for row in report["chain"]] == csv[1:-1]
+        assert csv[-1] == f"choquet value: {report['value']!r}"
+
+    @pytest.mark.parametrize("second", [_passing, _failing])
+    def test_selftest_criteria(self, monkeypatch, capsys, second):
+        monkeypatch.setattr(selftest, "CRITERIA", (
+            selftest._criterion(1, "passes")(_passing),
+            selftest._criterion(2, "second")(second)))
+        code, out = self._run(capsys, ["--format", "json", "selftest", "--seed", "5"])
+        report = json.loads(out)
+        assert list(report) == ["passed", "criteria"]
+        assert report["passed"] is (second is _passing) is (code == 0)
+        first, other = report["criteria"]
+        for index, criterion in enumerate(report["criteria"], start=1):
+            assert list(criterion) == ["index", "name", "seed", "passed",
+                                       "seconds", "detail"]
+            assert (criterion["index"], criterion["seed"]) == (index, 5 + index)
+        assert first["passed"] and first["detail"].endswith("at seed 6")
+        assert other["passed"] is (second is _passing)
+        if second is _failing:
+            assert other["detail"] == "deliberate failure"
