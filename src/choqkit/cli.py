@@ -19,7 +19,7 @@ from .choquet import choquet, level_chain
 from .fubini import FubiniInstance, LopsidedResult, lln_run, lopsided_check
 from .intervals import IntervalSetFunction, StepFunction, choquet_interval
 from .selftest import run_all
-from .setfunctions import (TOL, GroundSet, PreconditionError,
+from .setfunctions import (TOL, GroundSet, PreconditionError, _integral,
                            is_increasing, is_modular, is_submodular,
                            setfunction_from_json)
 from .uncrossing import WeightedFamily, family_sum, uncross
@@ -30,11 +30,20 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} in JSON input")
 
 
+def _finite_int(text: str) -> int:
+    """A JSON integer, rejected as non-finite past float64's largest value."""
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        _reject_constant(f"{text[:8]}... ({len(text)} digits)")
+    return value
+
+
 def _load_json(source: str):
+    options = {"parse_constant": _reject_constant, "parse_int": _finite_int}
     if os.path.exists(source):
         with open(source) as handle:
-            return json.load(handle, parse_constant=_reject_constant)
-    return json.loads(source, parse_constant=_reject_constant)
+            return json.load(handle, **options)
+    return json.loads(source, **options)
 
 
 def _interval_phi_from_json(obj) -> IntervalSetFunction:
@@ -127,7 +136,7 @@ def cmd_decompose(args):
 
 def cmd_uncross(args):
     obj = _load_json(args.input)
-    ground = GroundSet(int(obj["n"]))
+    ground = GroundSet(_integral(obj["n"], "n"))
     family = WeightedFamily.of(ground, obj["entries"])
     phi = None
     if args.phi is not None:

@@ -123,7 +123,10 @@ class FlaggedSet:
 
     def accumulates_from_right(self, x: float) -> bool:
         """True if the set meets (x, x + eps) for every eps > 0."""
-        return any(a <= x < b for a, b, _, _ in self.pieces)
+        for a, b, _, _ in self.pieces:
+            if a <= x < b:
+                return True
+        return False
 
     def weighted_measure(self, density) -> float:
         ends = np.array(self.pieces, dtype=np.float64).reshape(-1, 4)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,6 +66,18 @@ class GroundSet:
 
     def format_mask(self, mask: int) -> str:
         return "{" + ",".join(map(str, self.elements(mask))) + "}"
+
+
+def _integral(value, name: str) -> int:
+    """value as an int if it is an integer or an integral float such as
+    3.0; ValueError otherwise, and for bools (JSON true and false)."""
+    if type(value) is int:  # the common case, without the ABC checks
+        return value
+    if not isinstance(value, bool) and (
+            isinstance(value, Integral)
+            or (isinstance(value, float) and value.is_integer())):
+        return int(value)
+    raise ValueError(f"{name} must be integers, got {value!r}")
 
 
 def _finite(values, what: str) -> tuple:
@@ -237,6 +250,7 @@ class SetFunction:
 
     @classmethod
     def uniform_matroid(cls, n: int, rank: int) -> "SetFunction":
+        rank = _integral(rank, "rank")
         if not 0 <= rank <= n:
             raise ValueError("rank must lie in 0..n")
         ground = GroundSet(n)
@@ -255,7 +269,7 @@ class SetFunction:
             raise ValueError("one capacity per block")
         ground = GroundSet(n)
         block_masks = tuple(ground.mask_of(b) for b in blocks)
-        caps = tuple(int(c) for c in _finite(capacities, "capacities"))
+        caps = tuple(_integral(c, "capacities") for c in capacities)
 
         def build():
             masks = np.arange(1 << n)
@@ -454,7 +468,7 @@ def setfunction_to_json(phi: SetFunction) -> dict:
 
 def setfunction_from_json(obj: dict) -> SetFunction:
     try:
-        n = int(obj["n"])
+        n = _integral(obj["n"], "n")
         kind = obj["kind"]
         payload = obj["payload"]
     except (KeyError, TypeError) as exc:

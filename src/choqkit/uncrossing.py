@@ -11,22 +11,12 @@ along the way, which certifies whatphi(h) <= sum_i a_i * phi(H_i).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
 from .choquet import choquet
-from .setfunctions import TOL, GroundSet, PreconditionError, SetFunction
-
-
-def _integral(value, name: str) -> int:
-    """value as an int if it is an integer or an integral float."""
-    if type(value) is int:  # the common case, without the ABC check
-        return value
-    if isinstance(value, Integral) or (isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ValueError(f"{name} must be integers, got {value!r}")
+from .setfunctions import TOL, GroundSet, PreconditionError, SetFunction, _integral
 
 
 @dataclass(frozen=True)
@@ -75,11 +65,13 @@ def family_sum(family: WeightedFamily) -> np.ndarray:
                      for x in range(family.ground.n)], dtype=np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UncrossStep:
+    """One exchange: a copy each of the crossing masks in `pair` replaced
+    by their union and intersection.  The family before the first step
+    is the trace's `initial`; the pairs alone rebuild every later one."""
+
     pair: tuple  # the two crossing masks chosen
-    before: tuple  # family entries before the step
-    after: tuple
     potential_before: int
     potential_after: int
     phi_sum_before: Optional[float] = None
@@ -94,10 +86,11 @@ class UncrossTrace:
 
 
 # Trace memory, estimated like `fubini.lln_run`'s.  The step count grows
-# with the multiplicities, and each step holds an UncrossStep and a new
-# snapshot of the entries (about 700 bytes for four, by tracemalloc).
-_STEP_BYTES = 400  # the UncrossStep, its pair tuple and its numbers
-_ENTRY_BYTES = 64  # one (mask, multiplicity) pair of the snapshot
+# with the multiplicities, but a step's size does not depend on the
+# family's: an UncrossStep (72 bytes with slots), its pair tuple (56), a
+# new potential (32), a phi-sum (24) and the trace's pointer (8).
+# tracemalloc finds 168-197 bytes a step on four entries, n = 4 and 12.
+_STEP_BYTES = 200
 _UNCROSS_BUDGET = 1 << 28  # bytes the recorded steps may take
 
 
@@ -126,11 +119,14 @@ def uncross(family: WeightedFamily, phi: Optional[SetFunction] = None) -> Uncros
     potential = current.potential()
     phi_sum = None if phi is None else current.phi_sum(phi)
     budget = family.total_multiplicity * family.ground.n ** 2 + 1
-    recorded = 0  # estimated bytes of the steps so far
     for _ in range(budget):
         pair = _first_crossing(current.entries)
         if pair is None:
             break
+        if _STEP_BYTES * (len(steps) + 1) > _UNCROSS_BUDGET:
+            raise PreconditionError(
+                f"uncross stopped after {len(steps)} steps: its trace would "
+                f"pass its budget of {_UNCROSS_BUDGET:.3g} bytes")
         a, b = pair
         # one copy each of a and b out, one of a | b and a & b in
         entries = dict(current.entries)
@@ -140,17 +136,10 @@ def uncross(family: WeightedFamily, phi: Optional[SetFunction] = None) -> Uncros
             entries[mask] = entries.get(mask, 0) + 1
         nxt = WeightedFamily(current.ground,
                              tuple(sorted(e for e in entries.items() if e[1])))
-        recorded += _STEP_BYTES + _ENTRY_BYTES * len(nxt.entries)
-        if recorded > _UNCROSS_BUDGET:
-            raise PreconditionError(
-                f"uncross stopped after {len(steps)} steps: its trace would "
-                f"pass its budget of {_UNCROSS_BUDGET:.3g} bytes")
         potential_after = nxt.potential()
         phi_sum_after = None if phi is None else nxt.phi_sum(phi)
         steps.append(UncrossStep(
-            pair=(a, b),
-            before=current.entries,
-            after=nxt.entries,
+            pair=pair,
             potential_before=potential,
             potential_after=potential_after,
             phi_sum_before=phi_sum,

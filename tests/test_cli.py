@@ -242,6 +242,61 @@ class TestExitCodes:
         assert "lln_run with steps=5 needs about 240 bytes" in capsys.readouterr().err
 
 
+INTERVAL = json.dumps({"phi": {"kind": "point-mass", "location": 0.5, "mass": 1.0},
+                       "f": {"breakpoints": [0.0, 0.4, 1.0], "values": [0.2, 0.9]}})
+
+
+class TestJsonIntegers:
+    HUGE = 10 ** 400  # an integer literal past float64's range
+
+    @pytest.mark.parametrize("argv", [
+        ["check", json.dumps({"n": 2, "kind": "modular", "payload": {"weights": [1, HUGE]}})],
+        ["choquet-eval", PATH_CUT, "--function", json.dumps([0, HUGE, 0])],
+        ["fubini", TestFubini.PAYLOAD.replace("[0.0, 1.0, 0.0]", f"[0, {HUGE}, 0]")],
+        ["interval-choquet", INTERVAL.replace("[0.2, 0.9]", f"[0.2, {HUGE}]")],
+        ["uncross", json.dumps({"n": 3, "entries": [[1, HUGE]]})],
+    ], ids=lambda argv: argv[0])
+    def test_huge_integers_are_non_finite(self, capsys, argv):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "non-finite number 10000000... (401 digits)" in err
+
+    UNIFORM = {"n": 3, "kind": "matroid-rank", "payload": {"matroid": "uniform", "rank": 2}}
+    PARTITION = {"n": 3, "kind": "matroid-rank",
+                 "payload": {"matroid": "partition", "blocks": [[0, 1], [2]],
+                             "capacities": [1, 1]}}
+
+    @pytest.mark.parametrize("command, obj", [
+        ("check", {**UNIFORM, "n": 3.5}),
+        ("check", {**UNIFORM, "n": "3"}),
+        ("check", {**UNIFORM, "payload": {"matroid": "uniform", "rank": 1.5}}),
+        ("check", {**PARTITION, "payload": {**PARTITION["payload"],
+                                            "capacities": [1.7, 1]}}),
+        ("uncross", {"n": 3.5, "entries": [[3, 1], [6, 1]]}),
+        ("uncross", {"n": "3", "entries": [[3, 1], [6, 1]]}),
+        ("uncross", {"n": True, "entries": [[1, 1]]}),
+        ("uncross", {"n": 3, "entries": [[True, 1], [6, 1]]}),
+        ("uncross", {"n": 3, "entries": [[3, True], [6, 1]]}),
+    ])
+    def test_non_integers_exit_2(self, capsys, command, obj):
+        assert cli.main([command, json.dumps(obj)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "must be integers" in err
+
+    @pytest.mark.parametrize("command, obj, integral", [
+        ("check", UNIFORM, {**UNIFORM, "n": 3.0, "payload": {"matroid": "uniform",
+                                                             "rank": 2.0}}),
+        ("check", PARTITION, {**PARTITION, "payload": {**PARTITION["payload"],
+                                                       "capacities": [1.0, 1]}}),
+        ("uncross", {"n": 3, "entries": [[3, 1], [6, 1]]},
+         {"n": 3.0, "entries": [[3.0, 1], [6, 1.0]]}),
+    ])
+    def test_integral_floats_are_integers(self, capsys, command, obj, integral):
+        outputs = [(cli.main([command, json.dumps(o)]), capsys.readouterr().out)
+                   for o in (obj, integral)]
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
 class TestNumericFlags:
     NON_SUBMODULAR = json.dumps({"n": 2, "kind": "table",
                                  "payload": {"values": [0, 1, 1, 5]}})
@@ -276,9 +331,7 @@ class TestUncrossBudget:
     def _trace_bytes(self):
         trace = uncrossing.uncross(uncrossing.WeightedFamily.of(
             GroundSet(4), json.loads(self.FAMILY)["entries"]))
-        return len(trace.steps), sum(
-            uncrossing._STEP_BYTES + uncrossing._ENTRY_BYTES * len(step.after)
-            for step in trace.steps)
+        return len(trace.steps), uncrossing._STEP_BYTES * len(trace.steps)
 
     def test_stops_at_the_budget_and_names_the_steps(self, monkeypatch, capsys):
         steps, size = self._trace_bytes()
@@ -307,9 +360,6 @@ def _passing(rng, seed):
 def _failing(rng, seed):
     raise AssertionError("deliberate failure")
 
-
-INTERVAL = json.dumps({"phi": {"kind": "point-mass", "location": 0.5, "mass": 1.0},
-                       "f": {"breakpoints": [0.0, 0.4, 1.0], "values": [0.2, 0.9]}})
 
 EVERY_SUBCOMMAND = {
     "check": ["check", PATH_CUT],

@@ -15,6 +15,7 @@ from choqkit.setfunctions import GroundSet, piecewise_linear_array
 from choqkit.uncrossing import WeightedFamily, uncross
 
 from test_kernels import SETTINGS, SHIFT_TIES, setfunctions
+from test_uncrossing import replay
 
 
 def _bits(values) -> bytes:
@@ -86,15 +87,6 @@ def uncross_cases(draw):
     return phi, WeightedFamily.of(phi.ground, entries)
 
 
-def _rebuilt(step, ground):
-    """The step's family rebuilt by WeightedFamily.of: one copy each of
-    a and b out, one of a | b and a & b in."""
-    a, b = step.pair
-    kept = [(mask, mult - (mask in step.pair)) for mask, mult in step.before]
-    return WeightedFamily.of(ground, [entry for entry in kept if entry[1]]
-                             + [(a | b, 1), (a & b, 1)])
-
-
 class TestUncrossSteps:
     @SETTINGS
     @given(uncross_cases())
@@ -102,13 +94,14 @@ class TestUncrossSteps:
               WeightedFamily.of(GroundSet(3), [(3, 2), (6, 1), (5, 1)])))
     def test_each_step_equals_its_rebuild(self, case):
         phi, family = case
-        for step in uncross(family, phi).steps:
-            rebuilt = _rebuilt(step, family.ground)
-            assert step.after == rebuilt.entries
-            assert step.potential_after == rebuilt.potential()
+        trace = uncross(family, phi)
+        rebuilt = replay(trace)  # by WeightedFamily.of from the pairs
+        for step, after in zip(trace.steps, rebuilt[1:]):
+            assert step.potential_after == after.potential()
             payload_sum = sum(mult * oracles.value_by_payload(phi, mask)
-                              for mask, mult in step.after)
+                              for mask, mult in after.entries)
             assert _bits([step.phi_sum_after]) == _bits([payload_sum])
+        assert rebuilt[-1].entries == trace.final.entries
 
     def test_phi_sum_adds_left_to_right(self):
         # (1 + 1e16) rounds to 1e16, so only mask order gives 0.0

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from choqkit import (GroundSet, PreconditionError, SetFunction, WeightedFamily,
-                     certify_chain_equality, choquet, family_sum, uncross)
+                     certify_chain_equality, choquet, family_sum, selftest, uncross)
 from choqkit.randgen import (random_submodular_setfunction,
                              random_table_setfunction, random_weighted_family)
 
@@ -13,6 +15,23 @@ def make_family(n, entries):
     return WeightedFamily.of(GroundSet(n), entries)
 
 
+def replay(trace):
+    """[trace.initial, the family after step 1, ..., after the last step],
+    each rebuilt from the one before by WeightedFamily.of with the step's
+    pair: one copy each of a and b out, one of a | b and a & b in.  Each
+    pair must cross and be present in the family it is taken from."""
+    families = [trace.initial]
+    for step in trace.steps:
+        a, b = step.pair
+        before = families[-1]
+        assert a & b not in (a, b) and {a, b} <= dict(before.entries).keys()
+        kept = [(mask, mult - (mask in step.pair)) for mask, mult in before.entries]
+        families.append(WeightedFamily.of(
+            before.ground, [entry for entry in kept if entry[1]]
+            + [(a | b, 1), (a & b, 1)]))
+    return families
+
+
 class TestIntegrality:
     def test_integral_floats_are_accepted_as_ints(self):
         fam = make_family(3, [(3.0, 2), (6, 1.0), (np.int64(6), 1)])
@@ -20,7 +39,7 @@ class TestIntegrality:
         assert all(type(v) is int for entry in fam.entries for v in entry)
 
     @pytest.mark.parametrize("entry", [(3, 2.9), (3, 1.5), (6.9, 1), (3, "2"),
-                                       ("3", 1)])
+                                       ("3", 1), (True, 1), (3, True)])
     def test_non_integral_entries_rejected(self, entry):
         with pytest.raises(ValueError):
             make_family(3, [entry])
@@ -68,13 +87,20 @@ class TestUncross:
             n = int(rng.integers(2, 9))
             fam = random_weighted_family(rng, n)
             phi = random_table_setfunction(rng, n)
-            steps = uncross(fam, phi).steps
+            trace = uncross(fam, phi)
+            steps = trace.steps
             if not steps:
                 continue
             assert steps[0].potential_before == fam.potential()
             assert steps[0].phi_sum_before == fam.phi_sum(phi)
+            families = replay(trace)
+            for step, before, after in zip(steps, families, families[1:]):
+                assert step.potential_before == before.potential()
+                assert step.phi_sum_before == before.phi_sum(phi)
+                assert step.potential_after == after.potential()
+                assert step.phi_sum_after == after.phi_sum(phi)
+            assert families[-1].entries == trace.final.entries
             for prev, step in zip(steps, steps[1:]):
-                assert step.before == prev.after
                 assert step.potential_before == prev.potential_after
                 assert step.phi_sum_before == prev.phi_sum_after
             assert all(step.phi_sum_before is None for step in uncross(fam).steps)
@@ -91,15 +117,36 @@ class TestUncross:
             trace = uncross(fam, phi)
             h = family_sum(fam)
             assert len(trace.steps) <= fam.total_multiplicity * n * n
-            for step in trace.steps:
-                assert np.array_equal(
-                    family_sum(WeightedFamily(fam.ground, step.after)), h)
+            families = replay(trace)
+            for step, after in zip(trace.steps, families[1:]):
+                assert np.array_equal(family_sum(after), h)
                 assert step.potential_after > step.potential_before
                 assert step.phi_sum_after <= step.phi_sum_before + TOL
-                assert sum(m for _, m in step.after) == fam.total_multiplicity
+                assert after.total_multiplicity == fam.total_multiplicity
+            assert families[-1].entries == trace.final.entries
             assert trace.final.is_chain()
             lhs = choquet(phi, family_sum(fam))
             assert lhs <= fam.phi_sum(phi) + TOL  # the certified inequality
+
+
+def _exchanged(step):
+    a, b = step.pair
+    return replace(step, pair=(a | b, a & b))
+
+
+class TestSelftestReplay:
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda steps: (_exchanged(steps[0]), *steps[1:]), "is not a crossing pair"),
+        (lambda steps: steps[:-1], "do not lead to the final family"),
+    ])
+    def test_criterion_5_fails_on_a_tampered_trace(self, monkeypatch, tamper, message):
+        def tampered(family, phi=None):
+            trace = uncross(family, phi)
+            return replace(trace, steps=tamper(trace.steps)) if trace.steps else trace
+
+        monkeypatch.setattr(selftest, "uncross", tampered)
+        result = selftest.criterion_5(5)
+        assert not result.passed and message in result.detail
 
 
 class TestChainEquality:
