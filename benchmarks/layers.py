@@ -104,7 +104,7 @@ def one_pass(profile) -> list:
     """One timing of every row but the tier-1 run, in a fixed order."""
     import numpy as np
 
-    from choqkit import randgen, selftest, variation
+    from choqkit import oracles, randgen, selftest, variation
     from choqkit.choquet import choquet, choquet_batch
     from choqkit.fubini import lln_run, uniform_continuity_modulus
     from choqkit.intervals import (FlaggedSet, IntervalSet, IntervalSetFunction,
@@ -198,6 +198,11 @@ def one_pass(profile) -> list:
         row("choquet_interval", f"pieces={pieces}", lambda: choquet_interval(g, step))
         row("choquet_interval", f"point-mass pieces={pieces}",
             lambda: choquet_interval(atom, step))
+        if pieces <= 200:  # the reference builds every level set: O(pieces^2)
+            row("choquet_interval_by_levels", f"density pieces={pieces}",
+                lambda: oracles.choquet_interval_by_levels(weighted, step))
+            row("choquet_interval_by_levels", f"point-mass pieces={pieces}",
+                lambda: oracles.choquet_interval_by_levels(atom, step))
         row("ae_gap", f"density pieces={pieces}", lambda: ae_gap(weighted, step))
         row("ae_gap", f"point-mass pieces={pieces}", lambda: ae_gap(atom, step))
     iset = IntervalSet.of([(0.1, 0.25), (0.5, 0.8)])

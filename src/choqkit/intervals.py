@@ -269,7 +269,10 @@ def _closed_form(phi: IntervalSetFunction, x, *extensions: str) -> tuple:
     # a point mass at p charges every half-open superset of x iff x contains
     # p or approaches it from the right, and some half-open subset iff both
     p, m = phi.payload["location"], phi.payload["mass"]
-    inside, right = x.contains(p), x.accumulates_from_right(p)
+    inside = x.contains(p)
+    if extensions == ("exact",):
+        return (np.where(inside, m, 0.0),)
+    right = x.accumulates_from_right(p)
     hits = {"exact": inside, "ui": inside | right, "ls": inside & right}
     return tuple(np.where(hits[extension], m, 0.0) for extension in extensions)
 

@@ -3,16 +3,15 @@
 These deliberately avoid the shortcuts taken by the main modules
 (local submodularity characterization, single-element-step DP,
 difference kernels over the value array, sorted gaps, the one-sort
-level chain of a step function, the point-mass charge rule) so that
-agreement between the two routes is meaningful evidence.
+level chain of a step function, the point-mass charge rule, the
+interval closed forms) so that agreement is meaningful evidence.
 """
 
 from __future__ import annotations
 
 import math
 
-from .intervals import (FlaggedSet, IntervalSet, IntervalSetFunction, StepFunction,
-                        extend_ls, extend_ui)
+from .intervals import FlaggedSet, IntervalSet, IntervalSetFunction, StepFunction
 from .setfunctions import TOL, SetFunction, Verdict
 
 
@@ -155,10 +154,15 @@ def chain_variation_sum(phi: SetFunction, chain) -> float:
 
 
 def superlevel(f: StepFunction, t: float) -> IntervalSet:
-    """{f >= t}, always an element of the algebra."""
-    return IntervalSet.of(
-        (a, b) for a, b, v in zip(f.breakpoints, f.breakpoints[1:], f.values)
-        if v >= t)
+    """{f >= t}, always an element of the algebra: f's pieces with a value
+    of at least t, in breakpoint order, touching ones merged."""
+    merged = []
+    for a, b, v in zip(f.breakpoints, f.breakpoints[1:], f.values):
+        if v >= t and merged and merged[-1][1] == a:
+            merged[-1] = (merged[-1][0], b)
+        elif v >= t:
+            merged.append((a, b))
+    return IntervalSet(tuple(merged))
 
 
 def point_mass_extensions_by_probes(phi: IntervalSetFunction, x: FlaggedSet) -> tuple:
@@ -175,21 +179,37 @@ def point_mass_extensions_by_probes(phi: IntervalSetFunction, x: FlaggedSet) -> 
     return (mass if inside or right else 0.0), (mass if inside and right else 0.0)
 
 
+def _level_value(phi: IntervalSetFunction, iset: IntervalSet, extension: str) -> float:
+    """phi (`exact`) or its ui/ls extension on an algebra set, in floats."""
+    if extension not in ("exact", "ui", "ls"):
+        raise KeyError(extension)
+    if phi.kind == "concave-of-measure":
+        # one weighted measure for all three: the set lies in the algebra
+        bps, weights = (part.tolist() for part in phi.payload["density"])
+        mass = 0.0
+        for a, b in iset.intervals:
+            for c, d, w in zip(bps, bps[1:], weights):
+                lo, hi = (a if a > c else c), (b if b < d else d)
+                if lo < hi:
+                    mass += (hi - lo) * w
+        return piecewise_linear(phi.payload["g"].tolist(), mass)
+    x = FlaggedSet.from_interval_set(iset)
+    if extension == "exact":
+        return phi.payload["mass"] if x.contains(phi.payload["location"]) else 0.0
+    ui, ls = point_mass_extensions_by_probes(phi, x)
+    return ui if extension == "ui" else ls
+
+
 def choquet_interval_by_levels(phi: IntervalSetFunction, f: StepFunction,
                                extension: str = "exact") -> float:
     """`intervals.choquet_interval` by building and evaluating every level set."""
-    evaluate = {
-        "exact": phi,
-        "ui": lambda s: extend_ui(phi, s),
-        "ls": lambda s: extend_ls(phi, s),
-    }[extension]
     # integrate phi{f >= s} over s in (lower, max f] with lower = min(0, min f),
     # then subtract the shift term; telescopes to the closed form below
     values = sorted(set(f.values), reverse=True)
     total = 0.0
     for t, nxt in zip(values, values[1:]):
-        total += (t - nxt) * evaluate(superlevel(f, t))
-    total += values[-1] * evaluate(IntervalSet.full())
+        total += (t - nxt) * _level_value(phi, superlevel(f, t), extension)
+    total += values[-1] * _level_value(phi, IntervalSet.full(), extension)
     return total
 
 
@@ -197,19 +217,17 @@ def ae_gap_by_levels(phi: IntervalSetFunction, f: StepFunction,
                      tol: float = TOL) -> list:
     """`intervals.ae_gap` by comparing ui and ls on every level set in turn."""
     values = sorted(set(f.values), reverse=True)
-    exceptional = []
+
+    def gap(t):
+        level = superlevel(f, t)
+        return abs(_level_value(phi, level, "ui") - _level_value(phi, level, "ls")) > tol
+
     # probe one t inside each interval of constancy of the level set,
     # then the full (t = -inf) and the empty (t = +inf) level set
     probes = [(a + b) / 2.0 for a, b in zip(values, values[1:])]
-    probes += [-math.inf, math.inf]
-    for t in probes:
-        level = FlaggedSet.from_interval_set(superlevel(f, t))
-        if abs(extend_ui(phi, level) - extend_ls(phi, level)) > tol:
-            raise AssertionError("exceptional set has positive measure")
-    for t in values:
-        level = FlaggedSet.from_interval_set(superlevel(f, t))
-        if abs(extend_ui(phi, level) - extend_ls(phi, level)) > tol:
-            exceptional.append(t)
+    if any(map(gap, probes + [-math.inf, math.inf])):
+        raise AssertionError("exceptional set has positive measure")
+    exceptional = [t for t in values if gap(t)]
     ui = choquet_interval_by_levels(phi, f, extension="ui")
     ls = choquet_interval_by_levels(phi, f, extension="ls")
     if abs(ui - ls) > max(tol, TOL):

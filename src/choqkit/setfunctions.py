@@ -201,13 +201,13 @@ class SetFunction:
     def cut(cls, n: int, edges) -> "SetFunction":
         """Weighted cut function: total weight of edges leaving S."""
         ground = GroundSet(n)
-        edges = tuple((u, v, _finite(w, "edge weights")[0] if w else 1.0)
+        edges = tuple((_integral(u, "edge endpoints"), _integral(v, "edge endpoints"),
+                       _finite(w, "edge weights")[0] if w else 1.0)
                       for u, v, *w in edges)
         for u, v, _ in edges:
             if u == v:
                 raise ValueError("loops have no cut contribution; remove them")
-            ground.check_mask(1 << u)
-            ground.check_mask(1 << v)
+            ground.mask_of((u, v))
 
         def build():
             masks = np.arange(1 << n)
@@ -222,19 +222,16 @@ class SetFunction:
     def coverage(cls, covers: Sequence[Sequence[int]],
                  item_weights: Sequence[float]) -> "SetFunction":
         """Weighted coverage: weight of the union of items covered by S."""
+        covers = tuple(tuple(_integral(i, "cover items") for i in c) for c in covers)
         n = len(covers)
         ground = GroundSet(n)
         weights = _finite(item_weights, "item weights")
         if any(w < 0 for w in weights):
             raise ValueError("item weights must be nonnegative")
-        item_masks = []
-        for cover in covers:
-            m = 0
-            for item in cover:
-                if not 0 <= item < len(weights):
-                    raise ValueError(f"item {item} out of range")
-                m |= 1 << item
-            item_masks.append(m)
+        for item in (item for cover in covers for item in cover):
+            if not 0 <= item < len(weights):
+                raise ValueError(f"item {item} out of range")
+        item_masks = [sum(1 << item for item in set(cover)) for cover in covers]
 
         def build():
             masks = np.arange(1 << n)
@@ -245,7 +242,7 @@ class SetFunction:
                     out += weight * (masks & holders != 0)
             return out
 
-        payload = {"covers": tuple(tuple(c) for c in covers), "item_weights": weights}
+        payload = {"covers": covers, "item_weights": weights}
         return cls(ground, "coverage", payload, build)
 
     @classmethod
@@ -261,6 +258,7 @@ class SetFunction:
     @classmethod
     def partition_matroid(cls, blocks: Sequence[Sequence[int]],
                           capacities: Sequence[int]) -> "SetFunction":
+        blocks = tuple(tuple(_integral(x, "block elements") for x in b) for b in blocks)
         elems = [x for block in blocks for x in block]
         n = len(elems)
         if sorted(elems) != list(range(n)):
@@ -277,7 +275,7 @@ class SetFunction:
                        for bm, c in zip(block_masks, caps))
 
         payload = {"matroid": "partition",
-                   "blocks": tuple(tuple(b) for b in blocks),
+                   "blocks": blocks,
                    "capacities": caps}
         return cls(ground, "matroid-rank", payload, build)
 

@@ -15,7 +15,8 @@ LAYERS = {"table build", "from_table", "is_submodular", "is_increasing",
           "total_variation cold", "total_variation warm", "max_variation_chain",
           "canonical_decomposition", "ls_decomposition", "conjugate", "choquet",
           "choquet_batch", "phi(mask)", "uncross+certify",
-          "uniform_continuity_modulus", "lln_run", "choquet_interval", "ae_gap",
+          "uniform_continuity_modulus", "lln_run", "choquet_interval",
+          "choquet_interval_by_levels", "ae_gap",
           "extend_ui", "extend_ls", "host kernel"}
 
 

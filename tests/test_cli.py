@@ -283,6 +283,28 @@ class TestJsonIntegers:
         out, err = capsys.readouterr()
         assert out == "" and "must be integers" in err
 
+    @pytest.mark.parametrize("bad", [True, 0.5], ids=["true", "half"])
+    @pytest.mark.parametrize("field, obj", [
+        ("edge endpoints", {"n": 3, "kind": "cut", "payload": {"edges": [["BAD", 2, 1.0]]}}),
+        ("cover items", {"n": 2, "kind": "coverage",
+                         "payload": {"covers": [["BAD"], [0]], "item_weights": [1, 1]}}),
+        ("block elements", {**PARTITION, "payload": {**PARTITION["payload"],
+                                                     "blocks": [[0, "BAD"], [2]]}}),
+    ], ids=["cut", "coverage", "partition"])
+    def test_element_indices_exit_2(self, capsys, field, obj, bad):
+        # true is element 1 and 0.5 reached a shift before elements were read as integers
+        payload = json.dumps(obj).replace('"BAD"', json.dumps(bad))
+        assert cli.main(["check", payload]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"{field} must be integers, got {bad!r}" in err
+
+    @pytest.mark.parametrize("endpoint", [-1, 3])
+    def test_cut_endpoints_out_of_range_exit_3(self, capsys, endpoint):
+        # -1 reached a negative shift count before endpoints were range-checked
+        obj = {"n": 3, "kind": "cut", "payload": {"edges": [[endpoint, 2, 1.0]]}}
+        assert cli.main(["check", json.dumps(obj)]) == 3
+        assert f"element {endpoint} out of range for n=3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, obj, integral", [
         ("check", UNIFORM, {**UNIFORM, "n": 3.0, "payload": {"matroid": "uniform",
                                                              "rank": 2.0}}),

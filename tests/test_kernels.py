@@ -7,6 +7,7 @@ difference is far above the tolerance; the local (kernel) and global
 tolerance zero.  Small k gives large violations, large k small ones.
 """
 
+import math
 import subprocess
 import sys
 
@@ -15,13 +16,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from choqkit import (FubiniInstance, IntervalSetFunction, PreconditionError,
+from choqkit import (FubiniInstance, IntervalSet, IntervalSetFunction, PreconditionError,
                      SetFunction, StepFunction, ae_gap, canonical_decomposition,
                      choquet, choquet_batch, choquet_interval, is_increasing,
                      is_modular, is_submodular, lln_run, ls_decomposition,
                      max_variation_chain, total_variation,
                      uniform_continuity_modulus)
-from choqkit import cli, fubini, oracles, variation
+from choqkit import cli, fubini, intervals, oracles, variation
 from choqkit.fubini import LlnRecord
 from choqkit.randgen import (random_concave_of_modular, random_coverage,
                              random_cut, random_fubini_instance,
@@ -490,6 +491,43 @@ class TestIntervalSweep:
         for extension in ("exact", "ui", "ls"):
             assert _close(value, oracles.choquet_interval_by_levels(phi, f, extension))
         assert ae_gap(phi, f) == oracles.ae_gap_by_levels(phi, f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(step_functions())
+    @example(StepFunction((0.0, 0.25, 0.5, 0.75, 1.0), (1.0, 1.0, 0.0, 1.0)))
+    @example(StepFunction((0.0, 0.125, 0.25, 0.5, 1.0), (2.0, -1.0, 2.0, 2.0)))
+    def test_superlevel_matches_a_sorted_merge(self, f):
+        # ties across pieces and runs of touching pieces, which the oracle
+        # merges in its one pass in breakpoint order
+        levels = sorted(set(f.values))
+        middles = [(a + b) / 2.0 for a, b in zip(levels, levels[1:])]
+        pieces = list(zip(f.breakpoints, f.breakpoints[1:], f.values))
+        for t in levels + middles + [-math.inf, math.inf]:
+            want = IntervalSet.of((a, b) for a, b, v in pieces if v >= t)
+            assert oracles.superlevel(f, t) == want
+
+    FAST_ROUTE = ("_closed_form", "_density_mass", "piecewise_linear_array",
+                  "extend_ui", "extend_ls", "_Superlevels")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_level_oracles_share_no_closed_form(self, data):
+        f = data.draw(step_functions())
+        phi = data.draw(interval_setfunctions(f))
+        value, gap = choquet_interval(phi, f), ae_gap(phi, f)
+
+        def fast_route(*args):
+            raise AssertionError("the reference reached the fast route")
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name in self.FAST_ROUTE:
+                patch.setattr(intervals, name, fast_route)
+                patch.setattr(oracles, name, fast_route, raising=False)
+            refs = [oracles.choquet_interval_by_levels(phi, f, extension)
+                    for extension in ("exact", "ui", "ls")]
+            ref_gap = oracles.ae_gap_by_levels(phi, f)
+        assert all(_close(value, ref) for ref in refs)
+        assert gap == ref_gap
 
 
 def _loop_lln(inst, steps, seed, tol=TOL):
