@@ -164,6 +164,9 @@ def one_pass(profile) -> list:
         f = np.random.default_rng(20 + n).uniform(-1.0, 1.0, n).tolist()
         mask = int("10" * n, 2) >> n  # alternate elements
         row("choquet", f"point cut n={n}", lambda: choquet(phi, f))
+        variation.total_variation(phi)  # the chain DP's plan, cached
+        row("total_variation warm", f"point cut n={n}",
+            lambda: variation.total_variation(phi))
         row("phi(mask)", f"cut n={n}", lambda: phi(mask))
         draw = np.random.default_rng(30 + n)
         family = WeightedFamily.of(GroundSet(n), [

@@ -58,17 +58,15 @@ def choquet(phi: SetFunction, f, shift: Optional[float] = None) -> float:
     vals = _finite(f, "function values")
     if len(vals) != phi.n:
         raise PreconditionError(f"function length {len(vals)} != ground size {phi.n}")
-    low = min(vals)
-    if shift is not None:
-        c, = _finite([shift], "shift")
-        if c < max(abs(v) for v in vals):
-            raise PreconditionError("shift must be at least sup|f|")
-    elif low >= 0.0:
-        c = 0.0
-    else:
-        c = max(abs(v) for v in vals)
     # reverse=True keeps ties in index order, as a stable sort on -f does
     order = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
+    sup = max(vals[order[0]], -vals[order[-1]])  # sup|f|, off the sorted ends
+    if shift is not None:
+        c, = _finite([shift], "shift")
+        if c < sup:
+            raise PreconditionError("shift must be at least sup|f|")
+    else:
+        c = sup if vals[order[-1]] < 0.0 else 0.0
     item = phi.values.item
     total = 0.0
     prev = vals[order[0]] + c

@@ -14,6 +14,7 @@ live in `oracles.value_by_payload`, as the reference for the builders.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
@@ -85,7 +86,7 @@ def _finite(values, what: str) -> tuple:
     if isinstance(values, np.ndarray) and values.ndim == 1:
         values = tuple(values.astype(np.float64, copy=False).tolist())
     else:
-        values = tuple(float(v) for v in values)
+        values = tuple(map(float, values))
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{what} must be finite")
     return values
@@ -293,10 +294,16 @@ class SetFunction:
         if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative for concave composition")
         pts = _concave_validate(breakpoints)
-        # on [0, sum(weights)] a concave g with g(0) = 0 stays between
-        # min(0, g(sum)) and the largest of g(sum) and its breakpoint values
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(piecewise_linear_array(pts, np.array(sum(weights)))):
+        # on [0, sum(weights)] a concave g with g(0) = 0 stays between min(0, g(sum))
+        # and the largest of g(sum) and its breakpoint values; g(sum) is taken
+        # with piecewise_linear_array's segment and operations
+        t = sum(weights)
+        if t > 0.0 and len(pts) > 1:  # else g(t) = g(0) = 0
+            j = bisect_left(pts, t, 1, len(pts) - 1, key=lambda point: point[0]) - 1
+            (t0, v0), (t1, v1) = pts[j], pts[j + 1]
+            g = (v1 + (v1 - v0) / (t1 - t0) * (t - t1) if t > t1
+                 else v0 + (v1 - v0) * (t - t0) / (t1 - t0))
+            if not math.isfinite(g):
                 raise ValueError("g overflows float64 on the subset sums")
         payload = {"weights": weights, "breakpoints": tuple(pts)}
         return cls(GroundSet(len(weights)), "concave-of-modular", payload,

@@ -10,6 +10,7 @@ along the way, which certifies whatphi(h) <= sum_i a_i * phi(H_i).
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,9 +95,9 @@ _STEP_BYTES = 200
 _UNCROSS_BUDGET = 1 << 28  # bytes the recorded steps may take
 
 
-def _first_crossing(entries):
-    for i, (a, _) in enumerate(entries):
-        for b, _ in entries[i + 1:]:
+def _first_crossing(masks):
+    for i, a in enumerate(masks):
+        for b in masks[i + 1:]:
             common = a & b
             if common != a and common != b:
                 return a, b
@@ -109,18 +110,22 @@ def uncross(family: WeightedFamily, phi: Optional[SetFunction] = None) -> Uncros
     Pair selection is the first crossing pair in sorted entry order;
     any order terminates, this one makes traces reproducible.  Once the
     recorded steps would pass _UNCROSS_BUDGET bytes, a PreconditionError
-    names the steps taken; a chain takes no step, whatever its weights.
+    names the steps taken; a chain takes no step, whatever its weights,
+    and is its own final family.  Each step moves the potential by the
+    exchange's integer change and re-sums the phi-sum as `phi_sum` does.
     """
     if not family.entries:
         raise PreconditionError("family must be nonempty")
-    current = family
+    mults = dict(family.entries)
+    masks = list(mults)  # sorted, as the entries are
     steps = []
     # the previous step's "after" numbers are this step's "before"
-    potential = current.potential()
-    phi_sum = None if phi is None else current.phi_sum(phi)
+    potential = family.potential()
+    phi_sum = None if phi is None else family.phi_sum(phi)
+    item = None if phi is None else phi.values.item
     budget = family.total_multiplicity * family.ground.n ** 2 + 1
     for _ in range(budget):
-        pair = _first_crossing(current.entries)
+        pair = _first_crossing(masks)
         if pair is None:
             break
         if _STEP_BYTES * (len(steps) + 1) > _UNCROSS_BUDGET:
@@ -129,26 +134,25 @@ def uncross(family: WeightedFamily, phi: Optional[SetFunction] = None) -> Uncros
                 f"pass its budget of {_UNCROSS_BUDGET:.3g} bytes")
         a, b = pair
         # one copy each of a and b out, one of a | b and a & b in
-        entries = dict(current.entries)
         for mask in pair:
-            entries[mask] -= 1
+            mults[mask] -= 1
+            if not mults[mask]:
+                del mults[mask]
+                masks.remove(mask)
         for mask in (a | b, a & b):
-            entries[mask] = entries.get(mask, 0) + 1
-        nxt = WeightedFamily(current.ground,
-                             tuple(sorted(e for e in entries.items() if e[1])))
-        potential_after = nxt.potential()
-        phi_sum_after = None if phi is None else nxt.phi_sum(phi)
-        steps.append(UncrossStep(
-            pair=pair,
-            potential_before=potential,
-            potential_after=potential_after,
-            phi_sum_before=phi_sum,
-            phi_sum_after=phi_sum_after,
-        ))
-        current, potential, phi_sum = nxt, potential_after, phi_sum_after
+            if mask not in mults:
+                insort(masks, mask)
+            mults[mask] = mults.get(mask, 0) + 1
+        # |a | b|^2 + |a & b|^2 - |a|^2 - |b|^2 = 2 |a - b| |b - a|
+        potential_after = potential + 2 * (a & ~b).bit_count() * (b & ~a).bit_count()
+        phi_sum_after = None if phi is None else sum(mults[m] * item(m) for m in masks)
+        steps.append(UncrossStep(pair, potential, potential_after, phi_sum, phi_sum_after))
+        potential, phi_sum = potential_after, phi_sum_after
     else:
         raise AssertionError("uncrossing exceeded its termination budget")
-    return UncrossTrace(initial=family, steps=tuple(steps), final=current)
+    final = (WeightedFamily(family.ground, tuple((mask, mults[mask]) for mask in masks))
+             if steps else family)
+    return UncrossTrace(initial=family, steps=tuple(steps), final=final)
 
 
 def certify_chain_equality(phi: SetFunction, chain: WeightedFamily, tol: float = TOL):

@@ -85,25 +85,30 @@ def _positive_variation(vals: np.ndarray) -> tuple:
     mu[S] = max_{x in S} mu[S - x] + (phi(S) - phi(S - x))_+ with
     mu[0] = 0, and each candidate is max(phi(S) + nu[S - x], mu[S - x]);
     so per popcount layer the DP gathers the previous layer's (mu, nu)
-    rows, in blocks of at most _GATHER parents, and takes one maximum
-    over the k parents.
+    rows, in blocks of at most _GATHER parents, takes one maximum over
+    the k parents into the layer's rows and finishes mu and nu there.
     """
     order, rank, plan = _plan(vals.size.bit_length() - 1)
-    phi = np.take(vals, order)
+    phi = vals.take(order)
     table = np.empty((vals.size, 2))  # (mu, nu) in popcount order
     table[0] = 0.0, 0.0 - phi[0]
     previous = table[:1]
     for layer, parents in plan:
-        best = np.empty((parents.shape[1], 2))
-        step = max(1, _GATHER // len(parents))
-        for first in range(0, parents.shape[1], step):
-            block = slice(first, first + step)
-            np.take(previous, parents[:, block], axis=0).max(axis=0, out=best[block])
-        mu, nu = table[layer].T
-        np.add(phi[layer], best[:, 1], out=mu)
-        np.maximum(mu, best[:, 0], out=mu)
-        np.subtract(mu, phi[layer], out=nu)
-        previous = table[layer]
+        best = table[layer]  # the parents' best (mu, nu), then the layer's own
+        if parents.size <= _GATHER:
+            np.maximum.reduce(previous.take(parents, axis=0), axis=0, out=best)
+        else:
+            step = max(1, _GATHER // len(parents))
+            for first in range(0, parents.shape[1], step):
+                block = slice(first, first + step)
+                np.maximum.reduce(previous.take(parents[:, block], axis=0), axis=0,
+                                  out=best[block])
+        mu, nu = best.T
+        phi_layer = phi[layer]
+        np.add(phi_layer, nu, out=nu)
+        np.maximum(nu, mu, out=mu)  # max(phi + best nu, best mu)
+        np.subtract(mu, phi_layer, out=nu)
+        previous = best
     return table, rank
 
 

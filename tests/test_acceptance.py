@@ -7,6 +7,7 @@ drives the `selftest` subcommand end to end.
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from choqkit import selftest
@@ -17,6 +18,18 @@ BASE_SEED = 0
 def _check(result):
     print(result.line())
     assert result.passed, result.detail
+
+
+def test_require_passes_true_and_raises_on_any_false():
+    selftest._require(True)
+    selftest._require(np.True_)
+    selftest._require(np.array([True, True]))
+    for ok in (False, np.False_):
+        with pytest.raises(AssertionError, match="^check failed$"):
+            selftest._require(ok)
+    with pytest.raises(AssertionError, match="^entry 2 failed$"):
+        selftest._require(np.array([True, True, False, True]),
+                          lambda i: f"entry {i} failed")
 
 
 def test_criterion_1_convexity_iff_submodularity():

@@ -694,6 +694,8 @@ class TestNonFinite:
         lambda: SetFunction.modular([1e308, -1e308]),
         lambda: SetFunction.concave_of_modular([1e308, 1e308], [(0, 0), (1, 1)]),
         lambda: SetFunction.concave_of_modular([1e300, 1e300], [(0, 0), (1, 1e300)]),
+        lambda: SetFunction.concave_of_modular([0.75, 0.75],
+                                               [(0, 0), (1, 1e308), (2, -1e308)]),
     ])
     def test_overflowing_sums_rejected_at_construction(self, maker):
         # the point route would give inf where the table route raises

@@ -61,6 +61,25 @@ class TestScalarChoquet:
         assert abs(value - row[0]) <= 1e-12 * (1.0 + sup + extra) * (
             1.0 + float(np.abs(phi.values).max()))
 
+    @pytest.mark.parametrize("f", [
+        [0.5, -0.25, 0.5, -0.25],  # ties
+        [0.0, -0.0, 1.0, -0.0],  # zeros of both signs
+        [-0.0, 0.0, -0.0, 0.0],
+        [-1.5, -0.25, -3.0, -0.75],  # all negative
+        [0.5, -2.0, 1.0, -0.5],  # the largest |f| at the negative end
+        [-2.0, 2.0, 1e-17, -1e-17],  # the largest |f| at both ends
+    ])
+    def test_equals_the_batch_row_exactly(self, f):
+        phi = SetFunction.from_table([0.0, 1.0, -2.0, 0.5, 3.0, -1.0, 2.0, 0.25,
+                                      -0.5, 1.5, 4.0, -3.0, 0.75, 2.5, -1.25, 1.0])
+        assert choquet(phi, f) == choquet_batch(phi, [f])[0]
+        sup = max(abs(v) for v in f)
+        shifted = choquet(phi, f, shift=sup)  # sup|f| itself is accepted
+        if min(f) < 0.0:  # where the default shift is sup|f| too
+            assert shifted == choquet(phi, f)
+        with pytest.raises(PreconditionError, match="at least sup"):
+            choquet(phi, f, shift=math.nextafter(sup, -math.inf))
+
 
 class TestPointEvaluation:
     @SETTINGS

@@ -105,6 +105,18 @@ class TestUncross:
                 assert step.phi_sum_before == prev.phi_sum_after
             assert all(step.phi_sum_before is None for step in uncross(fam).steps)
 
+    def test_potentials_follow_the_replayed_families(self):
+        # four singletons of multiplicity 50: 150 steps, each moving the
+        # potential by its exchange's integer change alone
+        fam = make_family(4, [(1, 50), (2, 50), (4, 50), (8, 50)])
+        trace = uncross(fam)
+        families = replay(trace)
+        assert len(trace.steps) == 150
+        for step, before, after in zip(trace.steps, families, families[1:]):
+            assert step.potential_before == before.potential()
+            assert step.potential_after == after.potential()
+        assert trace.final.entries == families[-1].entries == ((0, 150), (15, 50))
+
     def test_empty_family_rejected(self):
         with pytest.raises(PreconditionError):
             uncross(WeightedFamily(GroundSet(3), ()))
