@@ -4,7 +4,7 @@ Instances travel as JSON (path or inline).  Every subcommand prints
 one JSON object under --format json; otherwise traces leave as CSV.
 Exit codes: 0 ok, 1 selftest or inequality violation (including a
 bound that `fubini --steps` finds violated under --force), 2 malformed
-input, 3 precondition violation.
+input or a result that is not finite, 3 precondition violation.
 """
 
 from __future__ import annotations
@@ -68,6 +68,15 @@ def _nonnegative(convert):
     return parse
 
 
+def _require_finite_output(obj) -> None:
+    """ValueError unless every float in the nested dicts, lists and tuples is finite."""
+    if isinstance(obj, (dict, list, tuple)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            _require_finite_output(item)
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        raise ValueError(f"non-finite result {obj!r}: float64 overflowed")
+
+
 def _emit(args, report: dict, table=None, text=(), status: int = 0) -> int:
     """The one stdout path, returning `status`.  Under --format json it
     prints `report` as one JSON object, a `table` (key, columns, rows)
@@ -75,6 +84,7 @@ def _emit(args, report: dict, table=None, text=(), status: int = 0) -> int:
     already in `report` keeps its place); otherwise the table as CSV of
     reprs, then the `text` lines."""
     key, columns, rows = table or (None, (), ())
+    _require_finite_output((report, rows))
     if args.format == "json":
         if key is not None:
             report[key] = [dict(zip(columns, row)) for row in rows]

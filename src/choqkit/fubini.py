@@ -18,8 +18,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .choquet import choquet_batch
-from .setfunctions import (TOL, PreconditionError, SetFunction, _finite,
-                           _finite_array, require_submodular, subset_sums)
+from .setfunctions import (TOL, PreconditionError, SetFunction, _finite, _finite_array,
+                           _size_limit_error, require_submodular, subset_sums)
 from .variation import total_variation
 
 
@@ -166,9 +166,7 @@ def lln_run(inst: FubiniInstance, steps: int, seed: int = 0,
         raise PreconditionError("steps must be >= 1")
     estimate = _STEP_BYTES * steps
     if estimate > _LLN_BUDGET:
-        raise PreconditionError(
-            f"lln_run with steps={steps} needs about {estimate:.3g} bytes "
-            f"for its trace, over its budget of {_LLN_BUDGET:.3g} bytes")
+        raise _size_limit_error(f"lln_run with steps={steps}", estimate, _LLN_BUDGET)
     result = lopsided_check(inst, tol)
     rng = np.random.default_rng(seed)
     samples = rng.choice(inst.m, size=steps, p=inst.lam)
@@ -239,10 +237,8 @@ def uniform_continuity_modulus(phi: SetFunction, pi,
     vals = phi.values
     estimate = _PAIR_BYTES * (vals.size * (vals.size - 1) // 2)
     if estimate > _CONTINUITY_BUDGET:
-        raise PreconditionError(
-            f"uniform_continuity_modulus at n={phi.n} needs about "
-            f"{estimate:.3g} bytes for its subset pairs, over its budget "
-            f"of {_CONTINUITY_BUDGET:.3g} bytes")
+        raise _size_limit_error(f"uniform_continuity_modulus at n={phi.n}", estimate,
+                                _CONTINUITY_BUDGET)
     s, t = np.triu_indices(vals.size, 1)
     gaps = np.abs(vals[s] - vals[t])
     order = np.argsort(-gaps, kind="stable")

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .setfunctions import (TOL, _concave_validate, _finite, _finite_array,
-                           piecewise_linear_array)
+                           _require_finite_g, piecewise_linear_array)
 
 
 def _validate_unit(a: float, b: float):
@@ -235,9 +235,11 @@ class IntervalSetFunction:
             raise ValueError("transform must be nondecreasing")
         if density is None:
             density = ((0.0, 1.0), (1.0,))
-        density = _step_parts(*density, "density")
-        if any(w < 0 for w in density[1]):
+        bps, weights = density = _step_parts(*density, "density")
+        if any(w < 0 for w in weights):
             raise ValueError("density must be nonnegative")
+        total = sum((c1 - c0) * w for c0, c1, w in zip(bps, bps[1:], weights))  # of [0, 1)
+        _require_finite_g(pts, total, "the weighted measures")  # every mass up to it is a set's
         # read-only float64 arrays, so no closed form converts them again
         density = tuple(_finite_array(part, "density") for part in density)
         return cls("concave-of-measure", {"g": _finite_array(pts, "g"), "density": density})

@@ -149,4 +149,4 @@ def random_fubini_instance(rng: np.random.Generator, m: int,
     F = rng.uniform(0.0, 1.0, size=(m, n))
     phi = random_submodular_setfunction(
         rng, n, families=("coverage", "matroid-rank", "concave-of-modular"))
-    return FubiniInstance.of(lam, pi, F.tolist(), phi)
+    return FubiniInstance.of(lam, pi, F, phi)

@@ -198,7 +198,6 @@ def criterion_5(rng, seed) -> str:
         family = randgen.random_weighted_family(rng, n)
         sub = randgen.random_submodular_setfunction(rng, n)
         trace = uncross(family, sub)
-        h0 = family_sum(family).tolist()
         _require(len(trace.steps) <= family.total_multiplicity * n * n,
                  "uncrossing took too many steps")
         mults = dict(family.entries)  # replayed from the recorded pairs
@@ -208,8 +207,6 @@ def criterion_5(rng, seed) -> str:
                      f"recorded pair {step.pair} is not a crossing pair")
             for mask, change in ((a, -1), (b, -1), (a | b, 1), (a & b, 1)):
                 mults[mask] = mults.get(mask, 0) + change
-            _require([sum(m for mask, m in mults.items() if mask >> x & 1)
-                      for x in range(n)] == h0, "step changed the pointwise sum")
             _require(step.potential_after > step.potential_before,
                      "potential did not increase")
             _require(step.phi_sum_after <= step.phi_sum_before + TOL,
@@ -217,7 +214,7 @@ def criterion_5(rng, seed) -> str:
         _require(tuple(sorted(e for e in mults.items() if e[1])) == trace.final.entries,
                  "the recorded pairs do not lead to the final family")
         _require(trace.final.is_chain(), "final family is not a chain")
-        _require(family_sum(trace.final).tolist() == h0,
+        _require(family_sum(trace.final).tolist() == family_sum(family).tolist(),
                  "final family changed the pointwise sum")
         if trace.steps:
             lhs, rhs, ok = certify_chain_equality(sub, trace.final)

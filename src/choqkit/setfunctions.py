@@ -29,6 +29,12 @@ class PreconditionError(ValueError):
     """An operation was called outside its stated domain."""
 
 
+def _size_limit_error(operation: str, estimate: int, budget: int) -> PreconditionError:
+    """The error for an operation whose memory estimate passes its byte budget."""
+    return PreconditionError(f"{operation} needs about {estimate:.3g} bytes, "
+                             f"over its budget of {budget:.3g} bytes")
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """Finite ground set {0, ..., n-1}."""
@@ -149,6 +155,15 @@ def piecewise_linear_array(pts, t: np.ndarray) -> np.ndarray:
     return np.where(t <= ts[0], vs[0], np.where(t > ts[-1], beyond, inside))
 
 
+def _require_finite_g(pts, total: float, what: str) -> None:
+    """ValueError unless g's arithmetic stays finite on [0, total]: it grows toward
+    each segment's end, so the knots below `total` and `total` itself bound it."""
+    knots = np.array([t for t, _ in pts if t < total] + [total])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(piecewise_linear_array(pts, knots)).all():
+            raise ValueError(f"g overflows float64 on {what}")
+
+
 def _popcounts(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks).astype(np.int64)
 
@@ -172,19 +187,19 @@ class SetFunction:
     generated by a standard family (cut, coverage, matroid rank,
     modular, concave-of-modular).  Construction rejects non-finite
     numbers with ValueError, and a table with phi(empty) != 0 instead
-    of silently re-normalizing.  Each family supplies one vectorised
-    builder of the whole value array; `values` builds it on first use
-    and every evaluation, `phi(mask)` included, reads it.
+    of silently re-normalizing.  A table, checked there, is its value
+    array; another family's builder (0 on the empty set by its formula)
+    makes it on first use, checked finite.  Every evaluation reads it.
     """
 
     __slots__ = ("ground", "kind", "payload", "_build", "_values")
 
-    def __init__(self, ground: GroundSet, kind: str, payload, builder):
+    def __init__(self, ground: GroundSet, kind: str, payload, builder, values=None):
         self.ground = ground
         self.kind = kind
         self.payload = payload
         self._build = builder
-        self._values = None
+        self._values = values  # a table given already checked, else built on first use
 
     # ---- constructors ------------------------------------------------
 
@@ -196,7 +211,7 @@ class SetFunction:
             raise ValueError("table length must be 2^n with n >= 1")
         if values[0] != 0.0:
             raise PreconditionError("table[0] must be 0 (phi(empty) = 0)")
-        return cls(GroundSet(n), "table", {"values": values}, lambda: values)
+        return cls(GroundSet(n), "table", {"values": values}, None, values)
 
     @classmethod
     def cut(cls, n: int, edges) -> "SetFunction":
@@ -264,11 +279,11 @@ class SetFunction:
         n = len(elems)
         if sorted(elems) != list(range(n)):
             raise ValueError("blocks must partition 0..n-1")
-        if len(capacities) != len(blocks):
-            raise ValueError("one capacity per block")
+        caps = tuple(_integral(c, "capacities") for c in capacities)
+        if len(caps) != len(blocks) or any(c < 0 for c in caps):
+            raise ValueError("capacities must be nonnegative, one per block")
         ground = GroundSet(n)
         block_masks = tuple(ground.mask_of(b) for b in blocks)
-        caps = tuple(_integral(c, "capacities") for c in capacities)
 
         def build():
             masks = np.arange(1 << n)
@@ -325,8 +340,6 @@ class SetFunction:
         if self._values is None:
             values = _require_finite(np.asarray(self._build(), dtype=np.float64),
                                      "setfunction values")
-            if values[0] != 0.0:
-                raise PreconditionError("setfunction must satisfy phi(empty) = 0")
             values.flags.writeable = False
             self._values = values
         return self._values

@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .choquet import choquet
-from .setfunctions import TOL, GroundSet, PreconditionError, SetFunction, _integral
+from .setfunctions import (TOL, GroundSet, PreconditionError, SetFunction, _integral,
+                           _size_limit_error)
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,8 @@ def uncross(family: WeightedFamily, phi: Optional[SetFunction] = None) -> Uncros
         if pair is None:
             break
         if _STEP_BYTES * (len(steps) + 1) > _UNCROSS_BUDGET:
-            raise PreconditionError(
-                f"uncross stopped after {len(steps)} steps: its trace would "
-                f"pass its budget of {_UNCROSS_BUDGET:.3g} bytes")
+            raise _size_limit_error(f"uncross stopped after {len(steps)} steps: one more",
+                                    _STEP_BYTES * (len(steps) + 1), _UNCROSS_BUDGET)
         a, b = pair
         # one copy each of a and b out, one of a | b and a & b in
         for mask in pair:

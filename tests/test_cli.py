@@ -375,6 +375,10 @@ class TestUncrossBudget:
         assert report["final_chain"] == [[1, 10 ** 7], [3, 10 ** 7], [7, 1]]
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _passing(rng, seed):
     return f"drew {rng.integers(10)} at seed {seed}"
 
@@ -413,7 +417,7 @@ class TestJsonFormat:
         argv = EVERY_SUBCOMMAND[command]
         code, out = self._run(capsys, ["--format", "json", *argv])
         assert out.endswith("}\n") and out.count("\n") == 1
-        assert isinstance(json.loads(out), dict)
+        assert isinstance(json.loads(out, parse_constant=_refuse_constant), dict)
         assert code == 0 == self._run(capsys, argv)[0]
 
     def test_choquet_chain_rows_are_the_csv_rows(self, capsys):
@@ -443,3 +447,28 @@ class TestJsonFormat:
         assert other["passed"] is (second is _passing)
         if second is _failing:
             assert other["detail"] == "deliberate failure"
+
+
+OVERFLOWING_TABLE = json.dumps({"n": 2, "kind": "table",
+                                "payload": {"values": [0, 1e308, -1e308, 0]}})
+
+
+class TestNonFiniteResults:
+    """Finite input whose result overflows float64 exits 2, as non-finite input does."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("form", ["human", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["choquet-eval", '{"n": 2, "kind": "modular", "payload": {"weights": [1, 1]}}',
+         "--function", "[1e308, -1e308]"],
+        ["variation", OVERFLOWING_TABLE],
+        ["decompose", OVERFLOWING_TABLE],
+        ["interval-choquet", json.dumps({
+            "phi": {"kind": "point-mass", "location": 0.7, "mass": 1.0},
+            "f": {"breakpoints": [0, 0.5, 1], "values": [1e308, -1e308]}})],
+    ], ids=["choquet-eval", "variation", "decompose", "interval-choquet"])
+    def test_exits_2(self, capsys, form, argv):
+        assert cli.main(["--format", form, *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("malformed input: non-finite result")

@@ -212,6 +212,14 @@ class TestMalformedInput:
         with pytest.raises(ValueError):
             IntervalSetFunction.concave_of_measure(SQRT_LIKE, ((0.0, bad, 1.0), (1.0, 1.0)))
 
+    def test_g_overflowing_below_the_full_measure(self):
+        # [0, 1) has weighted measure 1e308, where g's last segment passes float64
+        g = [(0, 0), (1, 1e308), (2, 1.5e308)]
+        with pytest.raises(ValueError, match="g overflows float64"):
+            IntervalSetFunction.concave_of_measure(g, ((0.0, 1.0), (1e308,)))
+        phi = IntervalSetFunction.concave_of_measure(g, ((0.0, 1.0), (1.0,)))
+        assert phi(IntervalSet.full()) == 1e308
+
     @pytest.mark.parametrize("bps", [(0.0, 0.7, 0.3, 1.0), (0.0, 0.5, 0.5, 1.0)])
     def test_density_breakpoints_not_increasing(self, bps):
         # (0, 0.7, 0.3, 1) with unit weights would give [0, 1) measure 1.4

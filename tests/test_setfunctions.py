@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import choqkit
-from choqkit import cli, setfunctions
+from choqkit import cli, fubini, setfunctions, uncrossing
 from choqkit import (PreconditionError, SetFunction, conjugate, is_increasing,
                      is_modular, is_submodular, setfunction_from_json,
                      setfunction_to_json)
@@ -55,6 +55,44 @@ class TestEval:
     def test_nonzero_empty_value_rejected(self):
         with pytest.raises(PreconditionError):
             SetFunction.from_table([1.0, 0.0])
+
+    def test_negative_capacity_rejected_at_construction(self):
+        # like a uniform matroid's rank outside 0..n, not at the first read
+        with pytest.raises(ValueError, match="capacities must be nonnegative"):
+            SetFunction.partition_matroid([[0, 1]], [-1])
+
+    def test_a_table_is_checked_once(self, monkeypatch):
+        calls = []
+        check = setfunctions._require_finite
+        monkeypatch.setattr(setfunctions, "_require_finite",
+                            lambda values, what: calls.append(what) or check(values, what))
+        phi = SetFunction.from_table([0.0, 1.0, 2.0, 0.5])
+        assert phi.values.tolist() == [0.0, 1.0, 2.0, 0.5]
+        assert not phi.values.flags.writeable
+        assert len(calls) == 1
+
+
+class TestSizeLimitError:
+    def test_the_three_budgets_share_one_wording(self, monkeypatch):
+        monkeypatch.setattr(fubini, "_LLN_BUDGET", 0)
+        monkeypatch.setattr(fubini, "_CONTINUITY_BUDGET", 0)
+        monkeypatch.setattr(uncrossing, "_UNCROSS_BUDGET", 0)
+        phi = SetFunction.modular([0.5, 0.5])
+        inst = fubini.FubiniInstance.of([1.0], [0.5, 0.5], [[1.0, 0.0]], phi)
+        family = uncrossing.WeightedFamily.of(phi.ground, [(1, 1), (2, 1)])
+        messages = []
+        for run in (lambda: fubini.lln_run(inst, steps=5),
+                    lambda: fubini.uniform_continuity_modulus(phi, [0.5, 0.5]),
+                    lambda: uncrossing.uncross(family)):
+            with pytest.raises(PreconditionError) as error:
+                run()
+            messages.append(str(error.value))
+        assert messages == [
+            "lln_run with steps=5 needs about 240 bytes, over its budget of 0 bytes",
+            "uniform_continuity_modulus at n=2 needs about 336 bytes, "
+            "over its budget of 0 bytes",
+            "uncross stopped after 0 steps: one more needs about 200 bytes, "
+            "over its budget of 0 bytes"]
 
 
 class TestPredicates:
