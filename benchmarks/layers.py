@@ -189,10 +189,16 @@ def one_pass(profile) -> list:
     inst = randgen.random_fubini_instance(np.random.default_rng(60), 8, 6)
     row("lln_run", f"m=8 n=6 steps={profile.lln_steps}",
         lambda: lln_run(inst, steps=profile.lln_steps, seed=1))
+    # construction alone: the checks of weights, g and its overflow guard
+    concave = randgen.random_concave_of_modular(np.random.default_rng(3), 8).payload
+    row("concave_of_modular", f"n=8 knots={len(concave['breakpoints'])}",
+        lambda: SetFunction.concave_of_modular(concave["weights"], concave["breakpoints"]))
     g_points = [(0.0, 0.0), (0.4, 0.8), (1.0, 1.1)]
+    density = ((0.0, 0.3, 0.7, 1.0), (0.5, 2.0, 1.0))
+    row("concave_of_measure", "knots=3 density pieces=3",
+        lambda: IntervalSetFunction.concave_of_measure(g_points, density))
     g = IntervalSetFunction.concave_of_measure(g_points)
-    weighted = IntervalSetFunction.concave_of_measure(
-        g_points, ((0.0, 0.3, 0.7, 1.0), (0.5, 2.0, 1.0)))
+    weighted = IntervalSetFunction.concave_of_measure(g_points, density)
     atom = IntervalSetFunction.point_mass(0.37, 1.5)
     for pieces in profile.pieces:
         values = np.random.default_rng(pieces).uniform(-1.0, 1.0, pieces)

@@ -5,7 +5,7 @@ the uncrossing procedure as a certifying algorithm, and verify the
 convexity and lopsided-Fubini inequalities numerically at desk scale.
 """
 
-from .choquet import LevelChain, choquet, choquet_batch, level_chain
+from .choquet import choquet, choquet_batch
 from .fubini import (FubiniInstance, LlnTrace, LopsidedResult, lln_run,
                      lopsided_check, marginal_g, uniform_continuity_modulus)
 from .intervals import (FlaggedSet, IntervalSet, IntervalSetFunction,
@@ -23,7 +23,7 @@ from .variation import (DecompositionResult, canonical_decomposition,
 __version__ = "0.1.0"
 
 __all__ = [
-    "LevelChain", "choquet", "choquet_batch", "level_chain",
+    "choquet", "choquet_batch",
     "FubiniInstance", "LlnTrace", "LopsidedResult", "lln_run",
     "lopsided_check", "marginal_g", "uniform_continuity_modulus",
     "FlaggedSet", "IntervalSet", "IntervalSetFunction", "StepFunction",

@@ -14,37 +14,11 @@ Both add the same terms in the same order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .setfunctions import PreconditionError, SetFunction, _finite, _require_finite
-
-
-@dataclass(frozen=True)
-class LevelChain:
-    """Distinct values of f in decreasing order with their superlevel masks."""
-
-    thresholds: tuple
-    sets: tuple
-
-
-def level_chain(f) -> LevelChain:
-    """Layer-cake data of f: thresholds t_1 > ... > t_k and masks {f >= t_i}."""
-    vals = _finite(f, "function values")
-    order = sorted(range(len(vals)), key=lambda x: -vals[x])
-    thresholds = []
-    sets = []
-    mask = 0
-    for x in order:
-        mask |= 1 << x
-        if thresholds and vals[x] == thresholds[-1]:
-            sets[-1] = mask
-        else:
-            thresholds.append(vals[x])
-            sets.append(mask)
-    return LevelChain(tuple(thresholds), tuple(sets))
 
 
 def choquet(phi: SetFunction, f, shift: Optional[float] = None) -> float:

@@ -15,7 +15,9 @@ import math
 import os
 import sys
 
-from .choquet import choquet, level_chain
+import numpy as np
+
+from .choquet import choquet
 from .fubini import FubiniInstance, LopsidedResult, lln_run, lopsided_check
 from .intervals import IntervalSetFunction, StepFunction, choquet_interval
 from .selftest import run_all
@@ -119,11 +121,12 @@ def cmd_choquet(args):
     f = [float(v) for v in _load_json(args.function)]
     value = choquet(phi, f, shift=args.shift)
     table = None
-    if args.chain:
-        levels = level_chain(f)
+    if args.chain:  # the level sets {f >= t}, t over f's distinct values, decreasing
+        levels = sorted(set(f), reverse=True)
+        masks = [sum(1 << x for x, v in enumerate(f) if v >= t) for t in levels]
         columns = ("threshold", "mask", "phi", "contribution")
-        rows = [(t, mask, phi(mask), (t - nxt) * phi(mask)) for t, mask, nxt in
-                zip(levels.thresholds, levels.sets, levels.thresholds[1:] + (0.0,))]
+        rows = [(t, mask, phi(mask), (t - nxt) * phi(mask))
+                for t, mask, nxt in zip(levels, masks, levels[1:] + [0.0])]
         table = ("chain", columns, rows)
     return _emit(args, {"value": value}, table, [f"choquet value: {value!r}"])
 
@@ -265,7 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # an overflow is refused where its result is checked, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except PreconditionError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return 3

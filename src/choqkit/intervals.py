@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .setfunctions import (TOL, _concave_validate, _finite, _finite_array,
-                           _require_finite_g, piecewise_linear_array)
+from .setfunctions import (TOL, _concave_validate, _finite, _require_finite_g,
+                           piecewise_linear_array)
 
 
 def _validate_unit(a: float, b: float):
@@ -235,14 +235,20 @@ class IntervalSetFunction:
             raise ValueError("transform must be nondecreasing")
         if density is None:
             density = ((0.0, 1.0), (1.0,))
-        bps, weights = density = _step_parts(*density, "density")
+        bps, weights = _step_parts(*density, "density")
         if any(w < 0 for w in weights):
             raise ValueError("density must be nonnegative")
         total = sum((c1 - c0) * w for c0, c1, w in zip(bps, bps[1:], weights))  # of [0, 1)
-        _require_finite_g(pts, total, "the weighted measures")  # every mass up to it is a set's
-        # read-only float64 arrays, so no closed form converts them again
-        density = tuple(_finite_array(part, "density") for part in density)
-        return cls("concave-of-measure", {"g": _finite_array(pts, "g"), "density": density})
+        # every mass in [0, total] is a set's, and g's arithmetic grows toward
+        # each segment's end, so the knots below total and total itself bound it
+        _require_finite_g(pts, [t for t, _ in pts if t < total] + [total],
+                          "the weighted measures")
+        # read-only float64 arrays, so no closed form converts them again; the
+        # numbers were checked finite above
+        g, bps, weights = (np.array(part) for part in (pts, bps, weights))
+        for array in (g, bps, weights):
+            array.flags.writeable = False
+        return cls("concave-of-measure", {"g": g, "density": (bps, weights)})
 
     @classmethod
     def point_mass(cls, location: float, mass: float) -> "IntervalSetFunction":

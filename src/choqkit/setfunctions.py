@@ -31,8 +31,8 @@ class PreconditionError(ValueError):
 
 def _size_limit_error(operation: str, estimate: int, budget: int) -> PreconditionError:
     """The error for an operation whose memory estimate passes its byte budget."""
-    return PreconditionError(f"{operation} needs about {estimate:.3g} bytes, "
-                             f"over its budget of {budget:.3g} bytes")
+    return PreconditionError(f"{operation} needs about {estimate} bytes, "
+                             f"over its budget of {budget} bytes")
 
 
 @dataclass(frozen=True)
@@ -155,12 +155,17 @@ def piecewise_linear_array(pts, t: np.ndarray) -> np.ndarray:
     return np.where(t <= ts[0], vs[0], np.where(t > ts[-1], beyond, inside))
 
 
-def _require_finite_g(pts, total: float, what: str) -> None:
-    """ValueError unless g's arithmetic stays finite on [0, total]: it grows toward
-    each segment's end, so the knots below `total` and `total` itself bound it."""
-    knots = np.array([t for t, _ in pts if t < total] + [total])
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(piecewise_linear_array(pts, knots)).all():
+def _require_finite_g(pts, points, what: str) -> None:
+    """ValueError unless g is finite at each of `points`, taken in Python floats
+    with `piecewise_linear_array`'s segment and operations."""
+    for t in points:
+        if t <= 0.0 or len(pts) == 1:  # g = g(0) = 0
+            continue
+        j = bisect_left(pts, t, 1, len(pts) - 1, key=lambda point: point[0]) - 1
+        (t0, v0), (t1, v1) = pts[j], pts[j + 1]
+        g = (v1 + (v1 - v0) / (t1 - t0) * (t - t1) if t > t1
+             else v0 + (v1 - v0) * (t - t0) / (t1 - t0))
+        if not math.isfinite(g):
             raise ValueError(f"g overflows float64 on {what}")
 
 
@@ -310,16 +315,9 @@ class SetFunction:
             raise ValueError("weights must be nonnegative for concave composition")
         pts = _concave_validate(breakpoints)
         # on [0, sum(weights)] a concave g with g(0) = 0 stays between min(0, g(sum))
-        # and the largest of g(sum) and its breakpoint values; g(sum) is taken
-        # with piecewise_linear_array's segment and operations
-        t = sum(weights)
-        if t > 0.0 and len(pts) > 1:  # else g(t) = g(0) = 0
-            j = bisect_left(pts, t, 1, len(pts) - 1, key=lambda point: point[0]) - 1
-            (t0, v0), (t1, v1) = pts[j], pts[j + 1]
-            g = (v1 + (v1 - v0) / (t1 - t0) * (t - t1) if t > t1
-                 else v0 + (v1 - v0) * (t - t0) / (t1 - t0))
-            if not math.isfinite(g):
-                raise ValueError("g overflows float64 on the subset sums")
+        # and the largest of g(sum) and its breakpoint values; arithmetic that
+        # overflows only below the sum is refused when the table is built
+        _require_finite_g(pts, [sum(weights)], "the subset sums")
         payload = {"weights": weights, "breakpoints": tuple(pts)}
         return cls(GroundSet(len(weights)), "concave-of-modular", payload,
                    lambda: piecewise_linear_array(pts, subset_sums(weights)))

@@ -16,7 +16,7 @@ LAYERS = {"table build", "from_table", "is_submodular", "is_increasing",
           "canonical_decomposition", "ls_decomposition", "conjugate", "choquet",
           "choquet_batch", "phi(mask)", "uncross+certify",
           "uniform_continuity_modulus", "lln_run", "choquet_interval",
-          "choquet_interval_by_levels", "ae_gap",
+          "choquet_interval_by_levels", "ae_gap", "concave_of_modular", "concave_of_measure",
           "extend_ui", "extend_ls", "host kernel"}
 
 

@@ -1,9 +1,13 @@
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choqkit import (SetFunction, choquet, conjugate, level_chain,
+from choqkit import (SetFunction, choquet, cli, conjugate, setfunction_to_json,
                      total_variation)
 from choqkit.randgen import random_table_setfunction
 
@@ -16,30 +20,34 @@ def indicator(n, mask):
     return np.asarray(mask >> np.arange(n) & 1, dtype=np.float64)
 
 
+def chain_rows(f):
+    """(threshold, mask) of each level-chain row `choquet-eval --chain` prints for f."""
+    phi = json.dumps(setfunction_to_json(SetFunction.modular([1.0] * len(f))))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["--format", "json", "choquet-eval", phi,
+                         "--function", json.dumps([float(v) for v in f]), "--chain"]) == 0
+    return [(row["threshold"], row["mask"]) for row in json.loads(out.getvalue())["chain"]]
+
+
 class TestLevelChain:
     def test_example_three_values(self):
-        chain = level_chain((0.5, 1.0, 0.0))
-        assert chain.thresholds == (1.0, 0.5, 0.0)
-        assert chain.sets == (0b010, 0b011, 0b111)
+        assert chain_rows((0.5, 1.0, 0.0)) == [(1.0, 0b010), (0.5, 0b011), (0.0, 0b111)]
 
     def test_constant(self):
-        chain = level_chain((2.0, 2.0, 2.0))
-        assert chain.thresholds == (2.0,)
-        assert chain.sets == (0b111,)
+        assert chain_rows((2.0, 2.0, 2.0)) == [(2.0, 0b111)]
 
     def test_indicator(self):
-        chain = level_chain(indicator(3, 0b101))
-        assert chain.thresholds == (1.0, 0.0)
-        assert chain.sets[0] == 0b101
+        assert chain_rows(indicator(3, 0b101)) == [(1.0, 0b101), (0.0, 0b111)]
 
     def test_reconstruction(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 7))
             f = tuple(rng.uniform(0.0, 2.0, size=n))
-            chain = level_chain(f)
-            thr = list(chain.thresholds) + [0.0]
+            rows = chain_rows(f)
+            thr = [t for t, _ in rows] + [0.0]
             rebuilt = [0.0] * n
-            for t, nxt, mask in zip(thr, thr[1:], chain.sets):
+            for t, nxt, (_, mask) in zip(thr, thr[1:], rows):
                 for x in range(n):
                     if mask >> x & 1:
                         rebuilt[x] += t - nxt

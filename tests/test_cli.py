@@ -50,6 +50,35 @@ class TestChoquetEval:
         ]
 
 
+ONE_ELEMENT = json.dumps({"n": 1, "kind": "modular", "payload": {"weights": [2.0]}})
+
+
+class TestChoquetEvalChain:
+    """The level-chain rows of `choquet-eval --chain`, byte for byte."""
+
+    @pytest.mark.parametrize("phi, f, csv, value", [
+        (PATH_CUT, "[1, 0.5, 1]",  # a tie: one row for both 1s
+         ["1.0,5,2.0,1.0", "0.5,7,0.0,0.0"], "1.0"),
+        (PATH_CUT, "[0.0, 0.5, -0.0]",  # 0.0 and -0.0 tie; the first one's sign stays
+         ["0.5,2,2.0,1.0", "0.0,7,0.0,0.0"], "1.0"),
+        (PATH_CUT, "[-0.0, 0.5, 0.0]",
+         ["0.5,2,2.0,1.0", "-0.0,7,0.0,-0.0"], "1.0"),
+        (PATH_CUT, "[-1, 0.5, -2]",  # the rows are f's own levels, unshifted
+         ["0.5,2,2.0,3.0", "-1.0,3,1.0,1.0", "-2.0,7,0.0,-0.0"], "4.0"),
+        (ONE_ELEMENT, "[-3]", ["-3.0,1,2.0,-6.0"], "-6.0"),
+    ], ids=["ties", "zero-then-minus-zero", "minus-zero-then-zero", "negative", "n=1"])
+    def test_rows_are_pinned(self, capsys, phi, f, csv, value):
+        argv = ["choquet-eval", phi, "--function", f, "--chain"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "threshold,mask,phi,contribution", *csv, f"choquet value: {value}"]
+        assert cli.main(["--format", "json", *argv]) == 0
+        # JSON writes each float as the CSV's repr does
+        chain = ", ".join('{"threshold": %s, "mask": %s, "phi": %s, "contribution": %s}'
+                          % tuple(row.split(",")) for row in csv)
+        assert capsys.readouterr().out == f'{{"value": {value}, "chain": [{chain}]}}\n'
+
+
 class TestVariationAndDecompose:
     def test_variation(self):
         result = run_cli("--format", "json", "variation", PATH_CUT)
@@ -364,7 +393,9 @@ class TestUncrossBudget:
         assert cli.main(["uncross", self.FAMILY]) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"uncross stopped after {steps - 1} steps" in err
+        assert err == (f"precondition violation: uncross stopped after {steps - 1} steps: "
+                       f"one more needs about {size} bytes, over its budget of "
+                       f"{size - 1} bytes\n")
 
     def test_a_chain_runs_whatever_its_multiplicities(self, monkeypatch, capsys):
         monkeypatch.setattr(uncrossing, "_UNCROSS_BUDGET", 0)
@@ -456,19 +487,19 @@ OVERFLOWING_TABLE = json.dumps({"n": 2, "kind": "table",
 class TestNonFiniteResults:
     """Finite input whose result overflows float64 exits 2, as non-finite input does."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("form", ["human", "json"])
-    @pytest.mark.parametrize("argv", [
-        ["choquet-eval", '{"n": 2, "kind": "modular", "payload": {"weights": [1, 1]}}',
-         "--function", "[1e308, -1e308]"],
-        ["variation", OVERFLOWING_TABLE],
-        ["decompose", OVERFLOWING_TABLE],
-        ["interval-choquet", json.dumps({
+    @pytest.mark.parametrize("argv, result", [
+        (["choquet-eval", '{"n": 2, "kind": "modular", "payload": {"weights": [1, 1]}}',
+          "--function", "[1e308, -1e308]"], "nan"),
+        (["variation", OVERFLOWING_TABLE], "inf"),
+        (["decompose", OVERFLOWING_TABLE], "inf"),
+        (["interval-choquet", json.dumps({
             "phi": {"kind": "point-mass", "location": 0.7, "mass": 1.0},
-            "f": {"breakpoints": [0, 0.5, 1], "values": [1e308, -1e308]}})],
+            "f": {"breakpoints": [0, 0.5, 1], "values": [1e308, -1e308]}})], "nan"),
     ], ids=["choquet-eval", "variation", "decompose", "interval-choquet"])
-    def test_exits_2(self, capsys, form, argv):
+    def test_exits_2(self, capsys, form, argv, result):
+        # no mark lets a RuntimeWarning pass: tier-1 turns one into an error,
+        # and stderr must hold the refusal alone
         assert cli.main(["--format", form, *argv]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("malformed input: non-finite result")
+        assert capsys.readouterr() == (
+            "", f"malformed input: non-finite result {result}: float64 overflowed\n")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from choqkit import (FlaggedSet, IntervalSet, IntervalSetFunction, StepFunction,
                      ae_gap, choquet_interval, extend_ls, extend_ui, intervals,
-                     oracles)
+                     oracles, setfunctions)
 from choqkit.intervals import _Superlevels
 from choqkit.randgen import random_interval_setfunction, random_step_function
 
@@ -219,6 +219,22 @@ class TestMalformedInput:
             IntervalSetFunction.concave_of_measure(g, ((0.0, 1.0), (1e308,)))
         phi = IntervalSetFunction.concave_of_measure(g, ((0.0, 1.0), (1.0,)))
         assert phi(IntervalSet.full()) == 1e308
+
+    def test_g_overflowing_inside_a_segment(self):
+        # [0, 1) has weighted measure 5; g's arithmetic passes float64 inside
+        # its first segment, [0, 4], which concave-of-modular reaches only
+        # at its first evaluation (tests/test_setfunctions.py)
+        g = [(0, 0), (4, 1e308), (8, 1.2e308)]
+        with pytest.raises(ValueError, match="^g overflows float64 on the weighted measures$"):
+            IntervalSetFunction.concave_of_measure(g, ((0.0, 1.0), (5.0,)))
+
+    def test_numbers_are_checked_finite_once(self, monkeypatch):
+        # _concave_validate and _step_parts check every number; no array pass repeats it
+        calls = []
+        monkeypatch.setattr(setfunctions, "_require_finite",
+                            lambda values, what: calls.append(what) or values)
+        IntervalSetFunction.concave_of_measure(SQRT_LIKE, ((0.0, 0.5, 1.0), (1.0, 2.0)))
+        assert calls == []
 
     @pytest.mark.parametrize("bps", [(0.0, 0.7, 0.3, 1.0), (0.0, 0.5, 0.5, 1.0)])
     def test_density_breakpoints_not_increasing(self, bps):

@@ -1,10 +1,13 @@
 import importlib
 import inspect
 import json
+import math
 import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import choqkit
 from choqkit import cli, fubini, setfunctions, uncrossing
@@ -93,6 +96,63 @@ class TestSizeLimitError:
             "over its budget of 0 bytes",
             "uncross stopped after 0 steps: one more needs about 200 bytes, "
             "over its budget of 0 bytes"]
+
+
+# g's first segment rises to 1e308 over [0, 4], so its arithmetic passes float64
+# there ((v1 - v0) * t > 1.8e308 for t > 1.8) though every value of g is finite
+WIDE_FIRST_SEGMENT = [(0, 0), (4, 1e308), (8, 1.2e308)]
+
+# knot abscissae and slopes, with the extremes of float64 drawn often
+_EXTREMES = [5e-324, 1e-300, 0.5, 1.0, 2.0, 1e308, 1.7976931348623157e308]
+_positive = st.one_of(st.sampled_from(_EXTREMES), st.floats(5e-324, 1.7976931348623157e308))
+_slope = st.one_of(_positive, _positive.map(lambda x: -x), st.just(0.0))
+
+
+@st.composite
+def concave_g(draw):
+    """The knots of a concave piecewise-linear g with g(0) = 0, up to four segments."""
+    ts = sorted(draw(st.sets(_positive, max_size=4)))
+    slopes = sorted(draw(st.lists(_slope, min_size=len(ts), max_size=len(ts))),
+                    reverse=True)
+    pts, (t0, v0) = [(0.0, 0.0)], (0.0, 0.0)
+    for t, slope in zip(ts, slopes):
+        t0, v0 = t, v0 + slope * (t - t0)
+        pts.append((t0, v0))
+    try:
+        return setfunctions._concave_validate(pts)
+    except ValueError:  # a value passed float64, or rounding broke concavity
+        assume(False)
+
+
+class TestConcaveGuard:
+    @settings(max_examples=300, deadline=None)
+    @given(concave_g(), st.data())
+    def test_refuses_exactly_where_the_table_route_is_not_finite(self, pts, data):
+        # g's own knots, where the segment choice flips, are drawn often
+        special = st.sampled_from([0.0, *_EXTREMES, math.inf, *(t for t, _ in pts)])
+        points = data.draw(st.lists(st.one_of(special, st.floats(0.0, allow_nan=False)),
+                                    min_size=1, max_size=6))
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(setfunctions.piecewise_linear_array(pts, np.array(points)))
+        try:
+            setfunctions._require_finite_g(pts, points, "the points")
+        except ValueError as error:
+            assert str(error) == "g overflows float64 on the points"
+            assert not finite.all()
+        else:
+            assert finite.all()
+
+    def test_concave_of_modular_checks_the_sum_only(self):
+        # at the sum 4, the first segment's end, the arithmetic passes float64;
+        # at the sum 5, in the second segment, it does not
+        with pytest.raises(ValueError, match="^g overflows float64 on the subset sums$"):
+            SetFunction.concave_of_modular([2.0, 2.0], WIDE_FIRST_SEGMENT)
+        phi = SetFunction.concave_of_modular([2.0, 3.0], WIDE_FIRST_SEGMENT)
+        # the subset sums 2 and 3 lie inside the first segment: the first
+        # evaluation builds the table and refuses it
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="setfunction values must be finite"):
+            phi(0b11)
 
 
 class TestPredicates:
