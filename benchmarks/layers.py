@@ -105,7 +105,7 @@ def one_pass(profile) -> list:
     import numpy as np
 
     from choqkit import oracles, randgen, selftest, variation
-    from choqkit.choquet import choquet, choquet_batch
+    from choqkit.choquet import choquet, choquet_batch, choquet_stack
     from choqkit.fubini import lln_run, uniform_continuity_modulus
     from choqkit.intervals import (FlaggedSet, IntervalSet, IntervalSetFunction,
                                    StepFunction, ae_gap, choquet_interval, extend_ls,
@@ -180,6 +180,20 @@ def one_pass(profile) -> list:
 
         row("uncross+certify", f"cut n={n} entries={len(family.entries)}",
             uncross_and_certify, steps=len(uncross_and_certify().steps))
+    # stacked kernels beside as many one-table calls, at n = 6
+    tables = [randgen.random_table_setfunction(np.random.default_rng(70 + p), 6)
+              for p in range(1000)]
+    stack = np.stack([phi.values for phi in tables])
+    F = np.random.default_rng(80).uniform(-1.0, 1.0, size=(9000, 6))
+    which = np.repeat(np.arange(1000), 9)
+    row("total_variation stacked", "P=250 n=6",
+        lambda: variation.total_variation_stack(stack[:250]))
+    row("total_variation warm", "250 tables n=6",
+        lambda: [variation.total_variation(phi) for phi in tables[:250]])
+    row("choquet_batch stacked", "1000 tables x 9 rows n=6",
+        lambda: choquet_stack(stack, F, which))
+    row("choquet_batch", "1000 tables x 9 rows n=6",
+        lambda: [choquet_batch(phi, F[9 * p:9 * p + 9]) for p, phi in enumerate(tables)])
     for n in profile.continuity_sizes:
         phi = randgen.random_cut(np.random.default_rng(40 + n), n)
         pi = np.random.default_rng(50 + n).uniform(0.1, 1.0, n).tolist()

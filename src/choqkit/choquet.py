@@ -8,8 +8,9 @@ whatphi(f) = whatphi(f + c) - c * phi(J) for any c >= sup|f|.
 
 Both routes read phi from its value table `phi.values`: `choquet` for
 one vector, entry by entry as Python floats along its level chain, and
-`choquet_batch` for the rows of a matrix, by one gather for all rows.
-Both add the same terms in the same order.
+`choquet_stack` for the rows of a matrix, each against its own table in
+a stack of tables, by one gather for all rows (`choquet_batch` is its
+one-table case).  Both add the same terms in the same order.
 """
 
 from __future__ import annotations
@@ -60,35 +61,47 @@ def choquet(phi: SetFunction, f, shift: Optional[float] = None) -> float:
 
 
 def choquet_batch(phi: SetFunction, F) -> np.ndarray:
-    """whatphi of every row of a (B, n) matrix F, as a float64 array.
+    """whatphi of every row of a (B, n) matrix F, as a float64 array: the
+    one-table case of `choquet_stack`.  F may have any memory layout; for
+    a single vector `choquet` is cheaper."""
+    return choquet_stack(phi.values, F, None)
+
+
+def choquet_stack(tables: np.ndarray, F, which) -> np.ndarray:
+    """The Choquet value of each row F[b] under the setfunction whose value
+    table is tables[which[b]], for a (P, 2^n) stack of tables, a (B, n)
+    matrix F and B table indices (or one for every row), as a float64
+    array; one (2^n,) table serves every row, and `which` is unused.
 
     Lovasz's sorting formula, batched: each raw row is sorted in
     decreasing order (stable), as `choquet` sorts it, so its first and
     last entries give the same shift c as in `choquet`; the sorted row
     is then shifted, and its level masks are the running sums of
-    1 << order.  One gather from `phi.values` gives phi on every level
-    set.  The terms are added in `choquet`'s order, so each row gets the
-    same float as a scalar call.  Ties, including those the shift
-    creates, give zero-width terms.  F may have any memory layout; for a
-    single vector `choquet` is cheaper.
+    1 << order, started from the row's table offset which[b] * 2^n.  One
+    gather from the flat stack gives phi on every level set, J last.
+    The terms are added in `choquet`'s order, so each row gets the same
+    float as a scalar call.  Ties, including those the shift creates,
+    give zero-width terms.
 
     After the sort the work runs column-major: the order, levels, masks
     and terms are (n, B) arrays whose rows are contiguous over the
     batch, so each step is one operation on a row of length B.
     """
+    n = tables.shape[-1].bit_length() - 1
     F = np.ascontiguousarray(F, dtype=np.float64)  # for the flat gather
-    if F.ndim != 2 or F.shape[1] != phi.n:
+    if F.ndim != 2 or F.shape[1] != n:
         raise PreconditionError(
-            f"expected a (B, {phi.n}) matrix, got shape {F.shape}")
+            f"expected a (B, {n}) matrix, got shape {F.shape}")
     _require_finite(F, "function values")
-    vals = phi.values
     order = np.argsort(-F, axis=1, kind="stable").T.copy()  # (n, B)
     masks = np.left_shift(1, order)
-    for j in range(1, phi.n):
+    if tables.ndim == 2:  # the running sums carry each row's table offset
+        masks[0] += which << n
+    for j in range(1, n):
         masks[j] += masks[j - 1]
-    heights = vals[masks]
+    heights = tables.take(masks)
     # flat positions in F's C order: order[j, b] lies in row b
-    order += np.arange(0, F.size, phi.n)
+    order += np.arange(0, F.size, n)
     levels = np.take(F, order)
     # sup|f| = max(f_max, -f_min) where f_min < 0, as in `choquet`
     c = np.where(levels[-1] < 0.0, np.maximum(levels[0], -levels[-1]), 0.0)
@@ -99,4 +112,4 @@ def choquet_batch(phi: SetFunction, F) -> np.ndarray:
     total = np.zeros(len(F))
     for term in terms:
         total += term
-    return total - c * vals[-1]
+    return total - c * heights[-1]

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .choquet import choquet_batch
+from .choquet import choquet_batch, choquet_stack
 from .setfunctions import (TOL, PreconditionError, SetFunction, _finite, _finite_array,
                            _size_limit_error, require_submodular, subset_sums)
 from .variation import total_variation
@@ -92,14 +92,32 @@ class LopsidedResult:
         return cls(lhs, rhs, rhs - lhs, rhs - lhs >= -tol, rows)
 
 
-def lopsided_check(inst: FubiniInstance, tol: float = TOL) -> LopsidedResult:
-    """whatphi(g) versus the lambda-average of whatphi over the rows, from
-    one `choquet_batch` call on the stacked matrix [g; F]."""
-    values = choquet_batch(inst.phi, np.vstack([marginal_g(inst), inst.F]))
+def _lopsided_result(inst: FubiniInstance, values: np.ndarray,
+                     tol: float) -> LopsidedResult:
+    """The result from whatphi of the rows of [g; F], made read-only; rhs
+    is summed left to right in Python floats."""
     values.flags.writeable = False
     rows = values[1:]
     rhs = sum(w * value for w, value in zip(inst.lam.tolist(), rows.tolist()))
     return LopsidedResult.of(float(values[0]), rhs, tol, rows)
+
+
+def lopsided_check(inst: FubiniInstance, tol: float = TOL) -> LopsidedResult:
+    """whatphi(g) versus the lambda-average of whatphi over the rows, from
+    one `choquet_batch` call on the stacked matrix [g; F]."""
+    values = choquet_batch(inst.phi, np.vstack([marginal_g(inst), inst.F]))
+    return _lopsided_result(inst, values, tol)
+
+
+def lopsided_check_stack(instances, tol: float = TOL) -> list:
+    """`lopsided_check` of each instance, all on one ground-set size, from
+    one `choquet_stack` call on their matrices [g; F] stacked."""
+    blocks = [np.vstack([marginal_g(inst), inst.F]) for inst in instances]
+    sizes = [len(block) for block in blocks]
+    values = choquet_stack(np.stack([inst.phi.values for inst in instances]),
+                           np.vstack(blocks), np.repeat(np.arange(len(blocks)), sizes))
+    return [_lopsided_result(inst, part, tol)
+            for inst, part in zip(instances, np.split(values, np.cumsum(sizes)[:-1]))]
 
 
 class LlnRecord(NamedTuple):

@@ -1,8 +1,12 @@
 """End-to-end invariant suite over generated instances.
 
 Each criterion draws its own seeded instances, so a run is fully
-reproducible from the base seed.  The CLI `selftest` subcommand and
-the acceptance tests both call into this module.
+reproducible from the base seed.  Criteria 2, 3, 4 and 7 draw all their
+instances first, then run each stacked kernel (`choquet_stack`, the
+chain DP's `*_stack`) once per ground-set size, and then check the
+instances in draw order, so a failure names the first failing draw.
+The CLI `selftest` subcommand and the acceptance tests both call into
+this module.
 """
 
 from __future__ import annotations
@@ -13,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles, randgen
-from .choquet import choquet, choquet_batch
-from .fubini import lln_run, lopsided_check
+from .choquet import choquet, choquet_batch, choquet_stack
+from .fubini import lln_run, lopsided_check_stack
 from .intervals import ae_gap, choquet_interval
-from .setfunctions import TOL, SetFunction, conjugate, is_submodular
+from .setfunctions import TOL, conjugate, is_submodular
 from .uncrossing import certify_chain_equality, family_sum, uncross
-from .variation import (canonical_decomposition, submodular_variation_closed_form,
-                        total_variation)
+from .variation import (canonical_decomposition_stack, submodular_variation_closed_form,
+                        total_variation_stack)
 
 
 @dataclass
@@ -49,6 +53,19 @@ def _require(ok, message="check failed"):
     if not ok.all():
         raise AssertionError(message(int(ok.argmin())) if callable(message)
                              else message)
+
+
+def _by_size(items, size, compute) -> list:
+    """compute(group) for the items of each size, one call per size on that
+    size's items in order; its results, one per item, in the items' order."""
+    groups = {}
+    for i, item in enumerate(items):
+        groups.setdefault(size(item), []).append(i)
+    results = [None] * len(items)
+    for members in groups.values():
+        for i, result in zip(members, compute([items[i] for i in members])):
+            results[i] = result
+    return results
 
 
 def _criterion(index: int, name: str):
@@ -112,24 +129,27 @@ def criterion_1(rng, seed) -> str:
 @_criterion(2, "variation closed form")
 def criterion_2(rng, seed) -> str:
     """Variation DP vs the submodular closed form and the O(3^n) oracle."""
+    submodular = [randgen.random_submodular_setfunction(
+        rng, int(rng.integers(3, 11)), families=("cut", "coverage", "concave-of-modular"))
+        for _ in range(200)]
+    # the all-predecessor agreement also on sign-mixed tables
+    mixed = [randgen.random_table_setfunction(rng, int(rng.integers(3, 7)))
+             for _ in range(50)]
+
+    def variations(group):
+        return total_variation_stack(np.stack([phi.values for phi in group])).tolist()
+
+    dps = _by_size(submodular + mixed, lambda phi: phi.n, variations)
     oracle_checked = 0
-    for _ in range(200):
-        n = int(rng.integers(3, 11))
-        phi = randgen.random_submodular_setfunction(
-            rng, n, families=("cut", "coverage", "concave-of-modular"))
-        dp = total_variation(phi)
+    for phi, dp in zip(submodular, dps):
         closed = submodular_variation_closed_form(phi)
         _require(abs(dp - closed) <= TOL, f"DP {dp} != closed form {closed}")
-        if n <= 6:
+        if phi.n <= 6:
             _require(abs(dp - oracles.variation_all_predecessors(phi)) <= TOL,
                      "DP disagrees with the all-predecessor oracle")
             oracle_checked += 1
-    # the all-predecessor agreement also on sign-mixed tables
-    for _ in range(50):
-        n = int(rng.integers(3, 7))
-        phi = randgen.random_table_setfunction(rng, n)
-        _require(abs(total_variation(phi)
-                     - oracles.variation_all_predecessors(phi)) <= TOL,
+    for phi, dp in zip(mixed, dps[len(submodular):]):
+        _require(abs(dp - oracles.variation_all_predecessors(phi)) <= TOL,
                  "DP disagrees with the all-predecessor oracle")
         oracle_checked += 1
     return f"200 closed-form checks, {oracle_checked} oracle checks"
@@ -138,10 +158,27 @@ def criterion_2(rng, seed) -> str:
 @_criterion(3, "canonical decomposition")
 def criterion_3(rng, seed) -> str:
     """Canonical decomposition invariants and the two-route extension value."""
+    draws = []
     for _ in range(200):
         n = int(rng.integers(3, 8))
         phi = randgen.random_table_setfunction(rng, n)
-        dec = canonical_decomposition(phi)
+        draws.append((phi, rng.uniform(-1.0, 1.0, size=(50, n))))
+
+    def decompose(group):
+        # per draw: the decomposition, whatphi of its 50 functions and whatmu - whatnu;
+        # one call per kind of table keeps each batch, and its temporaries, small
+        decs = canonical_decomposition_stack(np.stack([phi.values for phi, _ in group]))
+        F = np.vstack([fs for _, fs in group])
+        which = np.repeat(np.arange(len(group)), 50)
+        direct, at_mu, at_nu = (
+            choquet_stack(np.stack(tables), F, which).reshape(-1, 50)
+            for tables in ([phi.values for phi, _ in group], [dec.mu for dec in decs],
+                           [dec.nu for dec in decs]))
+        return zip(decs, direct, at_mu - at_nu)
+
+    for (phi, _), (dec, direct, split) in zip(
+            draws, _by_size(draws, lambda draw: draw[0].n, decompose)):
+        n = phi.n
         _require(np.abs(dec.mu - dec.nu - phi.values) <= TOL, "mu - nu != phi")
         _require(dec.mu <= dec.variation + TOL, "mu exceeds K(phi)")
         _require(dec.nu <= dec.variation + TOL, "nu exceeds K(phi)")
@@ -150,10 +187,6 @@ def criterion_3(rng, seed) -> str:
             low = masks[masks >> x & 1 == 0]
             _require(dec.mu[low] <= dec.mu[low | 1 << x] + TOL, "mu not increasing")
             _require(dec.nu[low] <= dec.nu[low | 1 << x] + TOL, "nu not increasing")
-        fs = rng.uniform(-1.0, 1.0, size=(50, n))
-        direct = choquet_batch(phi, fs)
-        split = (choquet_batch(SetFunction.from_table(dec.mu), fs)
-                 - choquet_batch(SetFunction.from_table(dec.nu), fs))
         _require(np.abs(direct - split) <= TOL, lambda i: (
             f"decomposition route disagrees: {direct[i]} vs {split[i]}"))
     return "200 decompositions, 50 functions each"
@@ -162,6 +195,7 @@ def criterion_3(rng, seed) -> str:
 @_criterion(4, "extension identities")
 def criterion_4(rng, seed) -> str:
     """Homogeneity, translation, reflection, linearity, shift, Lipschitz."""
+    draws = []
     for _ in range(1000):
         n = int(rng.integers(3, 7))
         phi = randgen.random_table_setfunction(rng, n)
@@ -169,24 +203,36 @@ def criterion_4(rng, seed) -> str:
         f, g = rng.uniform(-1.0, 1.0, size=(2, n))
         a = float(rng.uniform(-2.0, 2.0))
         c = float(rng.uniform(0.1, 3.0))
+        draws.append((phi, psi, f, g, a, c))
+
+    def evaluate(group):
+        # per draw, whatphi at f, c f, f + a, -f and g; phi* at f; a phi + c psi
+        # at f; psi at f: tables 4d .. 4d + 3 are phi, phi*, a phi + c psi, psi
+        tables = np.stack([table for phi, psi, f, g, a, c in group for table in (
+            phi.values, conjugate(phi).values, a * phi.values + c * psi.values,
+            psi.values)])
+        F = np.stack([row for phi, psi, f, g, a, c in group
+                      for row in (f, c * f, f + a, -f, f, f, f, g)])
+        which = (np.arange(0, len(tables), 4)[:, None] + [0, 0, 0, 0, 1, 2, 3, 0]).ravel()
+        values = choquet_stack(tables, F, which).reshape(-1, 8).tolist()
+        return zip(values, total_variation_stack(tables[::4]).tolist())
+
+    for (phi, psi, f, g, a, c), (values, variation) in zip(
+            draws, _by_size(draws, lambda draw: draw[0].n, evaluate)):
+        base, scaled, translated, reflected, conjugated, combined, at_psi, at_g = values
         full = phi.ground.full_mask
-        base = choquet(phi, f)
-        _require(abs(choquet(phi, c * f) - c * base) <= TOL,
-                 "positive homogeneity failed")
-        _require(abs(choquet(phi, f + a) - (base + a * phi(full))) <= TOL,
+        _require(abs(scaled - c * base) <= TOL, "positive homogeneity failed")
+        _require(abs(translated - (base + a * phi(full))) <= TOL,
                  "translation identity failed")
-        _require(abs(choquet(phi, -f) + choquet(conjugate(phi), f)) <= TOL,
+        _require(abs(reflected + conjugated) <= TOL,
                  "reflection through the conjugate failed")
-        combo = SetFunction.from_table(a * phi.values + c * psi.values)
-        _require(abs(choquet(combo, f)
-                     - (a * base + c * choquet(psi, f))) <= TOL,
+        _require(abs(combined - (a * base + c * at_psi)) <= TOL,
                  "linearity in phi failed")
         norm = float(np.max(np.abs(f)))
         shifted = choquet(phi, f, shift=norm + c)
         _require(abs(shifted - base) <= TOL, "shift parameter leaked")
-        lip = 2.0 * total_variation(phi) * float(np.max(np.abs(f - g)))
-        _require(abs(base - choquet(phi, g)) <= lip + TOL,
-                 "Lipschitz bound failed")
+        lip = 2.0 * variation * float(np.max(np.abs(f - g)))
+        _require(abs(base - at_g) <= lip + TOL, "Lipschitz bound failed")
     return "1000 draws, six identities each"
 
 
@@ -248,11 +294,15 @@ def criterion_6(rng, seed) -> str:
 @_criterion(7, "lopsided Fubini")
 def criterion_7(rng, seed) -> str:
     """Lopsided Fubini: exact inequality plus Monte Carlo traces."""
-    for _ in range(1000):
+    def draw():
         m = int(rng.integers(2, 9))
         n = int(rng.integers(2, 9))
-        inst = randgen.random_fubini_instance(rng, m, n)
-        result = lopsided_check(inst)
+        return randgen.random_fubini_instance(rng, m, n)
+
+    # the instances are freed before the traces run; only the results stay
+    exact = _by_size([draw() for _ in range(1000)], lambda inst: inst.n,
+                     lopsided_check_stack)
+    for result in exact:
         _require(result.slack >= -TOL,
                  lambda _: f"lopsided inequality violated: {result}")
     gaps = []

@@ -319,8 +319,16 @@ class SetFunction:
         # overflows only below the sum is refused when the table is built
         _require_finite_g(pts, [sum(weights)], "the subset sums")
         payload = {"weights": weights, "breakpoints": tuple(pts)}
-        return cls(GroundSet(len(weights)), "concave-of-modular", payload,
-                   lambda: piecewise_linear_array(pts, subset_sums(weights)))
+
+        def build():
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = piecewise_linear_array(pts, subset_sums(weights))
+            if np.count_nonzero(np.isfinite(values)) != values.size:
+                raise ValueError("concave-of-modular setfunction values must be finite: "
+                                 "g overflows float64 on a subset sum below the total")
+            return values
+
+        return cls(GroundSet(len(weights)), "concave-of-modular", payload, build)
 
     # ---- evaluation --------------------------------------------------
 

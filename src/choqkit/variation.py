@@ -74,36 +74,42 @@ _small_plans = lru_cache(maxsize=None)(_build_plan)
 _large_plans = lru_cache(maxsize=4)(_build_plan)
 _plan.cache_clear = lambda: (_small_plans.cache_clear(), _large_plans.cache_clear())
 
-_GATHER = 1 << 14  # parent entries gathered at once; bounds the DP's temporaries
+_GATHER = 1 << 14  # parent entries times tables per gather; bounds the DP's temporaries
 
 
-def _positive_variation(vals: np.ndarray) -> tuple:
-    """mu and nu = mu - phi in popcount order, as the columns of a
-    (2^n, 2) table, with each mask's row in it (`rank`): J's row is the
-    last, and `np.take(table, rank, axis=0)` is mask order.
+def _positive_variation(tables: np.ndarray) -> tuple:
+    """mu and nu = mu - phi in popcount order for one value table of shape
+    (2^n,) or a stack of P of them, shape (P, 2^n), as a (2^n, 2) or
+    (2^n, 2, P) array: [S, 0] is mu(S) and [S, 1] is nu(S), of each table.
+    Also each mask's place in that order (`rank`): J's is the last, and
+    `np.take(table, rank, axis=0)` is mask order.
 
     mu[S] = max_{x in S} mu[S - x] + (phi(S) - phi(S - x))_+ with
     mu[0] = 0, and each candidate is max(phi(S) + nu[S - x], mu[S - x]);
     so per popcount layer the DP gathers the previous layer's (mu, nu)
-    rows, in blocks of at most _GATHER parents, takes one maximum over
-    the k parents into the layer's rows and finishes mu and nu there.
+    rows, all tables' at once, in blocks of at most _GATHER parent
+    entries over all tables, takes one maximum over the k parents into
+    the layer's rows and finishes mu and nu there.  Each table gets the
+    same operations in the same order, whether it is stacked or not.
     """
-    order, rank, plan = _plan(vals.size.bit_length() - 1)
-    phi = vals.take(order)
-    table = np.empty((vals.size, 2))  # (mu, nu) in popcount order
-    table[0] = 0.0, 0.0 - phi[0]
+    order, rank, plan = _plan(tables.shape[-1].bit_length() - 1)
+    count = tables.size // order.size  # tables in the stack
+    phi = tables.T.take(order, axis=0)  # (2^n,) or (2^n, P)
+    table = np.empty((order.size, 2) + tables.shape[:-1])
+    table[0, 0] = 0.0
+    table[0, 1] = 0.0 - phi[0]
     previous = table[:1]
     for layer, parents in plan:
         best = table[layer]  # the parents' best (mu, nu), then the layer's own
-        if parents.size <= _GATHER:
+        if parents.size * count <= _GATHER:
             np.maximum.reduce(previous.take(parents, axis=0), axis=0, out=best)
         else:
-            step = max(1, _GATHER // len(parents))
+            step = max(1, _GATHER // (len(parents) * count))
             for first in range(0, parents.shape[1], step):
                 block = slice(first, first + step)
                 np.maximum.reduce(previous.take(parents[:, block], axis=0), axis=0,
                                   out=best[block])
-        mu, nu = best.T
+        mu, nu = best[:, 0], best[:, 1]
         phi_layer = phi[layer]
         np.add(phi_layer, nu, out=nu)
         np.maximum(nu, mu, out=mu)  # max(phi + best nu, best mu)
@@ -112,11 +118,16 @@ def _positive_variation(vals: np.ndarray) -> tuple:
     return table, rank
 
 
+def total_variation_stack(tables: np.ndarray) -> np.ndarray:
+    """K of each table in a (P, 2^n) stack of value tables, from one chain
+    DP; for one (2^n,) table, a 0-d array."""
+    table, _ = _positive_variation(tables)
+    return 2.0 * table[-1, 0] - tables[..., -1]
+
+
 def total_variation(phi: SetFunction) -> float:
     """K(phi): largest sum of |increments| over chains from empty to J."""
-    vals = phi.values
-    table, _ = _positive_variation(vals)
-    return float(2.0 * table[-1, 0] - vals[-1])
+    return float(total_variation_stack(phi.values))
 
 
 def _variation_and_chain(phi: SetFunction) -> tuple:
@@ -157,13 +168,27 @@ class DecompositionResult:
     variation: float
 
 
+def _decomposition(tables: np.ndarray) -> tuple:
+    """mu and nu in mask order, read-only, as a (2, 2^n) array for one
+    table or a (P, 2, 2^n) array for a stack, and K of each table."""
+    table, rank = _positive_variation(tables)
+    parts = np.take(table, rank, axis=0).T
+    parts.flags.writeable = False
+    return parts, 2.0 * parts[..., 0, -1] - tables[..., -1]
+
+
+def canonical_decomposition_stack(tables: np.ndarray) -> list:
+    """`canonical_decomposition` of each table in a (P, 2^n) stack of value
+    tables, from one chain DP."""
+    parts, variations = _decomposition(tables)
+    return [DecompositionResult(mu, nu, k)
+            for (mu, nu), k in zip(parts, variations.tolist())]
+
+
 def canonical_decomposition(phi: SetFunction) -> DecompositionResult:
     """Chain-wise positive/negative increment suprema ending exactly at S."""
-    vals = phi.values
-    table, rank = _positive_variation(vals)
-    mu, nu = np.take(table, rank, axis=0).T  # mask order
-    mu.flags.writeable = nu.flags.writeable = False
-    return DecompositionResult(mu, nu, float(2.0 * mu[-1] - vals[-1]))
+    (mu, nu), variation = _decomposition(phi.values)
+    return DecompositionResult(mu, nu, float(variation))
 
 
 def check_ls_parts(psi, remainder, tol: float = TOL) -> None:

@@ -12,9 +12,10 @@ spec.loader.exec_module(layers)
 
 
 LAYERS = {"table build", "from_table", "is_submodular", "is_increasing",
-          "total_variation cold", "total_variation warm", "max_variation_chain",
+          "total_variation cold", "total_variation warm", "total_variation stacked",
+          "max_variation_chain",
           "canonical_decomposition", "ls_decomposition", "conjugate", "choquet",
-          "choquet_batch", "phi(mask)", "uncross+certify",
+          "choquet_batch", "choquet_batch stacked", "phi(mask)", "uncross+certify",
           "uniform_continuity_modulus", "lln_run", "choquet_interval",
           "choquet_interval_by_levels", "ae_gap", "concave_of_modular", "concave_of_measure",
           "extend_ui", "extend_ls", "host kernel"}

@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 from choqkit import (FubiniInstance, IntervalSet, IntervalSetFunction, PreconditionError,
                      SetFunction, StepFunction, ae_gap, canonical_decomposition,
                      choquet, choquet_batch, choquet_interval, is_increasing,
-                     is_modular, is_submodular, lln_run, ls_decomposition,
+                     is_modular, is_submodular, lln_run, lopsided_check, ls_decomposition,
                      max_variation_chain, total_variation,
                      uniform_continuity_modulus)
 from choqkit import cli, fubini, intervals, oracles, variation
+from choqkit.choquet import choquet_stack
 from choqkit.fubini import LlnRecord
 from choqkit.randgen import (random_concave_of_modular, random_coverage,
                              random_cut, random_fubini_instance,
@@ -433,6 +434,71 @@ class TestChoquetBatch:
             choquet_batch(path_cut, np.zeros(shape))
 
 
+# table entries and function values with ties and both signs of zero
+TIED = [-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]
+
+
+def _stack(rng, n, count):
+    """`count` value tables on n elements: tied entries, arbitrary floats,
+    or both, and +0.0 or -0.0 at the empty set."""
+    tied = rng.choice(TIED, size=(count, 1 << n))
+    spread = rng.uniform(-2.0, 2.0, size=tied.shape)
+    tables = (tied, spread, np.where(rng.random(tied.shape) < 0.5, tied, spread))[
+        rng.integers(3)]
+    tables[:, 0] = rng.choice([0.0, -0.0], size=count)
+    return tables
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestStackedKernels:
+    # each stacked result is the one-table result, bit for bit (-0.0 too)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+    def test_chain_dp_stack_matches_one_table_calls(self, n, count, seed):
+        tables = _stack(np.random.default_rng(seed), n, count)
+        variations = variation.total_variation_stack(tables)
+        decompositions = variation.canonical_decomposition_stack(tables)
+        assert variations.shape == (count,) and len(decompositions) == count
+        for table, k, dec in zip(tables, variations, decompositions):
+            phi = SetFunction.from_table(table)
+            one = canonical_decomposition(phi)
+            assert _hex([k, dec.variation]) == _hex([total_variation(phi), one.variation])
+            assert dec.mu.tobytes() == one.mu.tobytes()
+            assert dec.nu.tobytes() == one.nu.tobytes()
+            assert not (dec.mu.flags.writeable or dec.nu.flags.writeable)
+            if n <= 6:
+                assert _close(k, oracles.variation_all_predecessors(phi))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 40), st.integers(0, 60),
+           st.integers(0, 2 ** 32 - 1))
+    def test_choquet_stack_matches_scalar_choquet(self, n, count, rows, seed):
+        rng = np.random.default_rng(seed)
+        tables = _stack(rng, n, count)
+        tied = rng.choice(TIED + SHIFT_TIES, (rows, n))
+        F = np.where(rng.random((rows, n)) < 0.5, tied, rng.uniform(-3.0, 3.0, (rows, n)))
+        which = rng.integers(0, count, size=rows)
+        got = choquet_stack(tables, F, which)
+        phis = [SetFunction.from_table(table) for table in tables]
+        assert _hex(got) == _hex([choquet(phis[p], f) for p, f in zip(which, F)])
+        for p in set(which.tolist()):
+            assert _hex(got[which == p]) == _hex(choquet_batch(phis[p], F[which == p]))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 6), st.lists(st.integers(1, 6), min_size=1, max_size=8),
+           st.integers(0, 2 ** 32 - 1))
+    def test_lopsided_stack_matches_one_instance_calls(self, n, ms, seed):
+        rng = np.random.default_rng(seed)
+        instances = [random_fubini_instance(rng, m, n) for m in ms]
+        for got, inst in zip(fubini.lopsided_check_stack(instances), instances):
+            want = lopsided_check(inst)
+            assert _hex([got.lhs, got.rhs]) == _hex([want.lhs, want.rhs])
+            assert got.rows.tobytes() == want.rows.tobytes()
+
+
 GRID = 64  # breakpoints on a grid of 1/64, so atoms and densities can meet f's
 
 
@@ -745,12 +811,27 @@ class TestSelftestUnderO:
         assert len(lines) == 7 and all("[PASS]" in line for line in lines)
 
     def test_constant_batch_kernel_fails(self):
-        sabotage = ("import numpy as np\n"
+        # the stacked kernel the criteria call, and through the choquet
+        # module's own name, choquet_batch and lln_run
+        sabotage = ("import sys\n"
+                    "import numpy as np\n"
                     "from choqkit import fubini, selftest\n"
-                    "constant = lambda phi, F: np.ones(len(F))\n"
-                    "fubini.choquet_batch = selftest.choquet_batch = constant\n")
+                    "kernels = sys.modules['choqkit.choquet']\n"
+                    "constant = lambda tables, F, which: np.ones(len(F))\n"
+                    "kernels.choquet_stack = fubini.choquet_stack = constant\n"
+                    "selftest.choquet_stack = constant\n")
         result, lines = _selftest_under_O(sabotage)
         assert result.returncode == 1, result.stdout + result.stderr
-        assert any("[FAIL]" in line for line in lines)
-        # criterion 3 is caught by selftest's own checks, criterion 7 by lln_run's
-        assert "[FAIL]" in lines[2] and "[FAIL]" in lines[6]
+        # criteria 3 and 4 are caught by selftest's own checks, criterion 7
+        # by lln_run's
+        assert all("[FAIL]" in lines[k - 1] for k in (3, 4, 7))
+
+    def test_constant_variation_kernel_fails(self):
+        sabotage = ("import numpy as np\n"
+                    "from choqkit import selftest\n"
+                    "constant = lambda tables: np.zeros(len(tables))\n"
+                    "selftest.total_variation_stack = constant\n")
+        result, lines = _selftest_under_O(sabotage)
+        assert result.returncode == 1, result.stdout + result.stderr
+        # the closed form catches K = 0 in criterion 2, the Lipschitz bound in 4
+        assert "[FAIL]" in lines[1] and "[FAIL]" in lines[3]

@@ -154,6 +154,18 @@ class TestConcaveGuard:
                 ValueError, match="setfunction values must be finite"):
             phi(0b11)
 
+    def test_concave_of_modular_refusal_names_g_without_a_warning(self, capsys):
+        # no errstate here: tier-1 turns a numpy RuntimeWarning into an error
+        phi = SetFunction.concave_of_modular([2.0, 3.0], WIDE_FIRST_SEGMENT)
+        message = ("concave-of-modular setfunction values must be finite: "
+                   "g overflows float64 on a subset sum below the total")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            phi.values
+        spec = json.dumps({"n": 2, "kind": "concave-of-modular", "payload": {
+            "weights": [2.0, 3.0], "breakpoints": WIDE_FIRST_SEGMENT}})
+        assert cli.main(["check", spec]) == 2
+        assert capsys.readouterr() == ("", f"malformed input: {message}\n")
+
 
 class TestPredicates:
     def test_cut_is_submodular(self, path_cut):
