@@ -14,7 +14,6 @@ live in `oracles.value_by_payload`, as the reference for the builders.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
@@ -142,9 +141,23 @@ def _concave_validate(breakpoints):
     return pts
 
 
+def piecewise_linear(pts, t: float) -> float:
+    """The piecewise-linear function through pts, extended with its last
+    slope, at one t in plain Python: `piecewise_linear_array`'s reference."""
+    if t <= pts[0][0]:
+        return pts[0][1]
+    for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
+        if t <= t1:
+            return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+    if len(pts) == 1:
+        return pts[0][1]
+    (t0, v0), (t1, v1) = pts[-2], pts[-1]
+    return v1 + (v1 - v0) / (t1 - t0) * (t - t1)
+
+
 def piecewise_linear_array(pts, t: np.ndarray) -> np.ndarray:
-    """The piecewise-linear function through pts, extended linearly, at
-    every entry of t; `oracles.piecewise_linear` is its scalar reference."""
+    """`piecewise_linear` at every entry of t, with the same segment and
+    operations."""
     ts, vs = np.asarray(pts, dtype=np.float64).T
     if len(pts) == 1:
         return np.full(t.shape, vs[0])
@@ -156,16 +169,9 @@ def piecewise_linear_array(pts, t: np.ndarray) -> np.ndarray:
 
 
 def _require_finite_g(pts, points, what: str) -> None:
-    """ValueError unless g is finite at each of `points`, taken in Python floats
-    with `piecewise_linear_array`'s segment and operations."""
+    """ValueError unless g is finite at each of `points`."""
     for t in points:
-        if t <= 0.0 or len(pts) == 1:  # g = g(0) = 0
-            continue
-        j = bisect_left(pts, t, 1, len(pts) - 1, key=lambda point: point[0]) - 1
-        (t0, v0), (t1, v1) = pts[j], pts[j + 1]
-        g = (v1 + (v1 - v0) / (t1 - t0) * (t - t1) if t > t1
-             else v0 + (v1 - v0) * (t - t0) / (t1 - t0))
-        if not math.isfinite(g):
+        if not math.isfinite(piecewise_linear(pts, t)):
             raise ValueError(f"g overflows float64 on {what}")
 
 
@@ -319,16 +325,8 @@ class SetFunction:
         # overflows only below the sum is refused when the table is built
         _require_finite_g(pts, [sum(weights)], "the subset sums")
         payload = {"weights": weights, "breakpoints": tuple(pts)}
-
-        def build():
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = piecewise_linear_array(pts, subset_sums(weights))
-            if np.count_nonzero(np.isfinite(values)) != values.size:
-                raise ValueError("concave-of-modular setfunction values must be finite: "
-                                 "g overflows float64 on a subset sum below the total")
-            return values
-
-        return cls(GroundSet(len(weights)), "concave-of-modular", payload, build)
+        return cls(GroundSet(len(weights)), "concave-of-modular", payload,
+                   lambda: piecewise_linear_array(pts, subset_sums(weights)))
 
     # ---- evaluation --------------------------------------------------
 
@@ -344,8 +342,10 @@ class SetFunction:
     def values(self) -> np.ndarray:
         """All 2^n values, values[mask] = phi(mask): cached, read-only float64."""
         if self._values is None:
-            values = _require_finite(np.asarray(self._build(), dtype=np.float64),
-                                     "setfunction values")
+            # an overflow in any family's builder is refused here, without a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = np.asarray(self._build(), dtype=np.float64)
+            _require_finite(values, f"{self.kind} setfunction values")
             values.flags.writeable = False
             self._values = values
         return self._values
@@ -473,7 +473,8 @@ def is_modular(phi: SetFunction, tol: float = TOL) -> Verdict:
 def conjugate(phi: SetFunction) -> SetFunction:
     """Table-backed phi*(X) = phi(J) - phi(J \\ X)."""
     vals = phi.values
-    return SetFunction.from_table(vals[-1] - vals[::-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # from_table refuses an overflow
+        return SetFunction.from_table(vals[-1] - vals[::-1])
 
 
 # ---- JSON schema -----------------------------------------------------

@@ -20,12 +20,6 @@ import numpy as np
 from .setfunctions import TOL, SetFunction, decrease_witness, require_submodular
 
 
-def _plan(n: int) -> tuple:
-    """The chain DP's plan (`_build_plan`), cached: every plan up to n = 12
-    (0.16 MB together) and the four most recently used larger ones."""
-    return (_small_plans if n <= 12 else _large_plans)(n)
-
-
 def _build_plan(n: int) -> tuple:
     """The chain DP's index plan on n elements.
 
@@ -70,9 +64,10 @@ def _build_plan(n: int) -> tuple:
     return order, rank, plan
 
 
-_small_plans = lru_cache(maxsize=None)(_build_plan)
-_large_plans = lru_cache(maxsize=4)(_build_plan)
-_plan.cache_clear = lambda: (_small_plans.cache_clear(), _large_plans.cache_clear())
+# the 16 most recently used plans: a process planning n <= 16 (selftest's n up
+# to 10, the lattice sweep's 12 to 16) plans each n once; the worst case, any
+# sixteen of n = 9..24, holds about 1.8 GB, nearly all of it n = 23 and 24
+_plan = lru_cache(maxsize=16)(_build_plan)
 
 _GATHER = 1 << 14  # parent entries times tables per gather; bounds the DP's temporaries
 

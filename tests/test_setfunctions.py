@@ -150,21 +150,46 @@ class TestConcaveGuard:
         phi = SetFunction.concave_of_modular([2.0, 3.0], WIDE_FIRST_SEGMENT)
         # the subset sums 2 and 3 lie inside the first segment: the first
         # evaluation builds the table and refuses it
-        with np.errstate(over="ignore"), pytest.raises(
-                ValueError, match="setfunction values must be finite"):
+        with pytest.raises(ValueError, match="setfunction values must be finite"):
             phi(0b11)
 
     def test_concave_of_modular_refusal_names_g_without_a_warning(self, capsys):
         # no errstate here: tier-1 turns a numpy RuntimeWarning into an error
         phi = SetFunction.concave_of_modular([2.0, 3.0], WIDE_FIRST_SEGMENT)
-        message = ("concave-of-modular setfunction values must be finite: "
-                   "g overflows float64 on a subset sum below the total")
+        message = "concave-of-modular setfunction values must be finite"
         with pytest.raises(ValueError, match=f"^{message}$"):
             phi.values
         spec = json.dumps({"n": 2, "kind": "concave-of-modular", "payload": {
             "weights": [2.0, 3.0], "breakpoints": WIDE_FIRST_SEGMENT}})
         assert cli.main(["check", spec]) == 2
         assert capsys.readouterr() == ("", f"malformed input: {message}\n")
+
+
+# finite input whose table overflows float64, with the kind its refusal names;
+# TestConcaveGuard refuses concave-of-modular's the same way
+OVERFLOWING_PAYLOADS = {
+    "cut": {"edges": [[0, 1, 1e308], [1, 0, 1e308]]},
+    "coverage": {"covers": [[0, 1], [1]], "item_weights": [1e308, 1e308]},
+}
+
+
+class TestTableGuard:
+    # no errstate or filterwarnings mark: tier-1 turns a numpy RuntimeWarning
+    # into an error, so each refusal must come without one
+    @pytest.mark.parametrize("kind", OVERFLOWING_PAYLOADS)
+    def test_overflowing_table_is_refused_by_kind(self, capsys, kind):
+        spec = {"n": 2, "kind": kind, "payload": OVERFLOWING_PAYLOADS[kind]}
+        phi = setfunction_from_json(spec)
+        message = f"{kind} setfunction values must be finite"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            phi.values
+        assert cli.main(["check", json.dumps(spec)]) == 2
+        assert capsys.readouterr() == ("", f"malformed input: {message}\n")
+
+    def test_overflowing_conjugate_is_refused_as_a_table(self):
+        phi = SetFunction.from_table([0, 1e308, -1e308, 1e308])
+        with pytest.raises(ValueError, match="^table values must be finite$"):
+            conjugate(phi)
 
 
 class TestPredicates:
