@@ -82,7 +82,7 @@ def random_submodular_setfunction(rng: np.random.Generator, n: int,
 
 
 def random_weighted_family(rng: np.random.Generator, n: int) -> WeightedFamily:
-    """At most 8 entries of total multiplicity at most 20."""
+    """1 to 8 entries of total multiplicity at most 20 (the first is always kept)."""
     ground = GroundSet(n)
     count = int(rng.integers(1, 9))
     entries = []
@@ -94,8 +94,6 @@ def random_weighted_family(rng: np.random.Generator, n: int) -> WeightedFamily:
             break
         entries.append((mask, mult))
         total += mult
-    if not entries:
-        entries = [(int(rng.integers(0, 1 << n)), 1)]
     return WeightedFamily.of(ground, entries)
 
 

@@ -228,13 +228,17 @@ class SetFunction:
     def cut(cls, n: int, edges) -> "SetFunction":
         """Weighted cut function: total weight of edges leaving S."""
         ground = GroundSet(n)
-        edges = tuple((_integral(u, "edge endpoints"), _integral(v, "edge endpoints"),
-                       _finite(w, "edge weights")[0] if w else 1.0)
-                      for u, v, *w in edges)
-        for u, v, _ in edges:
+        read = []
+        for edge in edges:  # [u, v] (weight 1.0) or [u, v, weight]
+            if len(edge) not in (2, 3):
+                raise ValueError(f"an edge is [u, v] or [u, v, weight], got {edge!r}")
+            u, v = (_integral(x, "edge endpoints") for x in edge[:2])
+            weight = _finite(edge[2:], "edge weights")[0] if len(edge) == 3 else 1.0
             if u == v:
                 raise ValueError("loops have no cut contribution; remove them")
             ground.mask_of((u, v))
+            read.append((u, v, weight))
+        edges = tuple(read)
 
         def build():
             masks = np.arange(1 << n)

@@ -124,11 +124,8 @@ def uncross(family: WeightedFamily, phi: Optional[SetFunction] = None) -> Uncros
     potential = family.potential()
     phi_sum = None if phi is None else family.phi_sum(phi)
     item = None if phi is None else phi.values.item
-    budget = family.total_multiplicity * family.ground.n ** 2 + 1
-    for _ in range(budget):
-        pair = _first_crossing(masks)
-        if pair is None:
-            break
+    # ends: each step raises the potential by >= 2, and it stays <= total * n^2
+    while (pair := _first_crossing(masks)) is not None:
         if _STEP_BYTES * (len(steps) + 1) > _UNCROSS_BUDGET:
             raise _size_limit_error(f"uncross stopped after {len(steps)} steps: one more",
                                     _STEP_BYTES * (len(steps) + 1), _UNCROSS_BUDGET)
@@ -148,8 +145,6 @@ def uncross(family: WeightedFamily, phi: Optional[SetFunction] = None) -> Uncros
         phi_sum_after = None if phi is None else sum(mults[m] * item(m) for m in masks)
         steps.append(UncrossStep(pair, potential, potential_after, phi_sum, phi_sum_after))
         potential, phi_sum = potential_after, phi_sum_after
-    else:
-        raise AssertionError("uncrossing exceeded its termination budget")
     final = (WeightedFamily(family.ground, tuple((mask, mults[mask]) for mask in masks))
              if steps else family)
     return UncrossTrace(initial=family, steps=tuple(steps), final=final)

@@ -92,6 +92,20 @@ def test_criterion_6_interval_set_algebra():
     _check(selftest.criterion_6(BASE_SEED + 6))
 
 
+def test_criterion_6_calls_the_level_set_reference_once_per_draw(monkeypatch):
+    # one (phi, f) draw, one reference value: ui, ls and exact agree on the algebra
+    reference = selftest.oracles.choquet_interval_by_levels
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reference(*args, **kwargs)
+
+    monkeypatch.setattr(selftest.oracles, "choquet_interval_by_levels", counted)
+    _check(selftest.criterion_6(BASE_SEED + 6))
+    assert len(calls) == 200
+
+
 def test_criterion_7_lopsided_fubini():
     _check(selftest.criterion_7(BASE_SEED + 7))
 

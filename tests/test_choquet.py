@@ -1,14 +1,15 @@
 import contextlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choqkit import (SetFunction, choquet, cli, conjugate, setfunction_to_json,
-                     total_variation)
+from choqkit import (PreconditionError, SetFunction, choquet, choquet_batch, cli,
+                     conjugate, setfunction_to_json, total_variation)
 from choqkit.randgen import random_table_setfunction
 
 TOL = 1e-9
@@ -147,3 +148,16 @@ class TestIdentities:
         g = indicator(2, 0b10)
         combined = choquet(phi, (1.0, 1.0))
         assert combined > choquet(phi, f) + choquet(phi, g) + 0.5
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("evaluate, message", [
+        (lambda phi: choquet(phi, [1.0, 2.0]), "function length 2 != ground size 3"),
+        (lambda phi: choquet(phi, [1.0, 2.0, 3.0, 4.0]),
+         "function length 4 != ground size 3"),
+        (lambda phi: choquet_batch(phi, [[1.0, 2.0]]),
+         "expected a (B, 3) matrix, got shape (1, 2)"),
+    ])
+    def test_wrong_length(self, path_cut, evaluate, message):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            evaluate(path_cut)

@@ -30,6 +30,24 @@ class TestCheck:
         assert report["submodular"]["holds"] is True
         assert report["increasing"]["holds"] is False
 
+    @pytest.mark.parametrize("edges", [[[0, 1, 2.0, 99.0]], [[0, 1], [1]], [[]]])
+    def test_cut_edge_must_be_a_pair_or_a_triple(self, capsys, edges):
+        # an edge with a fourth entry is refused, not read as [u, v, weight]
+        obj = {"n": 3, "kind": "cut", "payload": {"edges": edges}}
+        assert cli.main(["check", json.dumps(obj)]) == 2
+        bad = next(edge for edge in edges if len(edge) not in (2, 3))
+        assert capsys.readouterr() == (
+            "", f"malformed input: an edge is [u, v] or [u, v, weight], got {bad!r}\n")
+
+    def test_concave_g_may_decrease(self, capsys):
+        # g rises to 1 and falls back to 0: submodular, not increasing
+        obj = {"n": 2, "kind": "concave-of-modular",
+               "payload": {"weights": [1, 1], "breakpoints": [[0, 0], [1, 1], [2, 0]]}}
+        assert cli.main(["check", json.dumps(obj)]) == 0
+        assert capsys.readouterr().out == (
+            "submodular: yes\nincreasing: no (witness {1}, {0,1})\n"
+            "modular: no (witness {0}, {1})\n")
+
 
 class TestChoquetEval:
     def test_value(self):
@@ -152,6 +170,12 @@ class TestUncross:
 
 
 class TestIntervalChoquet:
+    def test_unknown_kind_exits_2(self, capsys):
+        argv = ["interval-choquet", INTERVAL.replace('"point-mass"', '"gaussian"')]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "malformed input: unknown interval setfunction kind 'gaussian'\n")
+
     def test_value(self):
         payload = json.dumps({
             "phi": {"kind": "concave-of-measure",

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -278,3 +279,26 @@ class TestUniformContinuity:
                         sym = sum(pi[x] for x in range(3) if (s ^ t) >> x & 1)
                         best = min(best, sym)
             assert delta == pytest.approx(best)
+
+
+UNIFORM_2 = SetFunction.uniform_matroid(2, 1)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: FubiniInstance.of([0.5, 0.5], [0.5, 0.5], [[0, 0]], UNIFORM_2),
+         ValueError, "F must be an m x n matrix matching lambda and pi"),
+        (lambda: FubiniInstance.of([0.5, 0.5], [0.5, 0.5], [[0, 0], [0]], UNIFORM_2),
+         ValueError, "F must be an m x n matrix matching lambda and pi"),
+        (lambda: FubiniInstance.of([1.5, -0.5], [0.5, 0.5], [[0, 0], [0, 0]], UNIFORM_2),
+         ValueError, "lambda must be nonnegative"),
+        (lambda: FubiniInstance.of([1.0], [0.25, 0.25, 0.5], [[0, 0, 0]], UNIFORM_2),
+         ValueError, "phi ground size must match pi"),
+        (lambda: uniform_continuity_modulus(UNIFORM_2, [1.0, 0.0]), PreconditionError,
+         "pi entries must be positive"),
+        (lambda: uniform_continuity_modulus(UNIFORM_2, [0.25, 0.25, 0.5]), ValueError,
+         "pi length must match the ground set"),
+    ])
+    def test_refusal(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -317,3 +319,32 @@ class TestOutermostProbes:
                             lambda f, t: seen.append(superlevel(f, t)) or seen[-1])
         oracles.ae_gap_by_levels(IntervalSetFunction.point_mass(0.5, 1.0), self.F)
         assert IntervalSet(()) in seen and IntervalSet.full() in seen
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: IntervalSet.of([(0.5, 0.2)]), "interval [0.5, 0.2) not inside [0, 1)"),
+        (lambda: IntervalSet.of([(0.5, 1.5)]), "interval [0.5, 1.5) not inside [0, 1)"),
+        (lambda: FlaggedSet.of([(0.5, 0.5, True, False)]),
+         "degenerate piece must be a closed singleton"),
+        (lambda: FlaggedSet.of([(1.0, 1.0, True, True)]), "singleton outside [0, 1)"),
+        (lambda: FlaggedSet.of([(0.5, 1.0, True, True)]),
+         "the point 1 is outside the ground space"),
+        (lambda: FlaggedSet.of([(0.0, 0.5, True, False), (0.4, 0.8, True, False)]),
+         "pieces must be disjoint"),
+        (lambda: FlaggedSet.of([(0.0, 0.5, True, True), (0.5, 0.8, True, False)]),
+         "pieces must be disjoint"),
+        (lambda: StepFunction((0.0, 0.5), (1.0,)),
+         "step function breakpoints must run 0 = c_0 < ... < c_m = 1 "
+         "with one value per piece"),
+        (lambda: StepFunction((0.0, 1.0), (1.0,))(1.0), "argument outside [0, 1)"),
+        (lambda: IntervalSetFunction.concave_of_measure([(0, 0), (0.5, 1), (1, 0)]),
+         "transform must be nondecreasing"),
+        (lambda: IntervalSetFunction.concave_of_measure(SQRT_LIKE, ((0.0, 1.0), (-1.0,))),
+         "density must be nonnegative"),
+        (lambda: IntervalSetFunction.point_mass(1.0, 1.0), "atom must lie in [0, 1)"),
+        (lambda: IntervalSetFunction.point_mass(0.5, -1.0), "mass must be nonnegative"),
+    ])
+    def test_refusal(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()

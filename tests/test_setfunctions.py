@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import choqkit
 from choqkit import cli, fubini, setfunctions, uncrossing
-from choqkit import (PreconditionError, SetFunction, conjugate, is_increasing,
+from choqkit import (GroundSet, PreconditionError, SetFunction, conjugate, is_increasing,
                      is_modular, is_submodular, setfunction_from_json,
                      setfunction_to_json)
 from choqkit.oracles import submodular_by_pairs
@@ -323,3 +324,42 @@ class TestTolerance:
 
     def test_cli_tol_default_is_TOL(self):
         assert cli.build_parser().parse_args(["selftest"]).tol is setfunctions.TOL
+
+
+class TestRefusals:
+    """Each constructor refusal, with its whole message."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: GroundSet(0), "ground set size must be in 1..24, got 0"),
+        (lambda: GroundSet(25), "ground set size must be in 1..24, got 25"),
+        (lambda: SetFunction.from_table([0, 1, 2]), "table length must be 2^n with n >= 1"),
+        (lambda: SetFunction.from_table([0]), "table length must be 2^n with n >= 1"),
+        (lambda: SetFunction.cut(3, [[0, 1, 2.0, 99.0]]),
+         "an edge is [u, v] or [u, v, weight], got [0, 1, 2.0, 99.0]"),
+        (lambda: SetFunction.cut(3, [[0]]),
+         "an edge is [u, v] or [u, v, weight], got [0]"),
+        (lambda: SetFunction.cut(3, [[1, 1, 1.0]]),
+         "loops have no cut contribution; remove them"),
+        (lambda: SetFunction.coverage([[0], [1]], [1.0, -1.0]),
+         "item weights must be nonnegative"),
+        (lambda: SetFunction.coverage([[0], [2]], [1.0, 1.0]), "item 2 out of range"),
+        (lambda: SetFunction.uniform_matroid(3, 4), "rank must lie in 0..n"),
+        (lambda: SetFunction.partition_matroid([[0, 2]], [1]),
+         "blocks must partition 0..n-1"),
+        (lambda: SetFunction.concave_of_modular([1.0, -1.0], [(0, 0), (1, 1)]),
+         "weights must be nonnegative for concave composition"),
+        (lambda: SetFunction.concave_of_modular([1.0], [(1, 1), (2, 2)]),
+         "breakpoint list must start with (0, 0)"),
+        (lambda: SetFunction.concave_of_modular([1.0], [(0, 0), (0, 1)]),
+         "breakpoint abscissae must be strictly increasing"),
+        (lambda: setfunction_from_json({"n": 2, "kind": "table"}),
+         "malformed setfunction object: 'payload'"),
+        (lambda: setfunction_from_json({"n": 2, "kind": "lattice", "payload": {}}),
+         "unknown setfunction kind 'lattice'"),
+        (lambda: setfunction_from_json(
+            {"n": 2, "kind": "matroid-rank", "payload": {"matroid": "graphic"}}),
+         "unknown matroid family 'graphic'"),
+    ])
+    def test_refusal(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()

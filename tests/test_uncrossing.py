@@ -220,3 +220,10 @@ class TestSubadditivityDerivation:
             assert equal
             assert lhs <= start + TOL
             assert choquet(phi, f + g) == pytest.approx(lhs, abs=1e-8)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("entries", [[(3, 0)], [(3, 1), (5, -2)]])
+    def test_nonpositive_multiplicity(self, entries):
+        with pytest.raises(ValueError, match="^multiplicities must be positive integers$"):
+            make_family(3, entries)
