@@ -53,11 +53,8 @@ def choquet(phi: SetFunction, f, shift: Optional[float] = None) -> float:
         prev = value
         mask |= 1 << x
     height = item(mask)  # phi(J)
-    if prev > 0.0:
-        total += prev * height
-    if c:
-        total -= c * height
-    return total
+    # total is never -0.0, so the two terms leave it as it is when they are zero
+    return total + prev * height - c * height
 
 
 def choquet_batch(phi: SetFunction, F) -> np.ndarray:

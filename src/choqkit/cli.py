@@ -21,9 +21,8 @@ from .choquet import choquet
 from .fubini import FubiniInstance, LopsidedResult, lln_run, lopsided_check
 from .intervals import IntervalSetFunction, StepFunction, choquet_interval
 from .selftest import run_all
-from .setfunctions import (TOL, GroundSet, PreconditionError, _integral,
-                           is_increasing, is_modular, is_submodular,
-                           setfunction_from_json)
+from .setfunctions import (TOL, GroundSet, PreconditionError, is_increasing,
+                           is_modular, is_submodular, setfunction_from_json)
 from .uncrossing import WeightedFamily, family_sum, uncross
 from .variation import _variation_and_chain, canonical_decomposition
 
@@ -149,7 +148,7 @@ def cmd_decompose(args):
 
 def cmd_uncross(args):
     obj = _load_json(args.input)
-    ground = GroundSet(_integral(obj["n"], "n"))
+    ground = GroundSet(obj["n"])
     family = WeightedFamily.of(ground, obj["entries"])
     phi = None
     if args.phi is not None:

@@ -170,10 +170,11 @@ def lln_run(inst: FubiniInstance, steps: int, seed: int = 0,
     the rest are checked with K.
 
     The row values whatphi(F_x) and the trace's `lhs`/`rhs` come from
-    one `lopsided_check`.  The steps run in blocks: per block, the
-    running sums are cumulative sums that start from the previous
-    block's last sum, so every f_k is the same sequence of additions as
-    a step-by-step accumulation.  The block's f_k and h_k are the two
+    one `lopsided_check`; their running average is one cumulative sum
+    over the run, divided by k.  The steps run in blocks: per block, the
+    row sums are cumulative sums that start from the previous block's
+    last sum, so every f_k is the same sequence of additions as a
+    step-by-step accumulation.  The block's f_k and h_k are the two
     halves of one (n, 2 * width) array, evaluated by one `choquet_batch`
     call, so the cumulative sums run along contiguous rows.  The
     columns take about 48 bytes per step; above _LLN_BUDGET bytes (from
@@ -196,22 +197,21 @@ def lln_run(inst: FubiniInstance, steps: int, seed: int = 0,
 
     k = np.arange(1, steps + 1)
     what_f, avg, what_h, norm_h = np.empty((4, steps))
-    # running sums so far, carried as the first column of the next block
-    acc, running = np.zeros((inst.n, 1)), np.zeros(1)
+    np.cumsum(result.rows[samples], out=avg)
+    avg /= k
+    acc = np.zeros((inst.n, 1))  # the row sums so far, carried into the next block
     for first in range(0, steps, _BLOCK):
         part = slice(first, first + _BLOCK)
         block, k_part = samples[part], k[part]
         width = len(block)
         sums = np.cumsum(np.hstack([acc, F[block].T]), axis=1)[:, 1:]
-        totals = np.cumsum(np.concatenate([running, result.rows[block]]))[1:]
-        acc, running = sums[:, -1:], totals[-1:]
+        acc = sums[:, -1:]
         pair = np.empty((inst.n, 2 * width))
         f_k, h_k = pair[:, :width], pair[:, width:]
         np.divide(sums, k_part, out=f_k)
         np.subtract(g[:, None], f_k, out=h_k)
         values = choquet_batch(phi, pair.T)
         what_f[part], what_h[part] = values[:width], values[width:]
-        avg[part] = totals / k_part
         norm_h[part] = np.abs(h_k).max(axis=0)
         subadditive = what_f[part] <= avg[part] + tol
         lipschitz = np.abs(what_h[part]) <= 2.0 * slope * norm_h[part] + tol

@@ -5,8 +5,8 @@ The algebra is closed under union, intersection and complement within
 upper-infimum and lower-supremum extensions of an increasing
 setfunction can genuinely differ (they agree on the algebra itself).
 
-Each family has one closed form per extension (one for all, for a measure),
-for one `FlaggedSet` or for every superlevel set of a step function at once.
+Each family has one closed form for the pair (ui, ls), for one `FlaggedSet`
+or for every superlevel set of a step function at once.
 """
 
 from __future__ import annotations
@@ -260,39 +260,36 @@ class IntervalSetFunction:
         return cls("point-mass", {"location": location, "mass": mass})
 
     def __call__(self, iset: IntervalSet) -> float:
-        return float(_closed_form(self, iset, "exact")[0])
+        return float(_closed_form(self, iset)[0])
 
 
-def _closed_form(phi: IntervalSetFunction, x, *extensions: str) -> tuple:
-    """phi (`exact`) or its ui/ls extensions on x, one result per entry of
-    `extensions`, per family; x may be `_Superlevels`."""
+def _closed_form(phi: IntervalSetFunction, x) -> tuple:
+    """The pair (ui, ls) of phi's extensions on x, per family; x may be
+    `_Superlevels`.  On `[a, b)` pieces and on superlevel sets `contains`
+    and `accumulates_from_right` agree, so there ui = ls = phi."""
     if isinstance(x, IntervalSet):
         x = FlaggedSet.from_interval_set(x)
     if phi.kind == "concave-of-measure":
-        # endpoint flags change the weighted measure by zero, so phi and
-        # both extensions share one evaluation
+        # endpoint flags change the weighted measure by zero, so both
+        # extensions share one evaluation
         value = piecewise_linear_array(phi.payload["g"],
                                        x.weighted_measure(phi.payload["density"]))
-        return (value,) * len(extensions)
+        return value, value
     # a point mass at p charges every half-open superset of x iff x contains
     # p or approaches it from the right, and some half-open subset iff both
     p, m = phi.payload["location"], phi.payload["mass"]
-    inside = x.contains(p)
-    if extensions == ("exact",):
-        return (np.where(inside, m, 0.0),)
-    right = x.accumulates_from_right(p)
-    hits = {"exact": inside, "ui": inside | right, "ls": inside & right}
-    return tuple(np.where(hits[extension], m, 0.0) for extension in extensions)
+    inside, right = x.contains(p), x.accumulates_from_right(p)
+    return np.where(inside | right, m, 0.0), np.where(inside & right, m, 0.0)
 
 
 def extend_ui(phi: IntervalSetFunction, x) -> float:
     """inf of phi over algebra supersets of x, in closed form per family."""
-    return float(_closed_form(phi, x, "ui")[0])
+    return float(_closed_form(phi, x)[0])
 
 
 def extend_ls(phi: IntervalSetFunction, x) -> float:
     """sup of phi over algebra subsets of x, in closed form per family."""
-    return float(_closed_form(phi, x, "ls")[0])
+    return float(_closed_form(phi, x)[1])
 
 
 def choquet_interval(phi: IntervalSetFunction, f: StepFunction) -> float:
@@ -304,7 +301,7 @@ def choquet_interval(phi: IntervalSetFunction, f: StepFunction) -> float:
     the algebra, where phi and its ui/ls extensions agree.
     """
     sets = _Superlevels(f)
-    return sets.integral(_closed_form(phi, sets, "exact")[0])
+    return sets.integral(_closed_form(phi, sets)[0])
 
 
 def ae_gap(phi: IntervalSetFunction, f: StepFunction,
@@ -319,7 +316,7 @@ def ae_gap(phi: IntervalSetFunction, f: StepFunction,
     that the ui- and ls-integrals agree.
     """
     sets = _Superlevels(f)
-    ui, ls = _closed_form(phi, sets, "ui", "ls")
+    ui, ls = _closed_form(phi, sets)
     gap = np.abs(ui - ls) > tol
     n_levels = len(sets.levels)
     if gap[n_levels:].any():

@@ -21,7 +21,7 @@ def random_cut(rng: np.random.Generator, n: int) -> SetFunction:
     edges = [(u, v, float(rng.uniform(0.0, 1.0)))
              for u in range(n) for v in range(u + 1, n)
              if rng.random() < 0.6]
-    if not edges:
+    if not edges and n > 1:  # one element has no edge: the zero cut
         edges = [(0, n - 1, 1.0)]
     return SetFunction.cut(n, edges)
 

@@ -107,6 +107,9 @@ def criterion_1(rng, seed) -> str:
             f, g = rng.uniform(-1.0, 1.0, size=(100, 2, n)).transpose(1, 0, 2)
             # rows are independent: one batch for f + g, f and g
             lhs, at_f, at_g = choquet_batch(phi, np.vstack([f + g, f, g])).reshape(3, -1)
+            scalar = choquet(phi, f[0])
+            _require(float(at_f[0]) == scalar, lambda _: (
+                f"batch and scalar Choquet values differ: {at_f[0]} != {scalar}"))
             rhs = at_f + at_g
             _require(lhs <= rhs + TOL, lambda i: (
                 f"subadditivity failed for submodular phi: "

@@ -41,8 +41,10 @@ class GroundSet:
     n: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= 24:
-            raise ValueError(f"ground set size must be in 1..24, got {self.n}")
+        n = _integral(self.n, "n")
+        if not 1 <= n <= 24:
+            raise ValueError(f"ground set size must be in 1..24, got {n}")
+        object.__setattr__(self, "n", n)
 
     @property
     def full_mask(self) -> int:
@@ -241,8 +243,8 @@ class SetFunction:
         edges = tuple(read)
 
         def build():
-            masks = np.arange(1 << n)
-            out = np.zeros(1 << n)
+            masks = np.arange(1 << ground.n)
+            out = np.zeros(1 << ground.n)
             for u, v, weight in edges:
                 out += weight * ((masks >> u ^ masks >> v) & 1)
             return out
@@ -278,13 +280,13 @@ class SetFunction:
 
     @classmethod
     def uniform_matroid(cls, n: int, rank: int) -> "SetFunction":
-        rank = _integral(rank, "rank")
-        if not 0 <= rank <= n:
-            raise ValueError("rank must lie in 0..n")
         ground = GroundSet(n)
+        rank = _integral(rank, "rank")
+        if not 0 <= rank <= ground.n:
+            raise ValueError("rank must lie in 0..n")
         payload = {"matroid": "uniform", "rank": rank}
         return cls(ground, "matroid-rank", payload,
-                   lambda: np.minimum(_popcounts(np.arange(1 << n)), rank))
+                   lambda: np.minimum(_popcounts(np.arange(1 << ground.n)), rank))
 
     @classmethod
     def partition_matroid(cls, blocks: Sequence[Sequence[int]],

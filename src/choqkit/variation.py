@@ -91,8 +91,7 @@ def _positive_variation(tables: np.ndarray) -> tuple:
     count = tables.size // order.size  # tables in the stack
     phi = tables.T.take(order, axis=0)  # (2^n,) or (2^n, P)
     table = np.empty((order.size, 2) + tables.shape[:-1])
-    table[0, 0] = 0.0
-    table[0, 1] = 0.0 - phi[0]
+    table[0] = 0.0  # mu and nu of the empty set, as phi(empty) is +-0.0
     previous = table[:1]
     for layer, parents in plan:
         best = table[layer]  # the parents' best (mu, nu), then the layer's own

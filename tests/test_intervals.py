@@ -57,11 +57,24 @@ class TestExtensions:
         assert extend_ui(phi, singleton) == pytest.approx(2.0)
         assert extend_ls(phi, singleton) == pytest.approx(0.0)
 
-    def test_algebra_sets_have_no_gap(self):
+    def test_algebra_sets_have_no_gap(self, rng):
         phi = IntervalSetFunction.point_mass(0.5, 1.0)
         for pairs in ([(0.25, 0.75)], [(0.0, 0.5)], [(0.5, 0.9)], []):
             x = IntervalSet.of(pairs)
             assert extend_ui(phi, x) == extend_ls(phi, x) == phi(x)
+        # bit for bit on random sets, for both families
+        kinds = set()
+        for _ in range(200):
+            phi = random_interval_setfunction(rng)
+            kinds.add(phi.kind)
+            cuts = rng.choice(GRID, size=6)
+            if phi.kind == "point-mass":  # an atom at a cut, else mostly off them
+                cuts[int(rng.integers(6))] = phi.payload["location"]
+            cuts.sort()
+            x = IntervalSet.of((a, b) for a, b in cuts.reshape(3, 2) if a < b)
+            values = (phi(x), extend_ui(phi, x), extend_ls(phi, x))
+            assert len({value.hex() for value in values}) == 1
+        assert kinds == {"point-mass", "concave-of-measure"}
 
     def test_open_interval_left_of_atom(self):
         # (0.3, 0.5) excludes the atom yet cannot be separated from it on

@@ -408,6 +408,8 @@ class TestChoquetBatch:
     @example((SetFunction.from_table([0.0, -1.5]), np.zeros((0, 1))))
     @example((SetFunction.from_table([0.0, -1.5]),
               _layouts(np.array([[-0.0], [2.5], [-1e-17]]))["transposed"]))
+    @example((SetFunction.from_table([-0.0, 0.5, -1.0, -0.0]),
+              np.array([[0.0, 0.0], [-0.0, 1.0], [2.0, -1.0], [-1.0, -1.0]])))
     def test_rows_match_scalar_choquet(self, case):
         phi, F = case
         scalars = [choquet(phi, row) for row in F]
@@ -459,6 +461,7 @@ class TestStackedKernels:
     @given(st.integers(1, 10), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
     def test_chain_dp_stack_matches_one_table_calls(self, n, count, seed):
         tables = _stack(np.random.default_rng(seed), n, count)
+        tables[0, 0] = -0.0  # one table with phi(empty) = -0.0 at least
         variations = variation.total_variation_stack(tables)
         decompositions = variation.canonical_decomposition_stack(tables)
         assert variations.shape == (count,) and len(decompositions) == count
@@ -468,6 +471,7 @@ class TestStackedKernels:
             assert _hex([k, dec.variation]) == _hex([total_variation(phi), one.variation])
             assert dec.mu.tobytes() == one.mu.tobytes()
             assert dec.nu.tobytes() == one.nu.tobytes()
+            assert _hex([dec.mu[0], dec.nu[0]]) == _hex([0.0, 0.0])
             assert not (dec.mu.flags.writeable or dec.nu.flags.writeable)
             if n <= 6:
                 assert _close(k, oracles.variation_all_predecessors(phi))
@@ -822,9 +826,9 @@ class TestSelftestUnderO:
                     "selftest.choquet_stack = constant\n")
         result, lines = _selftest_under_O(sabotage)
         assert result.returncode == 1, result.stdout + result.stderr
-        # criteria 3 and 4 are caught by selftest's own checks, criterion 7
-        # by lln_run's
-        assert all("[FAIL]" in lines[k - 1] for k in (3, 4, 7))
+        # criteria 1, 3 and 4 are caught by selftest's own checks (1 by its
+        # comparison with scalar choquet), criterion 7 by lln_run's
+        assert all("[FAIL]" in lines[k - 1] for k in (1, 3, 4, 7))
 
     def test_constant_variation_kernel_fails(self):
         sabotage = ("import numpy as np\n"

@@ -11,7 +11,8 @@ import json
 import numpy as np
 import pytest
 
-from choqkit.randgen import (random_fubini_instance, random_table_setfunction,
+from choqkit.randgen import (SUBMODULAR_FAMILIES, random_fubini_instance,
+                             random_submodular_setfunction, random_table_setfunction,
                              random_weighted_family)
 from choqkit.setfunctions import setfunction_to_json
 
@@ -56,3 +57,11 @@ def test_seeded_draws_are_pinned(draws):
     # one more draw pins how many numbers the run took from the stream
     digest.update(_floats(rng.random(1)))
     assert digest.hexdigest() == DIGESTS[draws]
+
+
+@pytest.mark.parametrize("family", SUBMODULAR_FAMILIES)
+def test_every_family_draws_at_n_1(family):
+    rng = np.random.default_rng(20261019)
+    for _ in range(20):
+        phi = random_submodular_setfunction(rng, 1, families=(family,))
+        assert phi.n == 1 and phi.values[0] == 0.0

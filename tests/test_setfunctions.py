@@ -332,6 +332,10 @@ class TestRefusals:
     @pytest.mark.parametrize("build, message", [
         (lambda: GroundSet(0), "ground set size must be in 1..24, got 0"),
         (lambda: GroundSet(25), "ground set size must be in 1..24, got 25"),
+        (lambda: GroundSet(2.5), "n must be integers, got 2.5"),
+        (lambda: SetFunction.cut(2.5, [[0, 1]]), "n must be integers, got 2.5"),
+        (lambda: SetFunction.cut(True, []), "n must be integers, got True"),
+        (lambda: SetFunction.uniform_matroid(2.5, 1), "n must be integers, got 2.5"),
         (lambda: SetFunction.from_table([0, 1, 2]), "table length must be 2^n with n >= 1"),
         (lambda: SetFunction.from_table([0]), "table length must be 2^n with n >= 1"),
         (lambda: SetFunction.cut(3, [[0, 1, 2.0, 99.0]]),
@@ -363,3 +367,9 @@ class TestRefusals:
     def test_refusal(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
+
+    def test_integral_float_size_is_read_as_an_int(self):
+        assert type(GroundSet(3.0).n) is int
+        for build in (lambda n: SetFunction.cut(n, [[0, 1]]),
+                      lambda n: SetFunction.uniform_matroid(n, 1)):
+            assert build(3.0).values.tobytes() == build(3).values.tobytes()
