@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fubini", help="lopsided Fubini check and LLN trace")
     p.add_argument("input")
     p.add_argument("--steps", type=_nonnegative(int), default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative(int), default=0)
     p.add_argument("--force", action="store_true",
                    help="skip the submodular/nonnegative hypothesis check")
     p.set_defaults(fn=cmd_fubini)

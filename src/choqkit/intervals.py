@@ -170,9 +170,9 @@ def _density_mass(density, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 class _Superlevels:
-    """The sets {f >= t} for f's distinct values t in decreasing order
-    (the levels), then a probe inside each gap, the full set (t = -inf)
-    and the empty set (t = +inf).
+    """The sets {f >= t} for f's distinct values t_1 > ... > t_L (the
+    levels).  These are all of f's nonempty superlevel sets: for t in
+    (t_{k+1}, t_k] the set {f >= t} is the k-th, and below t_L it is [0, 1).
 
     Each set is a prefix of one stable sort of the pieces by value, so
     it contains x exactly when f(x) >= t; f is right-continuous on its
@@ -186,13 +186,7 @@ class _Superlevels:
         distinct = np.ones(descending.size, dtype=bool)
         np.not_equal(descending[1:], descending[:-1], out=distinct[1:])
         self.levels = levels = descending[distinct]
-        size = levels.size
-        self.thresholds = thresholds = np.empty(2 * size + 1)
-        thresholds[:size] = levels
-        np.add(levels[:-1], levels[1:], out=thresholds[size:-2])
-        thresholds[size:-2] /= 2.0
-        thresholds[-2:] = -np.inf, np.inf
-        self.count = np.searchsorted(-descending, -thresholds, side="right")
+        self.count = np.searchsorted(-descending, -levels, side="right")
         self.widths = levels.copy()  # t_k - t_{k+1}, with t_L - 0 last
         self.widths[:-1] -= levels[1:]
         self.f = f
@@ -205,13 +199,13 @@ class _Superlevels:
         return prefix[self.count]
 
     def contains(self, x: float) -> np.ndarray:
-        return self.f(x) >= self.thresholds
+        return self.f(x) >= self.levels
 
     accumulates_from_right = contains
 
     def integral(self, heights: np.ndarray) -> float:
         """sum_k (t_k - t_{k+1}) phi{f >= t_k} over the levels, t_L = 0."""
-        return float((self.widths * heights[:self.widths.size]).sum())
+        return float((self.widths * heights).sum())
 
 
 class IntervalSetFunction:
@@ -308,19 +302,17 @@ def ae_gap(phi: IntervalSetFunction, f: StepFunction,
            tol: float = TOL) -> list:
     """Thresholds t where the ui- and ls-extensions disagree on {f >= t}.
 
-    For step functions every level set lies in the algebra, so the
-    returned list is empty; genuine gaps require test sets off the
-    algebra (see extend_ui / extend_ls on FlaggedSet).  The function
-    also verifies that no gap occurs strictly between values of f
-    (where an exceptional interval would have positive measure) and
-    that the ui- and ls-integrals agree.
+    Each level's set is {f >= t} for every t in an interval of positive
+    length (see `_Superlevels`), so a gap above `tol` at a level raises:
+    the exceptional set would have positive measure.  A step function's
+    exceptional set is therefore empty whenever this returns; genuine
+    gaps need test sets off the algebra (see extend_ui / extend_ls on
+    FlaggedSet).  The ui- and ls-integrals are also checked to agree.
     """
     sets = _Superlevels(f)
     ui, ls = _closed_form(phi, sets)
-    gap = np.abs(ui - ls) > tol
-    n_levels = len(sets.levels)
-    if gap[n_levels:].any():
+    if (np.abs(ui - ls) > tol).any():
         raise AssertionError("exceptional set has positive measure")
     if abs(sets.integral(ui) - sets.integral(ls)) > max(tol, TOL):
         raise AssertionError("ui- and ls-integrals disagree")
-    return sets.levels[gap[:n_levels]].tolist()
+    return []

@@ -145,6 +145,7 @@ def random_fubini_instance(rng: np.random.Generator, m: int,
     pi = rng.uniform(0.05, 1.0, size=n)
     pi /= pi.sum()
     F = rng.uniform(0.0, 1.0, size=(m, n))
+    # submodular and nonnegative by construction, so not re-checked
     phi = random_submodular_setfunction(
         rng, n, families=("coverage", "matroid-rank", "concave-of-modular"))
-    return FubiniInstance.of(lam, pi, F, phi)
+    return FubiniInstance.of(lam, pi, F, phi, validate=False)

@@ -276,9 +276,7 @@ def criterion_6(rng, seed) -> str:
     for _ in range(200):
         phi = randgen.random_interval_setfunction(rng)
         f = randgen.random_step_function(rng, max_pieces=20)
-        exceptional = ae_gap(phi, f)
-        _require(len(exceptional) <= len(set(f.values)),
-                 "exceptional set larger than the number of levels")
+        ae_gap(phi, f)  # raises on a gap
         # every superlevel set of a step function lies in the algebra, where
         # the reference's ui, ls and exact values are one value
         value = choquet_interval(phi, f)

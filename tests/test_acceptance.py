@@ -12,10 +12,18 @@ import sys
 import numpy as np
 import pytest
 
-from choqkit import selftest, variation
+from choqkit import fubini, intervals, selftest, variation
 from choqkit.variation import DecompositionResult
 
 BASE_SEED = 0
+# sha256 of the seven report lines of `selftest --seed 0`, timings removed
+SELFTEST_REPORT_SHA256 = "0ee29ee5687a21371a6872c695a2a07a2fa91d4101af4ae240ebeb4b480404e7"
+
+
+def report_digest(lines) -> str:
+    """sha256 of the report lines, each with its "(x.xs)" timing removed."""
+    report = "".join(re.sub(r"\([0-9.]+s\)$", "", line) + "\n" for line in lines)
+    return hashlib.sha256(report.encode()).hexdigest()
 
 
 def _check(result):
@@ -106,8 +114,26 @@ def test_criterion_6_calls_the_level_set_reference_once_per_draw(monkeypatch):
     assert len(calls) == 200
 
 
+def test_criterion_6_fails_on_a_gap_at_a_level(monkeypatch):
+    # no level set then approaches a point mass's atom from the right while
+    # containing it, so ls is 0 where ui is the mass
+    monkeypatch.setattr(intervals._Superlevels, "accumulates_from_right",
+                        lambda self, x: ~self.contains(x))
+    result = selftest.criterion_6(BASE_SEED + 6)
+    assert not result.passed and result.detail == "exceptional set has positive measure"
+
+
 def test_criterion_7_lopsided_fubini():
     _check(selftest.criterion_7(BASE_SEED + 7))
+
+
+def test_criterion_7_does_not_recheck_its_draws(monkeypatch):
+    # coverage, matroid-rank and concave-of-modular draws are submodular and
+    # nonnegative by construction (tests/test_randgen.py checks them)
+    calls = []
+    monkeypatch.setattr(fubini, "require_submodular", lambda *args: calls.append(args))
+    _check(selftest.criterion_7(BASE_SEED + 7))
+    assert calls == []
 
 
 def test_criterion_8_selftest_subcommand():
@@ -119,7 +145,4 @@ def test_criterion_8_selftest_subcommand():
     lines = [l for l in result.stdout.splitlines() if l.startswith("criterion")]
     assert len(lines) == 7
     assert all("[PASS]" in line for line in lines)
-    # the seven report lines, each with its "(x.xs)" timing removed
-    report = "".join(re.sub(r"\([0-9.]+s\)$", "", line) + "\n" for line in lines)
-    assert hashlib.sha256(report.encode()).hexdigest() == (
-        "0ee29ee5687a21371a6872c695a2a07a2fa91d4101af4ae240ebeb4b480404e7")
+    assert report_digest(lines) == SELFTEST_REPORT_SHA256

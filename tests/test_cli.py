@@ -399,6 +399,14 @@ class TestNumericFlags:
         assert out == ""
         assert "argument --steps: must be finite and >= 0" in err
 
+    def test_negative_fubini_seed(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fubini", TestFubini.PAYLOAD, "--seed", "-1"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --seed: must be finite and >= 0" in err
+
 
 class TestUncrossBudget:
     FAMILY = json.dumps({"n": 4, "entries": [[1, 2], [2, 2], [4, 2], [8, 2]]})

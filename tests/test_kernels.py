@@ -29,6 +29,7 @@ from choqkit.randgen import (random_concave_of_modular, random_coverage,
                              random_cut, random_fubini_instance,
                              random_matroid_rank)
 from choqkit.setfunctions import _loop_verdict
+from test_acceptance import SELFTEST_REPORT_SHA256, report_digest
 
 TOL = 1e-9
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -813,6 +814,8 @@ class TestSelftestUnderO:
         result, lines = _selftest_under_O()
         assert result.returncode == 0, result.stdout + result.stderr
         assert len(lines) == 7 and all("[PASS]" in line for line in lines)
+        # the same report as without -O
+        assert report_digest(lines) == SELFTEST_REPORT_SHA256
 
     def test_constant_batch_kernel_fails(self):
         # the stacked kernel the criteria call, and through the choquet

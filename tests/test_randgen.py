@@ -14,7 +14,7 @@ import pytest
 from choqkit.randgen import (SUBMODULAR_FAMILIES, random_fubini_instance,
                              random_submodular_setfunction, random_table_setfunction,
                              random_weighted_family)
-from choqkit.setfunctions import setfunction_to_json
+from choqkit.setfunctions import is_submodular, setfunction_to_json
 
 
 def _floats(array) -> bytes:
@@ -57,6 +57,19 @@ def test_seeded_draws_are_pinned(draws):
     # one more draw pins how many numbers the run took from the stream
     digest.update(_floats(rng.random(1)))
     assert digest.hexdigest() == DIGESTS[draws]
+
+
+def test_fubini_draws_are_submodular_and_nonnegative():
+    # random_fubini_instance does not re-check its phi: the pinned grid's
+    # draws, then 300 of random size
+    grid = np.random.default_rng(20261018)
+    phis = [random_fubini_instance(grid, m, n).phi
+            for m in range(2, 9) for n in range(2, 9)]
+    rng = np.random.default_rng(20261020)
+    phis += [random_fubini_instance(rng, int(rng.integers(2, 9)),
+                                    int(rng.integers(2, 9))).phi for _ in range(300)]
+    for phi in phis:
+        assert is_submodular(phi) and phi.values.min() >= 0.0
 
 
 @pytest.mark.parametrize("family", SUBMODULAR_FAMILIES)
