@@ -44,7 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = 1
 FULL = {"sizes": (12, 16, 18, 20), "point_sizes": (2, 4, 6, 8),
-        "continuity_sizes": (4, 5, 6, 8), "pieces": (20, 200, 2000),
+        "continuity_sizes": (4, 5, 6, 8, 10, 11), "pieces": (20, 200, 2000),
         "lln_steps": 10_000, "batch_rows": 20_000, "k": 5, "min_time": 0.05,
         "end_to_end": True}
 SMOKE = {"sizes": (4, 8), "point_sizes": (2, 8), "continuity_sizes": (4,),

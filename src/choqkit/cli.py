@@ -58,12 +58,12 @@ def _interval_phi_from_json(obj) -> IntervalSetFunction:
     raise ValueError(f"unknown interval setfunction kind {obj['kind']!r}")
 
 
-def _nonnegative(convert):
-    """argparse type: `convert(text)`, which must be finite and >= 0."""
+def _at_least(low, convert):
+    """argparse type: `convert(text)`, which must be finite and >= low."""
     def parse(text):
         value = convert(text)
-        if not 0 <= value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and >= {low}, got {text!r}")
         return value
     parse.__name__ = convert.__name__  # for argparse's "invalid int value" error
     return parse
@@ -188,8 +188,9 @@ def cmd_fubini(args):
             print(f"inequality violation: {exc}", file=sys.stderr)
             return 1
         result = LopsidedResult.of(trace.lhs, trace.rhs, args.tol)
+        columns = (trace.k, trace.what_f, trace.running_avg, trace.what_h, trace.norm_h)
         table = ("steps", ("k", "what_f_k", "running_avg", "what_h_k", "norm_h_k"),
-                 trace.records)
+                 list(zip(*(column.tolist() for column in columns))))
     else:
         result = lopsided_check(inst, args.tol)
     summary = {"lhs": result.lhs, "rhs": result.rhs, "slack": result.slack,
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="choqkit",
         description="Choquet extensions of submodular setfunctions: "
                     "evaluation, variation, uncrossing, and checks.")
-    parser.add_argument("--tol", type=_nonnegative(float), default=TOL,
+    parser.add_argument("--tol", type=_at_least(0, float), default=TOL,
                         help="absolute comparison tolerance >= 0 (default 1e-9)")
     parser.add_argument("--format", choices=("human", "json"), default="human")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -251,14 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fubini", help="lopsided Fubini check and LLN trace")
     p.add_argument("input")
-    p.add_argument("--steps", type=_nonnegative(int), default=0)
-    p.add_argument("--seed", type=_nonnegative(int), default=0)
+    p.add_argument("--steps", type=_at_least(0, int), default=0)
+    p.add_argument("--seed", type=_at_least(0, int), default=0)
     p.add_argument("--force", action="store_true",
                    help="skip the submodular/nonnegative hypothesis check")
     p.set_defaults(fn=cmd_fubini)
 
-    p = sub.add_parser("selftest", help="run the full invariant suite")
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("selftest", help="run the invariant suite, criterion k at seed + k")
+    p.add_argument("--seed", type=_at_least(-1, int), default=0)
     p.set_defaults(fn=cmd_selftest)
 
     return parser

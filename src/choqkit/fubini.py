@@ -146,7 +146,7 @@ class LlnTrace:
     @property
     def records(self) -> tuple:
         """One `LlnRecord` of Python numbers per step, built from the
-        columns on every access."""
+        columns on every access; read only by perfbench's checks."""
         columns = (self.k, self.what_f, self.running_avg, self.what_h, self.norm_h)
         return tuple(map(LlnRecord, *(col.tolist() for col in columns)))
 
@@ -230,47 +230,41 @@ def lln_run(inst: FubiniInstance, steps: int, seed: int = 0,
                     lhs=result.lhs, rhs=result.rhs)
 
 
-_PAIR_BYTES = 56  # the modulus's arrays per pair (S, T), at their peak
+_PAIR_BYTES = 48  # the modulus's arrays per pair {S, T}, at their peak
 _CONTINUITY_BUDGET = 1 << 30  # bytes the modulus may allocate for its pairs
 
 
 def uniform_continuity_modulus(phi: SetFunction, pi,
                                epsilons=None) -> list:
     """Table of (eps, delta): delta = min pi(S sym T) over pairs with
-    |phi(S) - phi(T)| >= eps; +inf when no pair qualifies.
-
-    Any delta below min_x pi(x) forces S = T, so on a finite space
-    every setfunction is uniformly continuous with respect to pi.
-    The pairs cost about 56 bytes each, 4^n / 2 of them; above
-    _CONTINUITY_BUDGET bytes (from n = 13) a PreconditionError is raised
-    before anything is allocated.
+    |phi(S) - phi(T)| >= eps (+inf if none), eps by default running over
+    the distinct positive gaps; delta < min_x pi(x) forces S = T.  delta
+    depends on a pair only through D = S xor T, so one gap matrix (row D:
+    |phi(S) - phi(S xor D)| for every S, D = 0 left out) and one
+    `searchsorted` among the D by largest gap serve both epsilon lists.
+    The arrays take about 48 bytes per pair, 4^n / 2 pairs; above
+    _CONTINUITY_BUDGET bytes (n >= 13) a PreconditionError is raised before allocating.
     """
     pi = _finite(pi, "pi")
     if any(v <= 0 for v in pi):
         raise PreconditionError("pi entries must be positive")
     if len(pi) != phi.n:
         raise ValueError("pi length must match the ground set")
-    if epsilons is not None:  # before the pair work, which takes seconds at n = 12
+    if epsilons is not None:  # before the gap matrix, which takes seconds at n = 12
         epsilons = _finite(epsilons, "epsilons")
     vals = phi.values
     estimate = _PAIR_BYTES * (vals.size * (vals.size - 1) // 2)
     if estimate > _CONTINUITY_BUDGET:
         raise _size_limit_error(f"uniform_continuity_modulus at n={phi.n}", estimate,
                                 _CONTINUITY_BUDGET)
-    s, t = np.triu_indices(vals.size, 1)
-    gaps = np.abs(vals[s] - vals[t])
-    order = np.argsort(-gaps, kind="stable")
-    descending = gaps[order]
-    # delta over the pairs with the largest gaps, one more pair at a time
-    running_min = np.minimum.accumulate(subset_sums(pi)[s ^ t][order])
-    if epsilons is None:
-        # each distinct positive gap, ascending, with delta at its run's end
-        ends = np.flatnonzero(np.append(descending[:-1] != descending[1:], True))
-        ends = ends[descending[ends] > 0][::-1]
-        if not ends.size:
-            return [(1.0, math.inf)]
-        return list(zip(descending[ends].tolist(), running_min[ends].tolist()))
-    qualifying = np.searchsorted(-descending, -np.asarray(epsilons, dtype=np.float64),
-                                 side="right")
-    deltas = np.where(qualifying > 0, running_min[qualifying - 1], math.inf)
-    return list(zip(epsilons, deltas.tolist()))
+    gaps = np.abs(vals[np.arange(1, vals.size)[:, None] ^ np.arange(vals.size)] - vals)
+    # the D by largest gap, descending, and delta over the first q of them (q = 0 first)
+    largest = gaps.max(axis=1)
+    order = np.argsort(-largest)
+    running_min = np.minimum.accumulate(np.append(math.inf, subset_sums(pi)[1:][order]))
+    if epsilons is None:  # a constant table has no positive gap; no pair reaches 1.0
+        epsilons = np.unique(gaps)
+        epsilons = epsilons[epsilons > 0] if epsilons[-1] > 0 else [1.0]
+    epsilons = np.asarray(epsilons, dtype=np.float64)
+    deltas = running_min[np.searchsorted(-largest[order], -epsilons, side="right")]
+    return list(zip(epsilons.tolist(), deltas.tolist()))

@@ -1,9 +1,9 @@
 """End-to-end invariant suite over generated instances.
 
 Each criterion draws its own seeded instances, so a run is fully
-reproducible from the base seed.  Criteria 2, 3, 4 and 7 draw all their
-instances first, then run each stacked kernel (`choquet_stack`, the
-chain DP's `*_stack`) once per ground-set size, and then check the
+reproducible from the base seed.  Criteria 1, 2, 3, 4 and 7 draw all
+their instances first, then run each stacked kernel (`choquet_stack`,
+the chain DP's `*_stack`) once per ground-set size, and then check the
 instances in draw order, so a failure names the first failing draw.
 The CLI `selftest` subcommand and the acceptance tests both call into
 this module.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles, randgen
-from .choquet import choquet, choquet_batch, choquet_stack
+from .choquet import choquet, choquet_stack
 from .fubini import lln_run, lopsided_check_stack
 from .intervals import ae_gap, choquet_interval
 from .setfunctions import TOL, conjugate, decrease_witness, is_submodular
@@ -94,38 +94,43 @@ def _criterion(index: int, name: str):
 @_criterion(1, "convexity iff submodularity")
 def criterion_1(rng, seed) -> str:
     """Convexity iff submodularity on random table setfunctions."""
-    submodular_seen = nonsub_seen = 0
+    draws = []  # (phi, verdict, (f, g)); f and g only for a submodular phi
     for i in range(500):
         n = int(rng.integers(3, 7))
-        if i % 2 == 0:
-            phi = randgen.random_table_setfunction(rng, n)
-        else:
-            phi = randgen.random_submodular_setfunction(rng, n)
+        phi = (randgen.random_submodular_setfunction if i % 2
+               else randgen.random_table_setfunction)(rng, n)
         verdict = is_submodular(phi)
+        rows = rng.uniform(-1.0, 1.0, size=(100, 2, n)).swapaxes(0, 1) if verdict else None
+        draws.append((phi, verdict, rows))
+
+    def evaluate(group):
+        # whatphi at f + g, f and g per draw; a call per kind of row keeps batches small
+        tables = np.stack([phi.values for phi, _, _ in group])
+        which = np.repeat(np.arange(len(group)), 100)
+        kinds = zip(*((f + g, f, g) for _, _, (f, g) in group))
+        return zip(*(choquet_stack(tables, np.vstack(rows), which).reshape(-1, 100)
+                     for rows in kinds))
+
+    submodular = [draw for draw in draws if draw[1]]
+    values = iter(_by_size(submodular, lambda draw: draw[0].n, evaluate))
+    for phi, verdict, rows in draws:
         if verdict:
-            submodular_seen += 1
-            f, g = rng.uniform(-1.0, 1.0, size=(100, 2, n)).transpose(1, 0, 2)
-            # rows are independent: one batch for f + g, f and g
-            lhs, at_f, at_g = choquet_batch(phi, np.vstack([f + g, f, g])).reshape(3, -1)
-            scalar = choquet(phi, f[0])
+            lhs, at_f, at_g = next(values)
+            scalar = choquet(phi, rows[0][0])
             _require(float(at_f[0]) == scalar, lambda _: (
                 f"batch and scalar Choquet values differ: {at_f[0]} != {scalar}"))
             rhs = at_f + at_g
             _require(lhs <= rhs + TOL, lambda i: (
-                f"subadditivity failed for submodular phi: "
-                f"{lhs[i]} > {rhs[i]}"))
+                f"subadditivity failed for submodular phi: {lhs[i]} > {rhs[i]}"))
         else:
-            nonsub_seen += 1
             s, t = verdict.witness
             violation = phi(s | t) + phi(s & t) - phi(s) - phi(t)
             _require(violation > 0, "witness does not violate the inequality")
-            ind_s, ind_t = (np.asarray(m >> np.arange(n) & 1, dtype=np.float64)
-                            for m in (s, t))
-            both = ind_s + ind_t
-            gap = choquet(phi, both) - choquet(phi, ind_s) - choquet(phi, ind_t)
+            ind_s, ind_t = ((m >> np.arange(phi.n) & 1).astype(np.float64) for m in (s, t))
+            gap = choquet(phi, ind_s + ind_t) - choquet(phi, ind_s) - choquet(phi, ind_t)
             _require(gap >= violation - TOL,
                      f"witness indicators under-violate: {gap} < {violation}")
-    return (f"{submodular_seen} submodular / {nonsub_seen} "
+    return (f"{len(submodular)} submodular / {len(draws) - len(submodular)} "
             f"non-submodular instances checked")
 
 

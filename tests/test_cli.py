@@ -407,6 +407,19 @@ class TestNumericFlags:
         assert out == ""
         assert "argument --seed: must be finite and >= 0" in err
 
+    @pytest.mark.parametrize("seed", ["-2", "-10"])
+    def test_selftest_seed_below_minus_one(self, capsys, seed):
+        # criterion k runs at seed + k, and numpy refuses a negative seed
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["selftest", "--seed", seed])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --seed: must be finite and >= -1" in err
+
+    def test_selftest_seed_minus_one_is_allowed(self):
+        assert cli.build_parser().parse_args(["selftest", "--seed", "-1"]).seed == -1
+
 
 class TestUncrossBudget:
     FAMILY = json.dumps({"n": 4, "entries": [[1, 2], [2, 2], [4, 2], [8, 2]]})

@@ -234,18 +234,18 @@ class TestLlnEvaluatesOnce:
 
 class TestUniformContinuity:
     def test_size_limit_fails_before_allocating(self, path_cut, monkeypatch):
-        # 28 pairs at n = 3, 56 bytes each
-        monkeypatch.setattr(fubini, "_CONTINUITY_BUDGET", 28 * 56)
+        # 28 pairs at n = 3, 48 bytes each
+        monkeypatch.setattr(fubini, "_CONTINUITY_BUDGET", 28 * 48)
         assert uniform_continuity_modulus(path_cut, [1 / 3] * 3, [1.0]) == [(1.0, 1 / 3)]
-        monkeypatch.setattr(fubini, "_CONTINUITY_BUDGET", 28 * 56 - 1)
+        monkeypatch.setattr(fubini, "_CONTINUITY_BUDGET", 28 * 48 - 1)
         with pytest.raises(PreconditionError, match="uniform_continuity_modulus at n=3 "
-                                                    "needs about 1568 bytes, over its "
-                                                    "budget of 1567 bytes"):
+                                                    "needs about 1344 bytes, over its "
+                                                    "budget of 1343 bytes"):
             uniform_continuity_modulus(path_cut, [1 / 3] * 3, [1.0])
 
     def test_default_budget_stops_at_n_13(self):
         phi = SetFunction.modular([1.0] * 13)
-        with pytest.raises(PreconditionError, match="n=13 needs about 1878818816 bytes"):
+        with pytest.raises(PreconditionError, match="n=13 needs about 1610416128 bytes"):
             uniform_continuity_modulus(phi, [1 / 13] * 13)
 
     def test_huge_epsilon_gives_infinite_delta(self, path_cut):

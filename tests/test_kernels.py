@@ -349,14 +349,30 @@ class TestValues:
         assert phi.values[1] == 1.0 and phi(1) == 1.0
 
 
+@st.composite
+def integer_tables(draw, max_n=6):
+    """Tables of small integers, so that many pairs share a gap."""
+    n = draw(st.integers(1, max_n))
+    values = draw(st.lists(st.integers(-3, 3), min_size=(1 << n) - 1,
+                           max_size=(1 << n) - 1))
+    return SetFunction.from_table([0.0] + [float(v) for v in values])
+
+
 class TestContinuityModulus:
     @SETTINGS
-    @given(st.one_of(sign_mixed_tables(max_n=6), family_members(max_n=6)),
+    @given(st.one_of(sign_mixed_tables(max_n=6), integer_tables(), family_members(max_n=6)),
            st.integers(0, 2 ** 32 - 1))
+    @example(SetFunction.from_table([0.0, 2.0]), 0)
+    @example(SetFunction.from_table([0.0, 0.0]), 0)
     def test_sorted_gaps_match_pair_scan(self, phi, seed):
-        pi = np.random.default_rng(seed).uniform(0.05, 1.0, size=phi.n).tolist()
-        assert uniform_continuity_modulus(phi, pi) == \
-            oracles.continuity_modulus_by_pairs(phi, pi)
+        rng = np.random.default_rng(seed)
+        pi = rng.uniform(0.05, 1.0, size=phi.n).tolist()
+        gaps = np.abs(np.subtract.outer(phi.values, phi.values)).ravel()
+        # 0.0, some of the table's own gaps, and one above the largest
+        explicit = [0.0, *rng.choice(gaps, size=3).tolist(), 2.0 * float(gaps.max()) + 1.0]
+        for epsilons in (None, explicit):
+            assert uniform_continuity_modulus(phi, pi, epsilons) == \
+                oracles.continuity_modulus_by_pairs(phi, pi, epsilons)
 
     def test_explicit_epsilons(self, path_cut):
         pi = (0.2, 0.3, 0.5)
@@ -753,10 +769,11 @@ class TestNonFinite:
             uniform_continuity_modulus(path_cut, **args)
 
     def test_continuity_epsilons_rejected_before_the_pairs(self, path_cut, monkeypatch):
-        def no_pairs(*args, **kwargs):
-            raise AssertionError("pair arrays built before the epsilons were checked")
+        class NoNumpy:  # every array the modulus builds goes through fubini.np
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} used before the epsilons were checked")
 
-        monkeypatch.setattr(fubini.np, "triu_indices", no_pairs)
+        monkeypatch.setattr(fubini, "np", NoNumpy())
         with pytest.raises(ValueError, match="epsilons must be finite"):
             uniform_continuity_modulus(path_cut, [0.2, 0.3, 0.5], [0.5, float("nan")])
 

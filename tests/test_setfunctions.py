@@ -93,7 +93,7 @@ class TestSizeLimitError:
             messages.append(str(error.value))
         assert messages == [
             "lln_run with steps=5 needs about 240 bytes, over its budget of 0 bytes",
-            "uniform_continuity_modulus at n=2 needs about 336 bytes, "
+            "uniform_continuity_modulus at n=2 needs about 288 bytes, "
             "over its budget of 0 bytes",
             "uncross stopped after 0 steps: one more needs about 200 bytes, "
             "over its budget of 0 bytes"]
