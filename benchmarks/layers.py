@@ -140,6 +140,11 @@ def one_pass(profile) -> list:
             row("from_table", case, lambda: SetFunction.from_table(values))
             row("is_submodular", case, lambda: is_submodular(phi))
             row("is_increasing", case, lambda: is_increasing(phi))
+            # the family's verdicts come from its payload; its table copy's
+            # from the difference kernels
+            table = SetFunction.from_table(values)
+            row("is_submodular", f"{case} table", lambda: is_submodular(table))
+            row("is_increasing", f"{case} table", lambda: is_increasing(table))
 
             def cold():
                 variation._plan.cache_clear()  # the chain DP's cached plan

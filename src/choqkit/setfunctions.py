@@ -14,7 +14,7 @@ live in `oracles.value_by_payload`, as the reference for the builders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from numbers import Integral
 from typing import Optional, Sequence
@@ -132,15 +132,17 @@ def _concave_validate(breakpoints):
     pts = [_finite(point, "breakpoints") for point in breakpoints]
     if not pts or pts[0] != (0.0, 0.0):
         raise ValueError("breakpoint list must start with (0, 0)")
-    slopes = []
-    for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-        if t1 <= t0:
-            raise ValueError("breakpoint abscissae must be strictly increasing")
-        slopes.append((v1 - v0) / (t1 - t0))
-    for s0, s1 in zip(slopes, slopes[1:]):
-        if s1 > s0 + TOL:
-            raise ValueError("breakpoints do not describe a concave function")
+    if any(t1 <= t0 for (t0, _), (t1, _) in zip(pts, pts[1:])):
+        raise ValueError("breakpoint abscissae must be strictly increasing")
+    slopes = _slopes(pts)
+    if any(s1 > s0 + TOL for s0, s1 in zip(slopes, slopes[1:])):
+        raise ValueError("breakpoints do not describe a concave function")
     return pts
+
+
+def _slopes(pts) -> list:
+    """The slope of each segment of the piecewise-linear function through pts."""
+    return [(v1 - v0) / (t1 - t0) for (t0, v0), (t1, v1) in zip(pts, pts[1:])]
 
 
 def piecewise_linear(pts, t: float) -> float:
@@ -396,10 +398,16 @@ def decrease_witness(values: np.ndarray, tol: float = TOL) -> Optional[tuple]:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a structural predicate, with a violating pair on failure."""
+    """Outcome of a structural predicate, with a violating pair on failure.
+
+    `source` says what decided it: "construction" (the payload of a family,
+    see `_by_construction`) or "table" (a pass over `values`).  It takes no
+    part in equality.
+    """
 
     holds: bool
     witness: Optional[tuple] = None
+    source: str = field(default="table", compare=False)
 
     def __bool__(self) -> bool:
         return self.holds
@@ -448,13 +456,39 @@ def _second_difference_verdict(phi: SetFunction, violates) -> Verdict:
     return Verdict(True)
 
 
+_BY_CONSTRUCTION = Verdict(True, source="construction")
+
+
+def _by_construction(phi: SetFunction) -> tuple:
+    """(submodular, increasing, modular): True where phi's payload makes the
+    property a theorem (Edmonds 1970; Fujishige, ch. 3), exactly and with
+    no tolerance; False leaves it to the table.  Such a yes is about the
+    function the payload defines, not about each rounded entry of its table.
+    """
+    kind, payload = phi.kind, phi.payload
+    if kind in ("coverage", "matroid-rank"):
+        return True, True, False
+    if kind == "modular":
+        return True, all(w >= 0 for w in payload["weights"]), True
+    if kind == "cut":
+        return all(w >= 0 for _, _, w in payload["edges"]), False, False
+    if kind == "concave-of-modular":  # weights >= 0; validation lets slopes rise by TOL
+        slopes = _slopes(payload["breakpoints"])
+        return (all(s1 <= s0 for s0, s1 in zip(slopes, slopes[1:])),
+                all(s >= 0 for s in slopes), False)
+    return False, False, False
+
+
 def is_submodular(phi: SetFunction, tol: float = TOL) -> Verdict:
     """Check phi(X u Y) + phi(X n Y) <= phi(X) + phi(Y) for all X, Y.
 
-    Uses the local exchange characterization (second differences over
-    pairs of elements outside a common base set); a reported witness
-    (X, Y) violates the global inequality directly.
+    A family whose payload decides it answers yes by construction (for
+    any tol >= 0); otherwise the local exchange characterization (second
+    differences over pairs of elements outside a common base set) decides,
+    and a reported witness (X, Y) violates the global inequality directly.
     """
+    if tol >= 0 and _by_construction(phi)[0]:
+        return _BY_CONSTRUCTION
     return _second_difference_verdict(phi, lambda d: d > tol)
 
 
@@ -466,13 +500,19 @@ def require_submodular(phi: SetFunction, tol: float = TOL) -> None:
 
 
 def is_increasing(phi: SetFunction, tol: float = TOL) -> Verdict:
-    """Check phi(S) <= phi(T) whenever S is a subset of T."""
+    """Check phi(S) <= phi(T) whenever S is a subset of T (by construction
+    where the payload decides it, as in `is_submodular`)."""
+    if tol >= 0 and _by_construction(phi)[1]:
+        return _BY_CONSTRUCTION
     witness = decrease_witness(phi.values, tol)
     return Verdict(witness is None, witness)
 
 
 def is_modular(phi: SetFunction, tol: float = TOL) -> Verdict:
-    """Check that the submodular inequality holds with equality both ways."""
+    """Check that the submodular inequality holds with equality both ways
+    (by construction for the modular kind, as in `is_submodular`)."""
+    if tol >= 0 and _by_construction(phi)[2]:
+        return _BY_CONSTRUCTION
     return _second_difference_verdict(phi, lambda d: np.abs(d) > tol)
 
 

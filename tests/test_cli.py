@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from choqkit import cli, fubini, selftest, uncrossing
@@ -25,10 +26,11 @@ class TestCheck:
         assert "modular: no" in result.stdout
 
     def test_json_format(self):
-        result = run_cli("--format", "json", "check", PATH_CUT)
-        report = json.loads(result.stdout)
-        assert report["submodular"]["holds"] is True
-        assert report["increasing"]["holds"] is False
+        report = json.loads(run_cli("--format", "json", "check", PATH_CUT).stdout)
+        assert report == {
+            "submodular": {"holds": True, "witness": None, "source": "construction"},
+            "increasing": {"holds": False, "witness": [2, 3], "source": "table"},
+            "modular": {"holds": False, "witness": [1, 2], "source": "table"}}
 
     @pytest.mark.parametrize("edges", [[[0, 1, 2.0, 99.0]], [[0, 1], [1]], [[]]])
     def test_cut_edge_must_be_a_pair_or_a_triple(self, capsys, edges):
@@ -45,8 +47,21 @@ class TestCheck:
                "payload": {"weights": [1, 1], "breakpoints": [[0, 0], [1, 1], [2, 0]]}}
         assert cli.main(["check", json.dumps(obj)]) == 0
         assert capsys.readouterr().out == (
-            "submodular: yes\nincreasing: no (witness {1}, {0,1})\n"
+            "submodular: yes (by construction)\nincreasing: no (witness {1}, {0,1})\n"
             "modular: no (witness {0}, {1})\n")
+
+    # rounding puts second differences of a few 1e-9 in these tables, which
+    # the table pass reads as violations; the payload decides exactly
+    @pytest.mark.parametrize("obj", [
+        {"n": 4, "kind": "cut", "payload": {"edges": [
+            [0, 2, 8604341.2], [0, 3, 9559206.8], [1, 2, 9427978.6], [1, 3, 3161218.0]]}},
+        *({"n": 10, "kind": "concave-of-modular", "payload": {
+            "weights": np.random.default_rng(seed).uniform(1e6, 1e7, 10).tolist(),
+            "breakpoints": [[0, 0], [1e7, 2e7], [3e7, 3e7], [6e7, 3.5e7]]}}
+          for seed in range(3))])
+    def test_large_weights_are_submodular_by_construction(self, capsys, obj):
+        assert cli.main(["check", json.dumps(obj)]) == 0
+        assert capsys.readouterr().out.startswith("submodular: yes (by construction)\n")
 
 
 class TestChoquetEval:
@@ -389,7 +404,12 @@ class TestNumericFlags:
         modular = json.dumps({"n": 2, "kind": "modular", "payload": {"weights": [1, 1]}})
         assert cli.main(["--tol", "0", "check", modular]) == 0
         assert capsys.readouterr().out == (
-            "submodular: yes\nincreasing: yes\nmodular: yes\n")
+            "submodular: yes (by construction)\nincreasing: yes (by construction)\n"
+            "modular: yes (by construction)\n")
+        # its table takes tol = 0 to the kernels
+        table = json.dumps({"n": 2, "kind": "table", "payload": {"values": [0, 1, 1, 2]}})
+        assert cli.main(["--tol", "0", "check", table]) == 0
+        assert capsys.readouterr().out == "submodular: yes\nincreasing: yes\nmodular: yes\n"
 
     def test_negative_steps(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -7,6 +7,7 @@ difference is far above the tolerance; the local (kernel) and global
 tolerance zero.  Small k gives large violations, large k small ones.
 """
 
+import json
 import math
 import subprocess
 import sys
@@ -25,10 +26,10 @@ from choqkit import (FubiniInstance, IntervalSet, IntervalSetFunction, Precondit
 from choqkit import cli, fubini, intervals, oracles, variation
 from choqkit.choquet import choquet_stack
 from choqkit.fubini import LlnRecord
-from choqkit.randgen import (random_concave_of_modular, random_coverage,
+from choqkit.randgen import (_concave_points, random_concave_of_modular, random_coverage,
                              random_cut, random_fubini_instance,
                              random_matroid_rank)
-from choqkit.setfunctions import _loop_verdict
+from choqkit.setfunctions import _loop_verdict, _slopes, setfunction_to_json
 from test_acceptance import SELFTEST_REPORT_SHA256, report_digest
 
 TOL = 1e-9
@@ -63,6 +64,10 @@ def family_members(draw, max_n=8):
 
 
 setfunctions = st.one_of(sign_mixed_tables(), family_members())
+# a family's verdicts may come from its payload; its table copy keeps the
+# difference kernels fed with structured tables
+predicate_inputs = st.one_of(setfunctions, family_members().map(
+    lambda phi: SetFunction.from_table(phi.values)))
 
 
 def _subset(s, t):
@@ -71,7 +76,7 @@ def _subset(s, t):
 
 class TestPredicates:
     @SETTINGS
-    @given(setfunctions)
+    @given(predicate_inputs)
     def test_submodular_verdict_and_witness(self, phi):
         verdict = is_submodular(phi)
         assert verdict.holds == oracles.submodular_by_pairs(phi).holds
@@ -80,7 +85,7 @@ class TestPredicates:
             assert phi(s | t) + phi(s & t) > phi(s) + phi(t) + TOL
 
     @SETTINGS
-    @given(setfunctions)
+    @given(predicate_inputs)
     def test_modular_verdict_and_witness(self, phi):
         verdict = is_modular(phi)
         assert verdict.holds == oracles.modular_by_pairs(phi).holds
@@ -89,7 +94,7 @@ class TestPredicates:
             assert abs(phi(s | t) + phi(s & t) - phi(s) - phi(t)) > TOL
 
     @SETTINGS
-    @given(setfunctions)
+    @given(predicate_inputs)
     def test_increasing_verdict_and_witness(self, phi):
         verdict = is_increasing(phi)
         assert verdict.holds == oracles.increasing_by_pairs(phi).holds
@@ -98,7 +103,7 @@ class TestPredicates:
             assert _subset(s, t) and phi(s) > phi(t) + TOL
 
     @SETTINGS
-    @given(setfunctions)
+    @given(predicate_inputs)
     def test_witnesses_are_python_ints(self, phi):
         for verdict in (is_submodular(phi), is_increasing(phi), is_modular(phi)):
             if verdict.witness is not None:
@@ -111,8 +116,9 @@ ROUTE_NS = (2, 9, 10, 11, 12)  # both sides of the one-gather budget (n <= 10)
 @st.composite
 def tables_across_the_budget(draw, ns=ROUTE_NS):
     """At n in ns: dyadic sign-mixed tables (ties, all-zero), family
-    members, and family members with a dyadic bump at one mask (so every
-    violation sits next to that mask).
+    members' tables (a family's own verdicts may skip the kernels), and
+    those with a dyadic bump at one mask (so every violation sits next to
+    that mask).
     The tables are drawn by numpy from a seed, since 2^12 entries would
     overrun hypothesis's buffer."""
     n = draw(st.sampled_from(ns))
@@ -128,10 +134,9 @@ def tables_across_the_budget(draw, ns=ROUTE_NS):
         phi = SetFunction.modular(rng.uniform(-1.0, 1.0, size=n))
     else:
         phi = FAMILY_MAKERS[maker](rng, n)
-    if kind == "member":
-        return phi
     values = phi.values.copy()
-    values[int(rng.integers(1, 1 << n))] += unit
+    if kind == "bumped":
+        values[int(rng.integers(1, 1 << n))] += unit
     return SetFunction.from_table(values)
 
 
@@ -160,6 +165,113 @@ class TestSecondDifferenceRoutes:
             s, t = verdict.witness
             assert _subset(s, t) and bin(s ^ t).count("1") == 1
             assert phi(s) > phi(t) + TOL
+
+
+@st.composite
+def construction_inputs(draw, max_n=10):
+    """Every family at n <= max_n, with the payloads whose verdicts fall
+    back to the table: sign-mixed modular weights, cuts with negative
+    weights, and concave g that rise then fall or only fall."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(sorted(FAMILY_MAKERS) + ["modular", "signed cut", "signed g"]))
+    if kind == "modular":
+        return SetFunction.modular(rng.uniform(draw(st.sampled_from([-1.0, 0.0])), 1.0, size=n))
+    if kind == "signed cut":
+        return SetFunction.cut(n, [(u, v, float(rng.uniform(-1.0, 1.0)))
+                                   for u in range(n) for v in range(u + 1, n)
+                                   if rng.random() < 0.6])
+    if kind == "signed g":
+        weights = rng.uniform(0.1, 1.0, size=n)
+        knots = np.sort(rng.uniform(0.0, weights.sum(), size=2)).tolist()
+        slopes = np.sort(rng.uniform(-2.0, 2.0, size=3))[::-1]
+        return SetFunction.concave_of_modular(
+            weights, _concave_points(knots + [weights.sum() + 1.0], slopes))
+    return FAMILY_MAKERS[kind](rng, n)
+
+
+PREDICATES = ((is_submodular, oracles.submodular_by_pairs),
+              (is_increasing, oracles.increasing_by_pairs),
+              (is_modular, oracles.modular_by_pairs))
+
+
+class TestConstructionVerdicts:
+    @settings(max_examples=60, deadline=None)
+    @given(construction_inputs())
+    @example(SetFunction.modular([-1.0, 2.0]))
+    @example(SetFunction.cut(3, [(0, 1, 1.0), (1, 2, -0.5)]))
+    @example(SetFunction.concave_of_modular([1.0, 1.0], [(0, 0), (1, 1), (2, 0)]))
+    def test_a_construction_yes_matches_the_pair_oracles(self, phi):
+        for predicate, oracle in PREDICATES:
+            verdict = predicate(phi)
+            if verdict.source == "construction":
+                assert verdict.holds and oracle(phi).holds
+            else:
+                assert verdict.source == "table"
+                assert verdict.holds == oracle(phi).holds
+
+    # the source of is_submodular, is_increasing and is_modular, in that
+    # order: c for construction, t for table
+    @pytest.mark.parametrize("phi, sources", [
+        (SetFunction.cut(3, [(0, 1, 1.0), (1, 2, 0.0)]), "ctt"),
+        (SetFunction.cut(3, [(0, 1, 1.0), (1, 2, -0.5)]), "ttt"),
+        (SetFunction.coverage([[0], [0, 1]], [1.0, 0.0]), "cct"),
+        (SetFunction.uniform_matroid(3, 1), "cct"),
+        (SetFunction.partition_matroid([[0, 2], [1]], [1, 1]), "cct"),
+        (SetFunction.modular([1.0, 0.0]), "ccc"),
+        (SetFunction.modular([1.0, -0.0, -1.0]), "ctc"),
+        (SetFunction.concave_of_modular([1.0, 2.0], [(0, 0)]), "cct"),
+        (SetFunction.concave_of_modular([1.0, 2.0], [(0, 0), (1, 2), (3, 2)]), "cct"),
+        (SetFunction.concave_of_modular([1.0, 2.0], [(0, 0), (1, 2), (3, 1)]), "ctt"),
+        (SetFunction.from_table([0.0, 1.0, 1.0, 2.0]), "ttt"),
+    ])
+    def test_which_route_decides(self, phi, sources):
+        got = [predicate(phi).source[0] for predicate, _ in PREDICATES]
+        assert "".join(got) == sources
+        # a negative tol asks more than a theorem gives: the table decides
+        assert {predicate(phi, -TOL).source for predicate, _ in PREDICATES} == {"table"}
+
+    def test_a_negative_cut_weight_takes_the_table_route(self):
+        phi = SetFunction.cut(3, [(0, 1, 1.0), (1, 2, -0.5)])
+        verdict = is_submodular(phi)
+        assert verdict.source == "table" and not verdict.holds
+        s, t = verdict.witness
+        assert phi(s | t) + phi(s & t) > phi(s) + phi(t) + TOL
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_a_slope_rise_below_tol_takes_the_table_route(self, scale):
+        # accepted as concave (the rise is at most TOL), but no theorem applies;
+        # at scale 1e3 the second difference is about 5e-7, a real violation
+        pts = [(0.0, 0.0), (scale, scale), (2 * scale, scale + scale * (1 + TOL / 2))]
+        slopes = _slopes(pts)
+        assert 0 < slopes[1] - slopes[0] <= TOL
+        phi = SetFunction.concave_of_modular([scale, scale], pts)
+        verdict = is_submodular(phi)
+        assert verdict.source == "table" and verdict.holds == (scale == 1.0)
+        if not verdict:
+            s, t = verdict.witness
+            assert phi(s | t) + phi(s & t) > phi(s) + phi(t) + TOL
+        assert is_increasing(phi).source == "construction"
+
+    def test_family_inputs_run_no_table_pass(self, monkeypatch):
+        passes = []
+        for name in ("_second_difference_verdict", "_loop_verdict", "decrease_witness"):
+            monkeypatch.setattr(f"choqkit.setfunctions.{name}",
+                                lambda *args, name=name: passes.append(name))
+        families = [SetFunction.cut(3, [(0, 1, 1.0), (1, 2, 2.0)]),
+                    SetFunction.coverage([[0], [0, 1], [2]], [1.0, 2.0, 0.5]),
+                    SetFunction.uniform_matroid(3, 2),
+                    SetFunction.partition_matroid([[0, 2], [1]], [1, 1]),
+                    SetFunction.modular([0.2, 0.3, 0.5]),
+                    SetFunction.concave_of_modular([1.0, 2.0, 0.5],
+                                                   [(0, 0), (1, 2), (3, 3)])]
+        for phi in families:
+            ls_decomposition(phi)
+            variation.submodular_variation_closed_form(phi)
+            FubiniInstance.of([0.5, 0.5], [0.25, 0.25, 0.5], np.eye(2, 3), phi)
+        # the modular kind is the one whose three verdicts are all theorems
+        assert cli.main(["check", json.dumps(setfunction_to_json(families[4]))]) == 0
+        assert passes == []
 
 
 class TestChainDp:

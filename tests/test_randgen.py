@@ -14,7 +14,7 @@ import pytest
 from choqkit.randgen import (SUBMODULAR_FAMILIES, random_fubini_instance,
                              random_submodular_setfunction, random_table_setfunction,
                              random_weighted_family)
-from choqkit.setfunctions import is_submodular, setfunction_to_json
+from choqkit.setfunctions import SetFunction, is_submodular, setfunction_to_json
 
 
 def _floats(array) -> bytes:
@@ -70,6 +70,8 @@ def test_fubini_draws_are_submodular_and_nonnegative():
                                     int(rng.integers(2, 9))).phi for _ in range(300)]
     for phi in phis:
         assert is_submodular(phi) and phi.values.min() >= 0.0
+        # the payload decides the verdict above; the table pass checks the values
+        assert is_submodular(SetFunction.from_table(phi.values))
 
 
 @pytest.mark.parametrize("family", SUBMODULAR_FAMILIES)

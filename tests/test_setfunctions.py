@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import choqkit
 from choqkit import cli, fubini, setfunctions, uncrossing
-from choqkit import (GroundSet, PreconditionError, SetFunction, conjugate, is_increasing,
-                     is_modular, is_submodular, setfunction_from_json,
+from choqkit import (GroundSet, PreconditionError, SetFunction, Verdict, conjugate,
+                     is_increasing, is_modular, is_submodular, setfunction_from_json,
                      setfunction_to_json)
 from choqkit.oracles import submodular_by_pairs
 from choqkit.randgen import (random_submodular_setfunction,
@@ -202,6 +202,10 @@ class TestPredicates:
         assert is_submodular(phi)
         assert is_modular(phi)
 
+    def test_source_takes_no_part_in_equality(self):
+        assert Verdict(True, source="construction") == Verdict(True)
+        assert hash(Verdict(False, (1, 2), "table")) == hash(Verdict(False, (1, 2)))
+
     def test_explicit_nonsubmodular_table(self):
         phi = SetFunction.from_table([0, 0, 0, 1])
         verdict = is_submodular(phi)
@@ -230,6 +234,8 @@ class TestPredicates:
             n = int(rng.integers(2, 9))
             phi = random_submodular_setfunction(rng, n)
             assert submodular_by_pairs(phi), phi.kind
+            assert is_submodular(phi).source == "construction", phi.kind
+            assert is_submodular(SetFunction.from_table(phi.values)), phi.kind
 
 
 class TestConjugate:
