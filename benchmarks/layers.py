@@ -140,22 +140,26 @@ def one_pass(profile) -> list:
             row("from_table", case, lambda: SetFunction.from_table(values))
             row("is_submodular", case, lambda: is_submodular(phi))
             row("is_increasing", case, lambda: is_increasing(phi))
-            # the family's verdicts come from its payload; its table copy's
-            # from the difference kernels
+            # the family's verdicts, K, mu and chain come from its payload (a
+            # submodular one's running maximum); its table copy's from the
+            # difference kernels and the chain DP
             table = SetFunction.from_table(values)
             row("is_submodular", f"{case} table", lambda: is_submodular(table))
             row("is_increasing", f"{case} table", lambda: is_increasing(table))
+            for copy, which in ((phi, case), (table, f"{case} table")):
 
-            def cold():
-                variation._plan.cache_clear()  # the chain DP's cached plan
-                return phi
+                def cold():
+                    variation._plan.cache_clear()  # the chain DP's cached plan
+                    return copy
 
-            row("total_variation cold", case, variation.total_variation, fresh=cold)
-            variation.total_variation(phi)
-            row("total_variation warm", case, lambda: variation.total_variation(phi))
-            row("max_variation_chain", case, lambda: variation.max_variation_chain(phi))
-            row("canonical_decomposition", case,
-                lambda: variation.canonical_decomposition(phi))
+                row("total_variation cold", which, variation.total_variation, fresh=cold)
+                variation.total_variation(copy)
+                row("total_variation warm", which,
+                    lambda: variation.total_variation(copy))
+                row("max_variation_chain", which,
+                    lambda: variation.max_variation_chain(copy))
+                row("canonical_decomposition", which,
+                    lambda: variation.canonical_decomposition(copy))
             row("ls_decomposition", case, lambda: variation.ls_decomposition(phi))
             row("conjugate", case, lambda: conjugate(phi))
             row("choquet", case, lambda: choquet(phi, f))
@@ -169,9 +173,10 @@ def one_pass(profile) -> list:
         f = np.random.default_rng(20 + n).uniform(-1.0, 1.0, n).tolist()
         mask = int("10" * n, 2) >> n  # alternate elements
         row("choquet", f"point cut n={n}", lambda: choquet(phi, f))
-        variation.total_variation(phi)  # the chain DP's plan, cached
-        row("total_variation warm", f"point cut n={n}",
-            lambda: variation.total_variation(phi))
+        table = SetFunction.from_table(phi.values)  # the cut's K is its closed form
+        variation.total_variation(table)  # the chain DP's plan, cached
+        row("total_variation warm", f"point cut n={n} table",
+            lambda: variation.total_variation(table))
         row("phi(mask)", f"cut n={n}", lambda: phi(mask))
         draw = np.random.default_rng(30 + n)
         family = WeightedFamily.of(GroundSet(n), [

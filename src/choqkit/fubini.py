@@ -231,7 +231,14 @@ def lln_run(inst: FubiniInstance, steps: int, seed: int = 0,
 
 
 _PAIR_BYTES = 48  # the modulus's arrays per pair {S, T}, at their peak
-_CONTINUITY_BUDGET = 1 << 30  # bytes the modulus may allocate for its pairs
+_TUPLE_BYTES = 112  # per (eps, delta) of the returned list: tuple, two floats, a slot
+_CONTINUITY_BUDGET = 1 << 30  # bytes the modulus may allocate for its pairs and list
+
+
+def _continuity_within_budget(n: int, estimate: int) -> None:
+    if estimate > _CONTINUITY_BUDGET:
+        raise _size_limit_error(f"uniform_continuity_modulus at n={n}", estimate,
+                                _CONTINUITY_BUDGET)
 
 
 def uniform_continuity_modulus(phi: SetFunction, pi,
@@ -242,8 +249,10 @@ def uniform_continuity_modulus(phi: SetFunction, pi,
     depends on a pair only through D = S xor T, so one gap matrix (row D:
     |phi(S) - phi(S xor D)| for every S, D = 0 left out) and one
     `searchsorted` among the D by largest gap serve both epsilon lists.
-    The arrays take about 48 bytes per pair, 4^n / 2 pairs; above
-    _CONTINUITY_BUDGET bytes (n >= 13) a PreconditionError is raised before allocating.
+    The arrays take about 48 bytes per pair, 4^n / 2 pairs, and the list
+    112 per (eps, delta); above _CONTINUITY_BUDGET bytes (n >= 13) a
+    PreconditionError is raised before allocating, or for the default
+    epsilons, whose count the sorted gaps give, before building the list.
     """
     pi = _finite(pi, "pi")
     if any(v <= 0 for v in pi):
@@ -254,9 +263,7 @@ def uniform_continuity_modulus(phi: SetFunction, pi,
         epsilons = _finite(epsilons, "epsilons")
     vals = phi.values
     estimate = _PAIR_BYTES * (vals.size * (vals.size - 1) // 2)
-    if estimate > _CONTINUITY_BUDGET:
-        raise _size_limit_error(f"uniform_continuity_modulus at n={phi.n}", estimate,
-                                _CONTINUITY_BUDGET)
+    _continuity_within_budget(phi.n, estimate + _TUPLE_BYTES * len(epsilons or ()))
     gaps = np.abs(vals[np.arange(1, vals.size)[:, None] ^ np.arange(vals.size)] - vals)
     # the D by largest gap, descending, and delta over the first q of them (q = 0 first)
     largest = gaps.max(axis=1)
@@ -265,6 +272,7 @@ def uniform_continuity_modulus(phi: SetFunction, pi,
     if epsilons is None:  # a constant table has no positive gap; no pair reaches 1.0
         epsilons = np.unique(gaps)
         epsilons = epsilons[epsilons > 0] if epsilons[-1] > 0 else [1.0]
+        _continuity_within_budget(phi.n, estimate + _TUPLE_BYTES * len(epsilons))
     epsilons = np.asarray(epsilons, dtype=np.float64)
     deltas = running_min[np.searchsorted(-largest[order], -epsilons, side="right")]
     return list(zip(epsilons.tolist(), deltas.tolist()))

@@ -7,7 +7,10 @@ nu = mu - phi, K(phi) = 2 mu(J) - phi(J), and (walking back from J) a
 chain attaining both.
 Refining a chain never lowers sum delta_+, so maximal chains suffice;
 tests check this against an all-predecessor oracle.
-"""
+A phi submodular by construction (`setfunctions._by_construction`) takes
+mu(S) = max_{Y subseteq S} phi(Y), one running maximum: the mu and K of the
+function its payload defines, which the DP on its rounded table may miss in
+the last bits."""
 
 from __future__ import annotations
 
@@ -17,7 +20,8 @@ from math import comb
 
 import numpy as np
 
-from .setfunctions import TOL, SetFunction, decrease_witness, require_submodular
+from .setfunctions import (TOL, SetFunction, _by_construction, decrease_witness,
+                           require_submodular)
 
 
 def _build_plan(n: int) -> tuple:
@@ -120,7 +124,10 @@ def total_variation_stack(tables: np.ndarray) -> np.ndarray:
 
 
 def total_variation(phi: SetFunction) -> float:
-    """K(phi): largest sum of |increments| over chains from empty to J."""
+    """K(phi): largest sum of |increments| over chains from empty to J (the
+    closed form where phi is submodular by construction)."""
+    if _by_construction(phi)[0]:
+        return submodular_variation_closed_form(phi)
     return float(total_variation_stack(phi.values))
 
 
@@ -180,9 +187,27 @@ def canonical_decomposition_stack(tables: np.ndarray) -> list:
 
 
 def canonical_decomposition(phi: SetFunction) -> DecompositionResult:
-    """Chain-wise positive/negative increment suprema ending exactly at S."""
-    (mu, nu), variation = _decomposition(phi.values)
-    return DecompositionResult(mu, nu, float(variation))
+    """Chain-wise positive/negative increment suprema ending exactly at S:
+    from the chain DP, or where phi is submodular by construction, mu =
+    `ls_decomposition`'s psi (a running maximum) and nu = mu - phi."""
+    vals = phi.values
+    if not _by_construction(phi)[0]:
+        (mu, nu), variation = _decomposition(vals)
+        return DecompositionResult(mu, nu, float(variation))
+    mu = _subset_maxima(vals)
+    nu = mu - vals
+    mu.flags.writeable = nu.flags.writeable = False
+    return DecompositionResult(mu, nu, 2.0 * float(mu[-1]) - float(vals[-1]))
+
+
+def _subset_maxima(vals: np.ndarray) -> np.ndarray:
+    """max_{Y subseteq S} vals[Y] for every mask S, as a new array: a running
+    maximum one bit at a time (a max zeta transform) on the blocks S, S + x."""
+    out = vals.copy()
+    for x in reversed(range(vals.size.bit_length() - 1)):
+        blocks = out.reshape(-1, 2, 1 << x)
+        np.maximum(blocks[:, 0], blocks[:, 1], out=blocks[:, 1])
+    return out
 
 
 def check_ls_parts(psi, remainder, tol: float = TOL) -> None:
@@ -198,15 +223,12 @@ def ls_decomposition(phi: SetFunction, tol: float = TOL):
 
     Returns (psi, remainder) as read-only float64 tables; psi increases and
     the remainder decreases whenever phi is submodular, which is checked.
-    psi is a running maximum along one bit at a time (a zeta transform with
-    max in place of the sum), taken in place on the blocks S, S + x.
+    psi is `_subset_maxima`: `canonical_decomposition`'s mu where phi is
+    submodular by construction.
     """
     require_submodular(phi, tol)
     vals = phi.values
-    psi = vals.copy()
-    for x in reversed(range(phi.n)):
-        blocks = psi.reshape(-1, 2, 1 << x)
-        np.maximum(blocks[:, 0], blocks[:, 1], out=blocks[:, 1])
+    psi = _subset_maxima(vals)
     remainder = vals - psi
     check_ls_parts(psi, remainder, tol)
     psi.flags.writeable = remainder.flags.writeable = False

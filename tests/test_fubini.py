@@ -234,14 +234,28 @@ class TestLlnEvaluatesOnce:
 
 class TestUniformContinuity:
     def test_size_limit_fails_before_allocating(self, path_cut, monkeypatch):
-        # 28 pairs at n = 3, 48 bytes each
-        monkeypatch.setattr(fubini, "_CONTINUITY_BUDGET", 28 * 48)
+        # 28 pairs at n = 3, 48 bytes each, and one (eps, delta) of 112 bytes
+        monkeypatch.setattr(fubini, "_CONTINUITY_BUDGET", 28 * 48 + 112)
         assert uniform_continuity_modulus(path_cut, [1 / 3] * 3, [1.0]) == [(1.0, 1 / 3)]
-        monkeypatch.setattr(fubini, "_CONTINUITY_BUDGET", 28 * 48 - 1)
+        monkeypatch.setattr(fubini, "_CONTINUITY_BUDGET", 28 * 48 + 112 - 1)
         with pytest.raises(PreconditionError, match="uniform_continuity_modulus at n=3 "
-                                                    "needs about 1344 bytes, over its "
-                                                    "budget of 1343 bytes"):
+                                                    "needs about 1456 bytes, over its "
+                                                    "budget of 1455 bytes"):
             uniform_continuity_modulus(path_cut, [1 / 3] * 3, [1.0])
+
+    def test_size_limit_counts_the_default_list(self, path_cut, monkeypatch):
+        # the path cut's distinct positive gaps are 1 and 2: two tuples, counted
+        # once the gaps are sorted and before the list is built
+        monkeypatch.setattr(fubini, "_CONTINUITY_BUDGET", 28 * 48 + 2 * 112)
+        assert uniform_continuity_modulus(path_cut, [1 / 3] * 3) == [(1.0, 1 / 3),
+                                                                     (2.0, 1 / 3)]
+        monkeypatch.setattr(fubini, "_CONTINUITY_BUDGET", 28 * 48 + 2 * 112 - 1)
+        monkeypatch.setattr(fubini, "zip", lambda *columns: pytest.fail("list built"),
+                            raising=False)
+        with pytest.raises(PreconditionError, match="uniform_continuity_modulus at n=3 "
+                                                    "needs about 1568 bytes, over its "
+                                                    "budget of 1567 bytes"):
+            uniform_continuity_modulus(path_cut, [1 / 3] * 3)
 
     def test_default_budget_stops_at_n_13(self):
         phi = SetFunction.modular([1.0] * 13)

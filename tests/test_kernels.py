@@ -29,7 +29,7 @@ from choqkit.fubini import LlnRecord
 from choqkit.randgen import (_concave_points, random_concave_of_modular, random_coverage,
                              random_cut, random_fubini_instance,
                              random_matroid_rank)
-from choqkit.setfunctions import _loop_verdict, _slopes, setfunction_to_json
+from choqkit.setfunctions import _by_construction, _loop_verdict, _slopes, setfunction_to_json
 from test_acceptance import SELFTEST_REPORT_SHA256, report_digest
 
 TOL = 1e-9
@@ -290,18 +290,28 @@ class TestChainDp:
         plan = variation._plan
         monkeypatch.setattr(variation, "_plan",
                             lambda n: calls.append(n) or plan(n))
-        canonical_decomposition(path_cut)
+        table = SetFunction.from_table(path_cut.values)
+        canonical_decomposition(table)
         assert calls == [3]
-        total_variation(path_cut)
+        total_variation(table)
         assert calls == [3, 3]
+        max_variation_chain(table)
+        assert calls == [3, 3, 3]
+        # the cut itself is submodular by construction: no DP at all
+        canonical_decomposition(path_cut)
+        total_variation(path_cut)
         max_variation_chain(path_cut)
         assert calls == [3, 3, 3]
-        # `choqkit variation` prints K and the chain from one DP
+        # `choqkit variation` prints K and the chain from one DP on the table,
+        # and the same lines from none on the cut
+        out = "total variation: 4.0\nmaximizing chain: {} -> {1} -> {1,2} -> {0,1,2}\n"
+        assert cli.main(["variation", json.dumps(setfunction_to_json(table))]) == 0
+        assert calls == [3, 3, 3, 3]
+        assert capsys.readouterr().out == out
         assert cli.main(["variation", '{"n": 3, "kind": "cut", "payload": '
                                       '{"edges": [[0, 1, 1.0], [1, 2, 1.0]]}}']) == 0
         assert calls == [3, 3, 3, 3]
-        assert capsys.readouterr().out == (
-            "total variation: 4.0\nmaximizing chain: {} -> {1} -> {1,2} -> {0,1,2}\n")
+        assert capsys.readouterr().out == out
 
     @SETTINGS
     @given(setfunctions)
@@ -322,6 +332,66 @@ class TestChainDp:
             oracles.positive_variation_all_predecessors(phi), abs=TOL)
         assert [m - v for m, v in zip(dec.mu, phi.table())] == pytest.approx(
             list(dec.nu), abs=TOL)
+
+
+@st.composite
+def dyadic_cuts(draw, max_n=10):
+    """Cuts whose weights are small multiples of 2^-k: every entry and every
+    sum of positive increments is exact."""
+    n = draw(st.integers(2, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    unit = 2.0 ** -draw(st.integers(0, 18))
+    return SetFunction.cut(n, [(u, v, float(rng.integers(0, 9)) * unit)
+                               for u in range(n) for v in range(u + 1, n)
+                               if rng.random() < 0.6])
+
+
+def _dp_calls(run):
+    """The chain DP plans that run() asks for."""
+    calls = []
+    plan = variation._plan
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(variation, "_plan", lambda n: calls.append(n) or plan(n))
+        run()
+    return calls
+
+
+class TestVariationByConstruction:
+    # a family submodular by construction takes mu(S) = max_{Y subseteq S} phi(Y),
+    # its table copy the chain DP; they agree to rounding, and exactly where
+    # the DP's sums are exact (increasing families, dyadic cut weights)
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(construction_inputs(), dyadic_cuts()))
+    @example(SetFunction.cut(3, [(0, 1, 1.0), (1, 2, 1.0)]))
+    @example(SetFunction.modular([-1.0, 2.0, 0.5]))
+    def test_running_maximum_matches_the_dp(self, phi):
+        submodular, increasing, _ = _by_construction(phi)
+        dec, chain = canonical_decomposition(phi), max_variation_chain(phi)
+        assert bool(_dp_calls(lambda: (total_variation(phi), canonical_decomposition(phi),
+                                       max_variation_chain(phi)))) != submodular
+        table = SetFunction.from_table(phi.values)
+        dp, dp_chain = canonical_decomposition(table), max_variation_chain(table)
+        k = dec.variation
+        tol = 1e-12 * max(1.0, k)
+        assert total_variation(phi) == k == 2 * dec.mu[-1] - phi.values[-1]
+        assert np.abs(dec.mu - dp.mu).max() <= tol and abs(k - dp.variation) <= tol
+        assert dec.nu.tobytes() == (dec.mu - phi.values).tobytes()
+        assert np.abs(dec.mu - oracles.positive_variation_all_predecessors(phi)).max() <= tol
+        for walk in (chain, dp_chain):
+            assert walk[0] == 0 and walk[-1] == phi.ground.full_mask and len(walk) == phi.n + 1
+            assert abs(oracles.chain_variation_sum(phi, walk) - k) <= tol
+        dyadic = phi.kind == "cut" and all((w * 2.0 ** 18) % 1 == 0
+                                           for _, _, w in phi.payload["edges"])
+        if increasing or dyadic or not submodular:
+            assert dec.mu.tobytes() == dp.mu.tobytes() and k == dp.variation
+            assert chain == dp_chain
+        if submodular:
+            assert ls_decomposition(phi)[0].tobytes() == dec.mu.tobytes()
+
+    def test_a_negative_cut_weight_takes_the_dp(self):
+        phi = SetFunction.cut(3, [(0, 1, 1.0), (1, 2, -0.5)])
+        assert _dp_calls(lambda: (total_variation(phi), canonical_decomposition(phi),
+                                  max_variation_chain(phi))) == [3, 3, 3]
 
 
 def _dyadic_sign_mixed(n, seed):
@@ -386,7 +456,8 @@ class TestPopcountDp:
         comb = variation.comb
         monkeypatch.setattr(variation, "comb", lambda n, k: built.append(n) or comb(n, k))
         variation._plan.cache_clear()
-        tables = [random_cut(np.random.default_rng(n), n) for n in range(3, 11)]
+        tables = [SetFunction.from_table(random_cut(np.random.default_rng(n), n).values)
+                  for n in range(3, 11)]
         for _ in range(2):
             for phi in tables:
                 total_variation(phi)
