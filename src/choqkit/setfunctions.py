@@ -470,8 +470,9 @@ def _by_construction(phi: SetFunction) -> tuple:
         return True, True, False
     if kind == "modular":
         return True, all(w >= 0 for w in payload["weights"]), True
-    if kind == "cut":
-        return all(w >= 0 for _, _, w in payload["edges"]), False, False
+    if kind == "cut":  # with every weight 0 (-0.0 too) it is the zero function
+        zero = all(w == 0 for _, _, w in payload["edges"])
+        return all(w >= 0 for _, _, w in payload["edges"]), zero, zero
     if kind == "concave-of-modular":  # weights >= 0; validation lets slopes rise by TOL
         slopes = _slopes(payload["breakpoints"])
         return (all(s1 <= s0 for s0, s1 in zip(slopes, slopes[1:])),

@@ -10,7 +10,9 @@ tests check this against an all-predecessor oracle.
 A phi submodular by construction (`setfunctions._by_construction`) takes
 mu(S) = max_{Y subseteq S} phi(Y), one running maximum: the mu and K of the
 function its payload defines, which the DP on its rounded table may miss in
-the last bits."""
+the last bits.  Its chain runs through the first maximiser S* of phi: by
+diminishing returns every step up to S* rises and every step after it falls,
+so the chain's sum |delta| is 2 phi(S*) - phi(J) = K."""
 
 from __future__ import annotations
 
@@ -132,12 +134,21 @@ def total_variation(phi: SetFunction) -> float:
 
 
 def _variation_and_chain(phi: SetFunction) -> tuple:
-    """K(phi) and one chain of masks from 0 to J attaining it, from the one
-    DP of `canonical_decomposition`.
+    """K(phi) and one chain of masks from 0 to J attaining it.
 
-    The chain is walked back from J: each step drops the smallest x whose
-    candidate max(phi(S) + nu[S - x], mu[S - x]) attains mu[S].
+    Where phi is submodular by construction, the chain adds the elements of
+    the first maximiser and then the rest, each in descending order, and K is
+    the closed form.  Otherwise it is walked back from J over the one DP of
+    `canonical_decomposition`: each step drops the smallest x whose candidate
+    max(phi(S) + nu[S - x], mu[S - x]) attains mu[S].
     """
+    if _by_construction(phi)[0]:
+        top, chain = int(phi.values.argmax()), [0]
+        for part in (top, phi.ground.full_mask ^ top):
+            for x in reversed(range(phi.n)):
+                if part >> x & 1:
+                    chain.append(chain[-1] | 1 << x)
+        return submodular_variation_closed_form(phi), chain
     vals, dec = phi.values, canonical_decomposition(phi)
     bits = np.left_shift(1, np.arange(phi.n, dtype=np.int32))
     chain = [phi.ground.full_mask]
@@ -206,7 +217,9 @@ def _subset_maxima(vals: np.ndarray) -> np.ndarray:
     out = vals.copy()
     for x in reversed(range(vals.size.bit_length() - 1)):
         blocks = out.reshape(-1, 2, 1 << x)
-        np.maximum(blocks[:, 0], blocks[:, 1], out=blocks[:, 1])
+        # numpy's 2- and 4-wide inner loops are slow: take those bits by column
+        for block in [blocks[..., c] for c in range(1 << x)] if x in (1, 2) else [blocks]:
+            np.maximum(block[:, 0], block[:, 1], out=block[:, 1])
     return out
 
 

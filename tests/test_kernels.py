@@ -201,6 +201,7 @@ class TestConstructionVerdicts:
     @example(SetFunction.modular([-1.0, 2.0]))
     @example(SetFunction.cut(3, [(0, 1, 1.0), (1, 2, -0.5)]))
     @example(SetFunction.concave_of_modular([1.0, 1.0], [(0, 0), (1, 1), (2, 0)]))
+    @example(SetFunction.cut(3, [(0, 1, 0.0), (1, 2, -0.0)]))
     def test_a_construction_yes_matches_the_pair_oracles(self, phi):
         for predicate, oracle in PREDICATES:
             verdict = predicate(phi)
@@ -215,6 +216,7 @@ class TestConstructionVerdicts:
     @pytest.mark.parametrize("phi, sources", [
         (SetFunction.cut(3, [(0, 1, 1.0), (1, 2, 0.0)]), "ctt"),
         (SetFunction.cut(3, [(0, 1, 1.0), (1, 2, -0.5)]), "ttt"),
+        (SetFunction.cut(3, [(0, 1, 0.0), (1, 2, -0.0)]), "ccc"),
         (SetFunction.coverage([[0], [0, 1]], [1.0, 0.0]), "cct"),
         (SetFunction.uniform_matroid(3, 1), "cct"),
         (SetFunction.partition_matroid([[0, 2], [1]], [1, 1]), "cct"),
@@ -359,7 +361,8 @@ def _dp_calls(run):
 class TestVariationByConstruction:
     # a family submodular by construction takes mu(S) = max_{Y subseteq S} phi(Y),
     # its table copy the chain DP; they agree to rounding, and exactly where
-    # the DP's sums are exact (increasing families, dyadic cut weights)
+    # the DP's sums are exact (increasing families, dyadic cut weights).  Its
+    # chain runs through the first maximiser, rising before it and falling after
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(construction_inputs(), dyadic_cuts()))
     @example(SetFunction.cut(3, [(0, 1, 1.0), (1, 2, 1.0)]))
@@ -384,9 +387,29 @@ class TestVariationByConstruction:
                                            for _, _, w in phi.payload["edges"])
         if increasing or dyadic or not submodular:
             assert dec.mu.tobytes() == dp.mu.tobytes() and k == dp.variation
+        if not submodular:
             assert chain == dp_chain
-        if submodular:
-            assert ls_decomposition(phi)[0].tobytes() == dec.mu.tobytes()
+            return
+        top = int(phi.values.argmax())
+        assert top in chain
+        steps = np.diff(phi.values[chain])
+        assert steps[:chain.index(top)].min(initial=0.0) >= -tol
+        assert steps[chain.index(top):].max(initial=0.0) <= tol
+        if dyadic:
+            assert oracles.chain_variation_sum(phi, chain) == k
+        assert ls_decomposition(phi)[0].tobytes() == dec.mu.tobytes()
+
+    def test_a_family_chain_runs_neither_the_dp_nor_the_running_maximum(self, path_cut):
+        maxima, calls = variation._subset_maxima, []
+        cut = json.dumps(setfunction_to_json(path_cut))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(variation, "_subset_maxima",
+                          lambda vals: calls.append(vals.size) or maxima(vals))
+            assert _dp_calls(lambda: (max_variation_chain(path_cut),
+                                      cli.main(["variation", cut]))) == []
+            assert calls == []
+            table = SetFunction.from_table(path_cut.values)
+            assert _dp_calls(lambda: max_variation_chain(table)) == [3]
 
     def test_a_negative_cut_weight_takes_the_dp(self):
         phi = SetFunction.cut(3, [(0, 1, 1.0), (1, 2, -0.5)])
@@ -477,7 +500,36 @@ class TestPopcountDp:
         assert got.nu.tobytes() == expected.nu.tobytes()
 
 
+def _block_maxima(vals):
+    """The running maximum with one block view per bit, whose bytes the
+    kernel's column passes must keep."""
+    out = vals.copy()
+    for x in reversed(range(vals.size.bit_length() - 1)):
+        blocks = out.reshape(-1, 2, 1 << x)
+        np.maximum(blocks[:, 0], blocks[:, 1], out=blocks[:, 1])
+    return out
+
+
 class TestPsi:
+    # integer entries tie often, and the zeros of the signed table carry
+    # both signs; n = 1..12 covers the column passes (bits 1, 2) and the block
+    # view (every other bit).  Where maximisers tie only in sign, the oracle
+    # keeps the first in descending mask order and the kernel another, so there
+    # the bytes are checked against `_block_maxima` and the values against the oracle
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_running_maximum_is_bit_identical(self, n):
+        rng = np.random.default_rng(n)
+        ints = rng.integers(-3, 4, size=1 << n).astype(np.float64)
+        ints[0] = 0.0
+        signed = ints * rng.choice([-1.0, 1.0], size=ints.size)
+        for vals in (ints, signed):
+            got = variation._subset_maxima(vals)
+            want = np.array(oracles.psi_by_subsets(SetFunction.from_table(vals)))
+            assert got.tobytes() == _block_maxima(vals).tobytes()
+            if vals is ints:  # no -0.0: the oracle's bytes too
+                assert got.tobytes() == want.tobytes()
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes()  # -0.0 + 0.0 is 0.0
+
     @SETTINGS
     @given(setfunctions)
     def test_psi_is_the_maximum_over_subsets(self, phi):
