@@ -216,7 +216,6 @@ class TestConstructionVerdicts:
     @pytest.mark.parametrize("phi, sources", [
         (SetFunction.cut(3, [(0, 1, 1.0), (1, 2, 0.0)]), "ctt"),
         (SetFunction.cut(3, [(0, 1, 1.0), (1, 2, -0.5)]), "ttt"),
-        (SetFunction.cut(3, [(0, 1, 0.0), (1, 2, -0.0)]), "ccc"),
         (SetFunction.coverage([[0], [0, 1]], [1.0, 0.0]), "cct"),
         (SetFunction.uniform_matroid(3, 1), "cct"),
         (SetFunction.partition_matroid([[0, 2], [1]], [1, 1]), "cct"),
@@ -226,6 +225,7 @@ class TestConstructionVerdicts:
         (SetFunction.concave_of_modular([1.0, 2.0], [(0, 0), (1, 2), (3, 2)]), "cct"),
         (SetFunction.concave_of_modular([1.0, 2.0], [(0, 0), (1, 2), (3, 1)]), "ctt"),
         (SetFunction.from_table([0.0, 1.0, 1.0, 2.0]), "ttt"),
+        (SetFunction.cut(3, [(0, 1, 0.0), (1, 2, -0.0)]), "ccc"),
     ])
     def test_which_route_decides(self, phi, sources):
         got = [predicate(phi).source[0] for predicate, _ in PREDICATES]
