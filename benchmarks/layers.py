@@ -142,7 +142,8 @@ def one_pass(profile) -> list:
             row("is_increasing", case, lambda: is_increasing(phi))
             # the family's verdicts, K, mu and chain come from its payload (a
             # submodular one's running maximum); its table copy's from the
-            # difference kernels and the chain DP
+            # difference kernels and the chain DP, and only the copy's
+            # ls_decomposition checks its remainder
             table = SetFunction.from_table(values)
             row("is_submodular", f"{case} table", lambda: is_submodular(table))
             row("is_increasing", f"{case} table", lambda: is_increasing(table))
@@ -160,7 +161,7 @@ def one_pass(profile) -> list:
                     lambda: variation.max_variation_chain(copy))
                 row("canonical_decomposition", which,
                     lambda: variation.canonical_decomposition(copy))
-            row("ls_decomposition", case, lambda: variation.ls_decomposition(phi))
+                row("ls_decomposition", which, lambda: variation.ls_decomposition(copy))
             row("conjugate", case, lambda: conjugate(phi))
             row("choquet", case, lambda: choquet(phi, f))
             row("choquet_batch", f"{case} rows={profile.batch_rows}",

@@ -493,11 +493,12 @@ def is_submodular(phi: SetFunction, tol: float = TOL) -> Verdict:
     return _second_difference_verdict(phi, lambda d: d > tol)
 
 
-def require_submodular(phi: SetFunction, tol: float = TOL) -> None:
-    """Raise PreconditionError, naming a witness, unless phi is submodular."""
+def require_submodular(phi: SetFunction, tol: float = TOL) -> Verdict:
+    """`is_submodular`'s verdict; PreconditionError, naming a witness, if it fails."""
     verdict = is_submodular(phi, tol)
     if not verdict:
         raise PreconditionError(f"phi is not submodular (witness {verdict.witness})")
+    return verdict
 
 
 def is_increasing(phi: SetFunction, tol: float = TOL) -> Verdict:

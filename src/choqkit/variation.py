@@ -12,7 +12,9 @@ mu(S) = max_{Y subseteq S} phi(Y), one running maximum: the mu and K of the
 function its payload defines, which the DP on its rounded table may miss in
 the last bits.  Its chain runs through the first maximiser S* of phi: by
 diminishing returns every step up to S* rises and every step after it falls,
-so the chain's sum |delta| is 2 phi(S*) - phi(J) = K."""
+so the chain's sum |delta| is 2 phi(S*) - phi(J) = K.
+`ls_decomposition`'s psi is that running maximum, increasing exactly; only a
+table pass's yes leaves its remainder phi - psi to be checked."""
 
 from __future__ import annotations
 
@@ -200,7 +202,8 @@ def canonical_decomposition_stack(tables: np.ndarray) -> list:
 def canonical_decomposition(phi: SetFunction) -> DecompositionResult:
     """Chain-wise positive/negative increment suprema ending exactly at S:
     from the chain DP, or where phi is submodular by construction, mu =
-    `ls_decomposition`'s psi (a running maximum) and nu = mu - phi."""
+    `ls_decomposition`'s psi (a running maximum, increasing exactly) and nu =
+    mu - phi, which the theorem makes increasing, so it is not checked."""
     vals = phi.values
     if not _by_construction(phi)[0]:
         (mu, nu), variation = _decomposition(vals)
@@ -223,26 +226,20 @@ def _subset_maxima(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_ls_parts(psi, remainder, tol: float = TOL) -> None:
-    """Raise AssertionError unless psi is increasing and remainder decreasing."""
-    if decrease_witness(np.asarray(psi, dtype=np.float64), tol) is not None:
-        raise AssertionError("psi not increasing")
-    if decrease_witness(-np.asarray(remainder, dtype=np.float64), tol) is not None:
-        raise AssertionError("remainder not decreasing")
-
-
 def ls_decomposition(phi: SetFunction, tol: float = TOL):
     """Split submodular phi into psi(S) = max_{Y subseteq S} phi(Y) plus a rest.
 
-    Returns (psi, remainder) as read-only float64 tables; psi increases and
-    the remainder decreases whenever phi is submodular, which is checked.
-    psi is `_subset_maxima`: `canonical_decomposition`'s mu where phi is
-    submodular by construction.
+    Returns (psi, phi - psi) as read-only float64 tables.  psi is the running
+    maximum `_subset_maxima`, increasing exactly (`canonical_decomposition`'s mu
+    where phi is submodular by construction, whose remainder then decreases by
+    the theorem); where a table pass decided submodularity, a remainder rising
+    by more than tol raises AssertionError("remainder not decreasing").
     """
-    require_submodular(phi, tol)
+    verdict = require_submodular(phi, tol)
     vals = phi.values
     psi = _subset_maxima(vals)
     remainder = vals - psi
-    check_ls_parts(psi, remainder, tol)
+    if verdict.source == "table" and decrease_witness(-remainder, tol) is not None:
+        raise AssertionError("remainder not decreasing")
     psi.flags.writeable = remainder.flags.writeable = False
     return psi, remainder

@@ -29,7 +29,8 @@ from choqkit.fubini import LlnRecord
 from choqkit.randgen import (_concave_points, random_concave_of_modular, random_coverage,
                              random_cut, random_fubini_instance,
                              random_matroid_rank)
-from choqkit.setfunctions import _by_construction, _loop_verdict, _slopes, setfunction_to_json
+from choqkit.setfunctions import (_by_construction, _loop_verdict, _slopes, decrease_witness,
+                                  setfunction_to_json)
 from test_acceptance import SELFTEST_REPORT_SHA256, report_digest
 
 TOL = 1e-9
@@ -257,9 +258,10 @@ class TestConstructionVerdicts:
 
     def test_family_inputs_run_no_table_pass(self, monkeypatch):
         passes = []
-        for name in ("_second_difference_verdict", "_loop_verdict", "decrease_witness"):
-            monkeypatch.setattr(f"choqkit.setfunctions.{name}",
-                                lambda *args, name=name: passes.append(name))
+        # variation binds its own decrease_witness (ls_decomposition's remainder check)
+        for name in ("setfunctions._second_difference_verdict", "setfunctions._loop_verdict",
+                     "setfunctions.decrease_witness", "variation.decrease_witness"):
+            monkeypatch.setattr(f"choqkit.{name}", lambda *args, name=name: passes.append(name))
         families = [SetFunction.cut(3, [(0, 1, 1.0), (1, 2, 2.0)]),
                     SetFunction.coverage([[0], [0, 1], [2]], [1.0, 2.0, 0.5]),
                     SetFunction.uniform_matroid(3, 2),
@@ -524,6 +526,7 @@ class TestPsi:
         signed = ints * rng.choice([-1.0, 1.0], size=ints.size)
         for vals in (ints, signed):
             got = variation._subset_maxima(vals)
+            assert decrease_witness(got, 0.0) is None  # increasing exactly: max does not round
             want = np.array(oracles.psi_by_subsets(SetFunction.from_table(vals)))
             assert got.tobytes() == _block_maxima(vals).tobytes()
             if vals is ints:  # no -0.0: the oracle's bytes too
@@ -541,6 +544,30 @@ class TestPsi:
         assert list(psi) == oracles.psi_by_subsets(phi)
         assert [p + r for p, r in zip(psi, remainder)] == pytest.approx(
             phi.table(), abs=TOL)
+
+
+def _large_cut(seed, n=10, scale=1e6):
+    rng = np.random.default_rng(seed)
+    return SetFunction.cut(n, [(u, v, float(rng.uniform(0.1, 1.0) * scale))
+                               for u in range(n) for v in range(u + 1, n)
+                               if rng.random() < 0.6])
+
+
+class TestLsDecompositionByConstruction:
+    # on the rounded tables these remainders rise by more than TOL, yet the
+    # theorem makes them decreasing, so ls_decomposition must return
+    @pytest.mark.parametrize("phi", [
+        SetFunction.cut(4, [(0, 3, 35722124.20793275), (1, 2, 44503199.27069665),
+                            (1, 3, 14074767.451220065), (2, 3, 99925850.35585643)]),
+        *[_large_cut(seed) for seed in range(4)],
+    ])
+    def test_large_weight_cuts_return(self, phi):
+        vals = phi.values
+        psi, remainder = ls_decomposition(phi)
+        assert list(psi) == oracles.psi_by_subsets(phi)
+        assert remainder.tobytes() == (vals - psi).tobytes()
+        # rounding of psi + remainder against phi grows with |phi|: a relative allowance
+        assert decrease_witness(-remainder, 1e-12 * float(np.abs(vals).max())) is None
 
 
 class TestValues:
@@ -1039,17 +1066,22 @@ class TestNonFinite:
 
 
 class TestLsChecksUnderO:
-    @pytest.mark.parametrize("psi, remainder, message", [
-        ([0.0, -1.0], [0.0, 0.0], "psi not increasing"),
-        ([0.0, 0.0], [0.0, 1.0], "remainder not decreasing"),
-    ])
-    def test_bad_parts_raise_with_asserts_stripped(self, psi, remainder, message):
-        code = ("from choqkit.variation import check_ls_parts\n"
-                f"check_ls_parts({psi!r}, {remainder!r})\n")
+    # submodular within TOL (every second difference is about 0.9e-9), while the
+    # remainder rises by 1.8e-9 from {0, 1} to {0, 1, 2}
+    C = 0.9e-9
+    RISING_REMAINDER = [0, -1, -1, -2 + C, 0, -1 + C, -1 + C, -2 + 3 * C]
+
+    def test_a_rising_remainder_raises_with_asserts_stripped(self):
+        phi = SetFunction.from_table(self.RISING_REMAINDER)
+        assert is_submodular(phi).source == "table"
+        with pytest.raises(AssertionError, match="remainder not decreasing"):
+            ls_decomposition(phi)
+        code = ("from choqkit import SetFunction, ls_decomposition\n"
+                f"ls_decomposition(SetFunction.from_table({self.RISING_REMAINDER!r}))\n")
         result = subprocess.run([sys.executable, "-O", "-c", code],
                                 capture_output=True, text=True)
         assert result.returncode != 0
-        assert message in result.stderr
+        assert "AssertionError: remainder not decreasing" in result.stderr
 
 
 def _selftest_under_O(prelude=""):

@@ -4,7 +4,8 @@ import pytest
 from choqkit import (PreconditionError, SetFunction, canonical_decomposition,
                      choquet, ls_decomposition, max_variation_chain,
                      submodular_variation_closed_form, total_variation)
-from choqkit.oracles import chain_variation_sum, variation_all_predecessors
+from choqkit.oracles import (chain_variation_sum, increasing_by_pairs,
+                             variation_all_predecessors)
 from choqkit.randgen import (random_chain_masks, random_submodular_setfunction,
                              random_table_setfunction)
 
@@ -155,6 +156,8 @@ class TestLsDecomposition:
         for _ in range(20):
             n = int(rng.integers(2, 8))
             phi = random_submodular_setfunction(rng, n)
-            psi, rem = ls_decomposition(phi)  # asserts internally
+            psi, rem = ls_decomposition(phi)
+            assert increasing_by_pairs(SetFunction.from_table(psi), 0.0)
+            assert increasing_by_pairs(SetFunction.from_table(-rem), TOL)
             assert [p + r for p, r in zip(psi, rem)] == pytest.approx(
                 phi.table(), abs=TOL)
