@@ -44,11 +44,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = 1
 FULL = {"sizes": (12, 16, 18, 20), "point_sizes": (2, 4, 6, 8),
-        "continuity_sizes": (4, 5, 6, 8, 10, 11), "pieces": (20, 200, 2000),
+        "predicate_sizes": (2, 4, 6, 8, 10), "continuity_sizes": (4, 5, 6, 8, 10, 11),
+        "pieces": (20, 200, 2000),
         "lln_steps": 10_000, "batch_rows": 20_000, "k": 5, "min_time": 0.05,
         "end_to_end": True}
-SMOKE = {"sizes": (4, 8), "point_sizes": (2, 8), "continuity_sizes": (4,),
-         "pieces": (20,), "lln_steps": 50, "batch_rows": 50, "k": 1,
+SMOKE = {"sizes": (4, 8), "point_sizes": (2, 8), "predicate_sizes": (2, 8),
+         "continuity_sizes": (4,), "pieces": (20,), "lln_steps": 50, "batch_rows": 50, "k": 1,
          "min_time": 0.0, "end_to_end": False}
 
 
@@ -191,6 +192,14 @@ def one_pass(profile) -> list:
 
         row("uncross+certify", f"cut n={n} entries={len(family.entries)}",
             uncross_and_certify, steps=len(uncross_and_certify().steps))
+    # the second-difference pass at small n: a full one on the point cut's
+    # table copy, and one that stops at a sign-mixed table's first witness
+    for n in profile.predicate_sizes:
+        cut = randgen.random_cut(np.random.default_rng(10 + n), n)
+        table = SetFunction.from_table(cut.values)
+        mixed = randgen.random_table_setfunction(np.random.default_rng(90 + n), n)
+        row("is_submodular", f"point cut n={n} table", lambda: is_submodular(table))
+        row("is_submodular", f"point table n={n}", lambda: is_submodular(mixed))
     # stacked kernels beside as many one-table calls, at n = 6
     tables = [randgen.random_table_setfunction(np.random.default_rng(70 + p), 6)
               for p in range(1000)]

@@ -163,11 +163,10 @@ def lln_run(inst: FubiniInstance, steps: int, seed: int = 0,
     At every step k the finite subadditivity bound
     whatphi(f_k) <= (1/k) sum_i whatphi(F_{x_i}) is checked, as is the
     Lipschitz bound |whatphi(h_k)| <= 2 K(phi) ||h_k|| for h_k = g - f_k;
-    an AssertionError names the first step that violates either.  The
-    Lipschitz bound is checked first with L = 2 max phi - phi(J), which
-    is at most K(phi) since mu(J) >= mu(S) >= phi(S); only when a block
-    fails with L is K(phi) computed by the chain DP, and that block and
-    the rest are checked with K.
+    an AssertionError names the first step that violates either.  K(phi)
+    comes from `total_variation`, once, before the first step: the closed
+    form 2 max phi - phi(J) where phi is submodular by construction, one
+    chain DP otherwise (a `table` phi, say).
 
     The row values whatphi(F_x) and the trace's `lhs`/`rhs` come from
     one `lopsided_check`; their running average is one cumulative sum
@@ -191,9 +190,7 @@ def lln_run(inst: FubiniInstance, steps: int, seed: int = 0,
     samples = rng.choice(inst.m, size=steps, p=inst.lam)
     phi, F = inst.phi, inst.F
     g = marginal_g(inst)
-    # L <= K(phi); from_dp is set once the DP's K(phi) has replaced it
-    slope = 2.0 * float(phi.values.max()) - float(phi.values[-1])
-    from_dp = False
+    slope = total_variation(phi)
 
     k = np.arange(1, steps + 1)
     what_f, avg, what_h, norm_h = np.empty((4, steps))
@@ -215,9 +212,6 @@ def lln_run(inst: FubiniInstance, steps: int, seed: int = 0,
         norm_h[part] = np.abs(h_k).max(axis=0)
         subadditive = what_f[part] <= avg[part] + tol
         lipschitz = np.abs(what_h[part]) <= 2.0 * slope * norm_h[part] + tol
-        if not (from_dp or lipschitz.all()):
-            slope, from_dp = total_variation(phi), True
-            lipschitz = np.abs(what_h[part]) <= 2.0 * slope * norm_h[part] + tol
         held = subadditive & lipschitz
         if not held.all():
             i = int(held.argmin())

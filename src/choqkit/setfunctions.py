@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from numbers import Integral
 from typing import Optional, Sequence
 
@@ -413,26 +412,11 @@ class Verdict:
         return self.holds
 
 
-# Second differences (phi(S+x+y) - phi(S+y)) - (phi(S+x) - phi(S)), pair
-# by pair (x < y in order) with the bases S ascending: one gather while they
-# fit the budget (n <= 10), else one block difference of the first
-# differences per pair, with an early exit.
-_GATHER_BUDGET = 1 << 14
-
-
-@lru_cache(maxsize=None)
-def _second_difference_plan(n: int) -> np.ndarray:
-    """Rows S, S+x, S+y, S+x+y (int32) of every second difference."""
-    masks = np.arange(1 << n, dtype=np.int32)
-    bases = [(x, y, masks[(masks & (1 << x | 1 << y)) == 0])
-             for x in range(n) for y in range(x + 1, n)]
-    plan = np.concatenate([(s, s | 1 << x, s | 1 << y, s | 1 << x | 1 << y)
-                           for x, y, s in bases], axis=1)
-    plan.flags.writeable = False
-    return plan
-
-
-def _loop_verdict(values: np.ndarray, violates) -> Verdict:
+def _second_difference_verdict(values: np.ndarray, violates) -> Verdict:
+    """Second differences (phi(S+x+y) - phi(S+y)) - (phi(S+x) - phi(S)), pair
+    by pair (x < y in order) with the bases S ascending: one block difference
+    of the first differences per pair, stopping at the first violation, whose
+    (S + x, S + y) is the witness."""
     n = values.size.bit_length() - 1
     for x in range(n):
         dx = _block_diff(values, x)
@@ -441,18 +425,6 @@ def _loop_verdict(values: np.ndarray, violates) -> Verdict:
             base = _first_base(violates(_block_diff(dx, y - 1)), y - 1, x)
             if base is not None:
                 return Verdict(False, (base | 1 << x, base | 1 << y))
-    return Verdict(True)
-
-
-def _second_difference_verdict(phi: SetFunction, violates) -> Verdict:
-    n = phi.n
-    if n < 2 or n * (n - 1) << n >> 3 > _GATHER_BUDGET:
-        return _loop_verdict(phi.values, violates)
-    plan = _second_difference_plan(n)
-    s, sx, sy, sxy = phi.values[plan]
-    violated = violates((sxy - sy) - (sx - s))
-    if violated.any():
-        return Verdict(False, tuple(plan[1:3, violated.argmax()].tolist()))
     return Verdict(True)
 
 
@@ -490,7 +462,7 @@ def is_submodular(phi: SetFunction, tol: float = TOL) -> Verdict:
     """
     if tol >= 0 and _by_construction(phi)[0]:
         return _BY_CONSTRUCTION
-    return _second_difference_verdict(phi, lambda d: d > tol)
+    return _second_difference_verdict(phi.values, lambda d: d > tol)
 
 
 def require_submodular(phi: SetFunction, tol: float = TOL) -> Verdict:
@@ -515,7 +487,7 @@ def is_modular(phi: SetFunction, tol: float = TOL) -> Verdict:
     (by construction for the modular kind, as in `is_submodular`)."""
     if tol >= 0 and _by_construction(phi)[2]:
         return _BY_CONSTRUCTION
-    return _second_difference_verdict(phi, lambda d: np.abs(d) > tol)
+    return _second_difference_verdict(phi.values, lambda d: np.abs(d) > tol)
 
 
 def conjugate(phi: SetFunction) -> SetFunction:

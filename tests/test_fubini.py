@@ -8,7 +8,7 @@ import pytest
 from choqkit import (FubiniInstance, PreconditionError, SetFunction, choquet,
                      choquet_batch, lln_run, lopsided_check, marginal_g,
                      total_variation, uniform_continuity_modulus)
-from choqkit import fubini
+from choqkit import fubini, variation
 from choqkit.fubini import LlnRecord
 from choqkit.randgen import random_fubini_instance
 
@@ -182,15 +182,16 @@ class TestLlnRun:
             lln_run(simple_instance(), steps=steps)
 
 
-def _counting(monkeypatch, name):
-    """Replace fubini.<name> by a wrapper that records each call."""
-    calls, original = [], getattr(fubini, name)
+def _counting(monkeypatch, name, module=fubini, calls=None):
+    """Replace <module>.<name> by a wrapper that appends the name to `calls`
+    (a new list by default) at each call; returns `calls`."""
+    calls, original = [] if calls is None else calls, getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(name)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(fubini, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -211,23 +212,27 @@ class TestLlnEvaluatesOnce:
         assert len(calls) == 1 + math.ceil(steps / fubini._BLOCK)
 
     def test_validated_instance_skips_the_chain_dp(self, monkeypatch):
-        calls = _counting(monkeypatch, "total_variation")
+        # the families' K is the closed form; the DP never runs
+        calls = _counting(monkeypatch, "_positive_variation", variation)
         for seed in range(5):
             inst = random_fubini_instance(np.random.default_rng(seed), 6, 6)
             lln_run(inst, steps=2065, seed=seed)
         assert calls == []
 
     def test_forced_instance_falls_back_to_the_chain_dp(self, monkeypatch):
-        # L = 2 max phi - phi(J) = 0 < K(phi) = 2; the rows are comonotone,
-        # so subadditivity is tight while |whatphi(h_k)| = ||h_k|| > 0
+        # a table's K(phi) = 2 comes from one chain DP, after the rows' batch
+        # and before the first block's; 2 max phi - phi(J) = 0 would fail the
+        # Lipschitz bound here: the rows are comonotone, so subadditivity is
+        # tight while |whatphi(h_k)| = ||h_k|| > 0
         phi = SetFunction.from_table([0, -1, -1, 0])
         inst = FubiniInstance.of([0.5, 0.5], [0.5, 0.5], [[1, 0], [0.5, 0]],
                                  phi, validate=False)
         assert 2.0 * phi.values.max() - phi.values[-1] == 0.0
         assert total_variation(phi) == 2.0
-        calls = _counting(monkeypatch, "total_variation")
+        calls = _counting(monkeypatch, "_positive_variation", variation)
+        _counting(monkeypatch, "choquet_batch", calls=calls)
         trace = lln_run(inst, steps=50, seed=1)
-        assert len(calls) == 1
+        assert calls == ["choquet_batch", "_positive_variation", "choquet_batch"]
         assert np.abs(trace.what_h).max() > 1e-9
         assert np.array_equal(np.abs(trace.what_h), trace.norm_h)
 

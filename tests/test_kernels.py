@@ -29,7 +29,7 @@ from choqkit.fubini import LlnRecord
 from choqkit.randgen import (_concave_points, random_concave_of_modular, random_coverage,
                              random_cut, random_fubini_instance,
                              random_matroid_rank)
-from choqkit.setfunctions import (_by_construction, _loop_verdict, _slopes, decrease_witness,
+from choqkit.setfunctions import (_by_construction, _slopes, decrease_witness,
                                   setfunction_to_json)
 from test_acceptance import SELFTEST_REPORT_SHA256, report_digest
 
@@ -111,7 +111,7 @@ class TestPredicates:
                 assert all(type(mask) is int for mask in verdict.witness)
 
 
-ROUTE_NS = (2, 9, 10, 11, 12)  # both sides of the one-gather budget (n <= 10)
+ROUTE_NS = (2, 9, 10, 11, 12)  # the smallest pair, and tables of 2^9 to 2^12 entries
 
 
 @st.composite
@@ -119,7 +119,7 @@ def tables_across_the_budget(draw, ns=ROUTE_NS):
     """At n in ns: dyadic sign-mixed tables (ties, all-zero), family
     members' tables (a family's own verdicts may skip the kernels), and
     those with a dyadic bump at one mask (so every violation sits next to
-    that mask).
+    that mask): full passes, early exits and late ones.
     The tables are drawn by numpy from a seed, since 2^12 entries would
     overrun hypothesis's buffer."""
     n = draw(st.sampled_from(ns))
@@ -141,19 +141,35 @@ def tables_across_the_budget(draw, ns=ROUTE_NS):
     return SetFunction.from_table(values)
 
 
+def first_second_difference(phi, violates):
+    """The first (S + x, S + y) whose second difference violates, pairs x < y
+    in order and bases S ascending, one quadruple at a time; None if none."""
+    vals, n = phi.table(), phi.n
+    for x in range(n):
+        for y in range(x + 1, n):
+            for s in range(1 << n):
+                if not s & (1 << x | 1 << y):
+                    sx, sy = s | 1 << x, s | 1 << y
+                    if violates((vals[sx | sy] - vals[sy]) - (vals[sx] - vals[s])):
+                        return sx, sy
+    return None
+
+
 class TestSecondDifferenceRoutes:
-    # the per-pair np.diff loop, called directly, is the reference for the
-    # verdict and the witness; a raised budget sends every n to the gather
+    # the witness against a quadruple-by-quadruple scan in the kernel's order,
+    # and the verdict against the global pair oracles up to n = 10 (a full
+    # pair pass takes a second of pure Python at n = 12)
     @settings(max_examples=80, deadline=None)
     @given(tables_across_the_budget())
-    def test_both_routes_match_the_per_pair_loop(self, phi):
-        for predicate, violates in ((is_submodular, lambda d: d > TOL),
-                                    (is_modular, lambda d: np.abs(d) > TOL)):
-            want = _loop_verdict(phi.values, violates)
-            assert predicate(phi) == want
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr("choqkit.setfunctions._GATHER_BUDGET", 1 << 20)
-                assert predicate(phi) == want
+    def test_verdict_and_witness_match_the_scan(self, phi):
+        for predicate, oracle, violates in (
+                (is_submodular, oracles.submodular_by_pairs, lambda d: d > TOL),
+                (is_modular, oracles.modular_by_pairs, lambda d: abs(d) > TOL)):
+            verdict = predicate(phi)
+            witness = first_second_difference(phi, violates)
+            assert verdict.witness == witness and verdict.holds == (witness is None)
+            if phi.n <= 10:
+                assert verdict.holds == oracle(phi).holds
 
     # first differences are block views at every n; the witness's base is
     # mapped back from a block index, so check it is a decreasing pair
@@ -259,7 +275,7 @@ class TestConstructionVerdicts:
     def test_family_inputs_run_no_table_pass(self, monkeypatch):
         passes = []
         # variation binds its own decrease_witness (ls_decomposition's remainder check)
-        for name in ("setfunctions._second_difference_verdict", "setfunctions._loop_verdict",
+        for name in ("setfunctions._second_difference_verdict",
                      "setfunctions.decrease_witness", "variation.decrease_witness"):
             monkeypatch.setattr(f"choqkit.{name}", lambda *args, name=name: passes.append(name))
         families = [SetFunction.cut(3, [(0, 1, 1.0), (1, 2, 2.0)]),
