@@ -11,8 +11,9 @@ The sweep runs k passes over every row, and each row keeps its best
 pass: the raw `perf_counter` seconds of one call.  In a pass, a call
 that takes less than `min_time` is looped until the loop takes that
 long, with the garbage collector off, as in `timeit`; cold rows (a
-table build, the chain DP with its cached plan cleared) time one call
-on fresh state.  The host's speed drifts (it halved within minutes on
+table build, the chain DP with its cached plan cleared) and the K,
+chain and decomposition rows (a phi keeps its decomposition; their
+`<case> memo` rows time the second call) time one call on fresh state.  The host's speed drifts (it halved within minutes on
 a shared 2-vCPU guest), and passes spread each row's repeats over the
 whole run, where k repeats in a row would all fall in one slow spell.
 The first and the last row time perfbench's calibration kernel, which
@@ -148,21 +149,32 @@ def one_pass(profile) -> list:
             table = SetFunction.from_table(values)
             row("is_submodular", f"{case} table", lambda: is_submodular(table))
             row("is_increasing", f"{case} table", lambda: is_increasing(table))
-            for copy, which in ((phi, case), (table, f"{case} table")):
+            for copy, which, anew in ((phi, case, lambda: make(n)),
+                                      (table, f"{case} table",
+                                       lambda: SetFunction.from_table(values))):
+
+                def unkept():
+                    """A new phi like `copy`: its table built, no decomposition kept."""
+                    fresh = anew()
+                    fresh.values
+                    return fresh
 
                 def cold():
                     variation._plan.cache_clear()  # the chain DP's cached plan
-                    return copy
+                    return unkept()
 
+                # a phi keeps its decomposition: each row times one call on a
+                # phi that has none yet, and its memo case a second call on
+                # the same phi (which reads the kept one where the call uses it)
                 row("total_variation cold", which, variation.total_variation, fresh=cold)
-                variation.total_variation(copy)
-                row("total_variation warm", which,
-                    lambda: variation.total_variation(copy))
-                row("max_variation_chain", which,
-                    lambda: variation.max_variation_chain(copy))
-                row("canonical_decomposition", which,
-                    lambda: variation.canonical_decomposition(copy))
-                row("ls_decomposition", which, lambda: variation.ls_decomposition(copy))
+                for layer, fn in (("total_variation warm", variation.total_variation),
+                                  ("max_variation_chain", variation.max_variation_chain),
+                                  ("canonical_decomposition",
+                                   variation.canonical_decomposition),
+                                  ("ls_decomposition", variation.ls_decomposition)):
+                    row(layer, which, fn, fresh=unkept)
+                    fn(copy)
+                    row(layer, f"{which} memo", lambda: fn(copy))
             row("conjugate", case, lambda: conjugate(phi))
             row("choquet", case, lambda: choquet(phi, f))
             row("choquet_batch", f"{case} rows={profile.batch_rows}",
@@ -175,10 +187,9 @@ def one_pass(profile) -> list:
         f = np.random.default_rng(20 + n).uniform(-1.0, 1.0, n).tolist()
         mask = int("10" * n, 2) >> n  # alternate elements
         row("choquet", f"point cut n={n}", lambda: choquet(phi, f))
-        table = SetFunction.from_table(phi.values)  # the cut's K is its closed form
-        variation.total_variation(table)  # the chain DP's plan, cached
-        row("total_variation warm", f"point cut n={n} table",
-            lambda: variation.total_variation(table))
+        variation.total_variation(SetFunction.from_table(phi.values))  # the plan, cached
+        row("total_variation warm", f"point cut n={n} table",  # the cut's K: closed form
+            variation.total_variation, fresh=lambda: SetFunction.from_table(phi.values))
         row("phi(mask)", f"cut n={n}", lambda: phi(mask))
         draw = np.random.default_rng(30 + n)
         family = WeightedFamily.of(GroundSet(n), [
@@ -209,7 +220,8 @@ def one_pass(profile) -> list:
     row("total_variation stacked", "P=250 n=6",
         lambda: variation.total_variation_stack(stack[:250]))
     row("total_variation warm", "250 tables n=6",
-        lambda: [variation.total_variation(phi) for phi in tables[:250]])
+        lambda copies: [variation.total_variation(phi) for phi in copies],
+        fresh=lambda: [SetFunction.from_table(phi.values) for phi in tables[:250]])
     row("choquet_batch stacked", "1000 tables x 9 rows n=6",
         lambda: choquet_stack(stack, F, which))
     row("choquet_batch", "1000 tables x 9 rows n=6",

@@ -165,8 +165,8 @@ def lln_run(inst: FubiniInstance, steps: int, seed: int = 0,
     Lipschitz bound |whatphi(h_k)| <= 2 K(phi) ||h_k|| for h_k = g - f_k;
     an AssertionError names the first step that violates either.  K(phi)
     comes from `total_variation`, once, before the first step: the closed
-    form 2 max phi - phi(J) where phi is submodular by construction, one
-    chain DP otherwise (a `table` phi, say).
+    form 2 max phi - phi(J) where phi is submodular by construction, phi's
+    one chain DP otherwise (a `table` phi, say; kept on phi for later runs).
 
     The row values whatphi(F_x) and the trace's `lhs`/`rhs` come from
     one `lopsided_check`; their running average is one cumulative sum

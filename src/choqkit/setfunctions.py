@@ -204,9 +204,11 @@ class SetFunction:
     of silently re-normalizing.  A table, checked there, is its value
     array; another family's builder (0 on the empty set by its formula)
     makes it on first use, checked finite.  Every evaluation reads it.
+    `variation.canonical_decomposition` keeps phi's one decomposition
+    (mu, nu and K, 16 * 2^n bytes) beside it, also made on first use.
     """
 
-    __slots__ = ("ground", "kind", "payload", "_build", "_values")
+    __slots__ = ("ground", "kind", "payload", "_build", "_values", "_decomposition")
 
     def __init__(self, ground: GroundSet, kind: str, payload, builder, values=None):
         self.ground = ground
@@ -214,6 +216,7 @@ class SetFunction:
         self.payload = payload
         self._build = builder
         self._values = values  # a table given already checked, else built on first use
+        self._decomposition = None  # variation.canonical_decomposition's, on first use
 
     # ---- constructors ------------------------------------------------
 

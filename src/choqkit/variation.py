@@ -14,7 +14,10 @@ the last bits.  Its chain runs through the first maximiser S* of phi: by
 diminishing returns every step up to S* rises and every step after it falls,
 so the chain's sum |delta| is 2 phi(S*) - phi(J) = K.
 `ls_decomposition`'s psi is that running maximum, increasing exactly; only a
-table pass's yes leaves its remainder phi - psi to be checked."""
+table pass's yes leaves its remainder phi - psi to be checked.
+Each phi is decomposed once: `canonical_decomposition` keeps the result on
+phi, as `values` keeps the table, and a table's K and chain, and a family's
+psi, read it there."""
 
 from __future__ import annotations
 
@@ -131,8 +134,8 @@ def total_variation(phi: SetFunction) -> float:
     """K(phi): largest sum of |increments| over chains from empty to J (the
     closed form where phi is submodular by construction)."""
     if _by_construction(phi)[0]:
-        return submodular_variation_closed_form(phi)
-    return float(total_variation_stack(phi.values))
+        return _closed_form(phi.values)
+    return canonical_decomposition(phi).variation
 
 
 def _variation_and_chain(phi: SetFunction) -> tuple:
@@ -144,21 +147,22 @@ def _variation_and_chain(phi: SetFunction) -> tuple:
     `canonical_decomposition`: each step drops the smallest x whose candidate
     max(phi(S) + nu[S - x], mu[S - x]) attains mu[S].
     """
+    vals = phi.values
     if _by_construction(phi)[0]:
-        top, chain = int(phi.values.argmax()), [0]
+        top, chain = int(vals.argmax()), [0]
         for part in (top, phi.ground.full_mask ^ top):
             for x in reversed(range(phi.n)):
                 if part >> x & 1:
                     chain.append(chain[-1] | 1 << x)
-        return submodular_variation_closed_form(phi), chain
-    vals, dec = phi.values, canonical_decomposition(phi)
-    bits = np.left_shift(1, np.arange(phi.n, dtype=np.int32))
+        return _closed_form(vals), chain
+    dec = canonical_decomposition(phi)
     chain = [phi.ground.full_mask]
-    while chain[0]:
-        parents = chain[0] ^ bits[chain[0] & bits != 0]
-        candidates = np.maximum(vals[chain[0]] + dec.nu[parents], dec.mu[parents])
-        chain.insert(0, int(parents[candidates.argmax()]))
-    return dec.variation, chain
+    while here := chain[-1]:  # on Python floats: at most n parents a step
+        parents = [here ^ 1 << x for x in range(phi.n) if here >> x & 1]
+        rise = vals.item(here)
+        candidates = [max(rise + dec.nu.item(p), dec.mu.item(p)) for p in parents]
+        chain.append(parents[candidates.index(max(candidates))])
+    return dec.variation, chain[::-1]
 
 
 def max_variation_chain(phi: SetFunction) -> list:
@@ -169,7 +173,10 @@ def max_variation_chain(phi: SetFunction) -> list:
 def submodular_variation_closed_form(phi: SetFunction, tol: float = TOL) -> float:
     """K(phi) = 2 * max_S phi(S) - phi(J), valid for submodular phi."""
     require_submodular(phi, tol)
-    vals = phi.values
+    return _closed_form(phi.values)
+
+
+def _closed_form(vals: np.ndarray) -> float:
     return 2.0 * float(vals.max()) - float(vals[-1])
 
 
@@ -203,15 +210,19 @@ def canonical_decomposition(phi: SetFunction) -> DecompositionResult:
     """Chain-wise positive/negative increment suprema ending exactly at S:
     from the chain DP, or where phi is submodular by construction, mu =
     `ls_decomposition`'s psi (a running maximum, increasing exactly) and nu =
-    mu - phi, which the theorem makes increasing, so it is not checked."""
-    vals = phi.values
-    if not _by_construction(phi)[0]:
-        (mu, nu), variation = _decomposition(vals)
-        return DecompositionResult(mu, nu, float(variation))
-    mu = _subset_maxima(vals)
-    nu = mu - vals
-    mu.flags.writeable = nu.flags.writeable = False
-    return DecompositionResult(mu, nu, 2.0 * float(mu[-1]) - float(vals[-1]))
+    mu - phi, which the theorem makes increasing, so it is not checked.
+
+    Made on the first call and kept on phi, 16 * 2^n bytes; later calls return it."""
+    if phi._decomposition is None:
+        vals = phi.values
+        if _by_construction(phi)[0]:
+            mu = _subset_maxima(vals)
+            nu, variation = mu - vals, 2.0 * mu[-1] - vals[-1]
+            mu.flags.writeable = nu.flags.writeable = False
+        else:
+            (mu, nu), variation = _decomposition(vals)
+        phi._decomposition = DecompositionResult(mu, nu, float(variation))
+    return phi._decomposition
 
 
 def _subset_maxima(vals: np.ndarray) -> np.ndarray:
@@ -230,16 +241,16 @@ def ls_decomposition(phi: SetFunction, tol: float = TOL):
     """Split submodular phi into psi(S) = max_{Y subseteq S} phi(Y) plus a rest.
 
     Returns (psi, phi - psi) as read-only float64 tables.  psi is the running
-    maximum `_subset_maxima`, increasing exactly (`canonical_decomposition`'s mu
-    where phi is submodular by construction, whose remainder then decreases by
-    the theorem); where a table pass decided submodularity, a remainder rising
-    by more than tol raises AssertionError("remainder not decreasing").
+    maximum `_subset_maxima`, increasing exactly: where phi is submodular by
+    construction it is `canonical_decomposition(phi).mu`, whose remainder
+    decreases by the theorem; where a table pass decided submodularity, a
+    remainder rising by more than tol raises AssertionError("remainder not
+    decreasing").
     """
-    verdict = require_submodular(phi, tol)
-    vals = phi.values
-    psi = _subset_maxima(vals)
+    vals, table = phi.values, require_submodular(phi, tol).source == "table"
+    psi = _subset_maxima(vals) if table else canonical_decomposition(phi).mu
     remainder = vals - psi
-    if verdict.source == "table" and decrease_witness(-remainder, tol) is not None:
+    if table and decrease_witness(-remainder, tol) is not None:
         raise AssertionError("remainder not decreasing")
     psi.flags.writeable = remainder.flags.writeable = False
     return psi, remainder

@@ -220,21 +220,26 @@ class TestLlnEvaluatesOnce:
         assert calls == []
 
     def test_forced_instance_falls_back_to_the_chain_dp(self, monkeypatch):
-        # a table's K(phi) = 2 comes from one chain DP, after the rows' batch
-        # and before the first block's; 2 max phi - phi(J) = 0 would fail the
-        # Lipschitz bound here: the rows are comonotone, so subadditivity is
-        # tight while |whatphi(h_k)| = ||h_k|| > 0
+        # a table's K(phi) = 2 comes from phi's one chain DP, after the rows'
+        # batch and before the first block's; 2 max phi - phi(J) = 0 would fail
+        # the Lipschitz bound here: the rows are comonotone, so subadditivity
+        # is tight while |whatphi(h_k)| = ||h_k|| > 0.  K is asked of a copy,
+        # as phi keeps its decomposition
         phi = SetFunction.from_table([0, -1, -1, 0])
         inst = FubiniInstance.of([0.5, 0.5], [0.5, 0.5], [[1, 0], [0.5, 0]],
                                  phi, validate=False)
         assert 2.0 * phi.values.max() - phi.values[-1] == 0.0
-        assert total_variation(phi) == 2.0
+        assert total_variation(SetFunction.from_table(phi.values)) == 2.0
         calls = _counting(monkeypatch, "_positive_variation", variation)
         _counting(monkeypatch, "choquet_batch", calls=calls)
         trace = lln_run(inst, steps=50, seed=1)
         assert calls == ["choquet_batch", "_positive_variation", "choquet_batch"]
         assert np.abs(trace.what_h).max() > 1e-9
         assert np.array_equal(np.abs(trace.what_h), trace.norm_h)
+        calls.clear()  # a second run reads phi's decomposition: no DP
+        again = lln_run(inst, steps=50, seed=1)
+        assert calls == ["choquet_batch", "choquet_batch"]
+        assert again.what_h.tobytes() == trace.what_h.tobytes()
 
 
 class TestUniformContinuity:

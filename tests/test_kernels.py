@@ -28,9 +28,9 @@ from choqkit.choquet import choquet_stack
 from choqkit.fubini import LlnRecord
 from choqkit.randgen import (_concave_points, random_concave_of_modular, random_coverage,
                              random_cut, random_fubini_instance,
-                             random_matroid_rank)
+                             random_matroid_rank, random_table_setfunction)
 from choqkit.setfunctions import (_by_construction, _slopes, decrease_witness,
-                                  setfunction_to_json)
+                                  setfunction_from_json, setfunction_to_json)
 from test_acceptance import SELFTEST_REPORT_SHA256, report_digest
 
 TOL = 1e-9
@@ -305,32 +305,36 @@ class TestChainDp:
         assert k == total_variation(phi) == 2 * dec.mu[-1] - phi.values[-1]
         assert abs(k - oracles.variation_all_predecessors(phi)) <= 1e-12 * max(1.0, k)
 
-    def test_one_layer_dp_per_call(self, path_cut, monkeypatch, capsys):
+    def test_one_layer_dp_per_phi(self, path_cut, monkeypatch, capsys):
         calls = []
         plan = variation._plan
         monkeypatch.setattr(variation, "_plan",
                             lambda n: calls.append(n) or plan(n))
+        # a table keeps its one decomposition: K, mu/nu and the chain share it
         table = SetFunction.from_table(path_cut.values)
         canonical_decomposition(table)
-        assert calls == [3]
         total_variation(table)
-        assert calls == [3, 3]
         max_variation_chain(table)
-        assert calls == [3, 3, 3]
+        assert calls == [3]
+        # a second copy of the table is a second phi, with its own DP
+        copy = SetFunction.from_table(path_cut.values)
+        max_variation_chain(copy)
+        total_variation(copy)
+        assert calls == [3, 3]
         # the cut itself is submodular by construction: no DP at all
         canonical_decomposition(path_cut)
         total_variation(path_cut)
         max_variation_chain(path_cut)
-        assert calls == [3, 3, 3]
-        # `choqkit variation` prints K and the chain from one DP on the table,
-        # and the same lines from none on the cut
+        assert calls == [3, 3]
+        # `choqkit variation` prints K and the chain from one DP on the table
+        # it reads, and the same lines from none on the cut
         out = "total variation: 4.0\nmaximizing chain: {} -> {1} -> {1,2} -> {0,1,2}\n"
         assert cli.main(["variation", json.dumps(setfunction_to_json(table))]) == 0
-        assert calls == [3, 3, 3, 3]
+        assert calls == [3, 3, 3]
         assert capsys.readouterr().out == out
         assert cli.main(["variation", '{"n": 3, "kind": "cut", "payload": '
                                       '{"edges": [[0, 1, 1.0], [1, 2, 1.0]]}}']) == 0
-        assert calls == [3, 3, 3, 3]
+        assert calls == [3, 3, 3]
         assert capsys.readouterr().out == out
 
     @SETTINGS
@@ -387,9 +391,10 @@ class TestVariationByConstruction:
     @example(SetFunction.modular([-1.0, 2.0, 0.5]))
     def test_running_maximum_matches_the_dp(self, phi):
         submodular, increasing, _ = _by_construction(phi)
-        dec, chain = canonical_decomposition(phi), max_variation_chain(phi)
+        # before phi keeps its decomposition
         assert bool(_dp_calls(lambda: (total_variation(phi), canonical_decomposition(phi),
                                        max_variation_chain(phi)))) != submodular
+        dec, chain = canonical_decomposition(phi), max_variation_chain(phi)
         table = SetFunction.from_table(phi.values)
         dp, dp_chain = canonical_decomposition(table), max_variation_chain(table)
         k = dec.variation
@@ -432,7 +437,88 @@ class TestVariationByConstruction:
     def test_a_negative_cut_weight_takes_the_dp(self):
         phi = SetFunction.cut(3, [(0, 1, 1.0), (1, 2, -0.5)])
         assert _dp_calls(lambda: (total_variation(phi), canonical_decomposition(phi),
-                                  max_variation_chain(phi))) == [3, 3, 3]
+                                  max_variation_chain(phi))) == [3]
+
+
+def _every_kind(n):
+    """At n: a sign-mixed table, an integer one with zeros of both signs, each
+    family, a modular with weights of both signs, and a signed cut (which takes
+    the chain DP where a weight is negative)."""
+    rng = np.random.default_rng(n)
+    yield random_table_setfunction(rng, n)
+    ints = rng.integers(-2, 3, size=1 << n) * rng.choice([-1.0, 1.0], size=1 << n)
+    ints[0] = 0.0
+    yield SetFunction.from_table(ints)
+    for make in FAMILY_MAKERS.values():
+        yield make(rng, n)
+    yield SetFunction.modular(rng.uniform(-1.0, 1.0, size=n))
+    yield SetFunction.cut(n, [(u, v, float(rng.uniform(-1.0, 1.0)))
+                              for u in range(n) for v in range(u + 1, n)])
+
+
+def _decomposition_bytes(dec):
+    return dec.mu.tobytes() + dec.nu.tobytes() + dec.variation.hex().encode()
+
+
+class TestSharedDecomposition:
+    # phi keeps its one decomposition: a warm call returns it, with the bytes
+    # a fresh copy's cold call makes, and K, the chain and a family's psi read it
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_a_warm_call_returns_the_cold_result(self, n):
+        for phi in _every_kind(n):
+            dec = canonical_decomposition(phi)
+            assert canonical_decomposition(phi) is dec
+            copy = setfunction_from_json(setfunction_to_json(phi))
+            assert _decomposition_bytes(canonical_decomposition(copy)) == \
+                _decomposition_bytes(dec)
+            assert total_variation(phi).hex() == total_variation(copy).hex()
+            assert max_variation_chain(phi) == max_variation_chain(copy)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_a_table_reads_the_stack_kernels_k(self, n):
+        for phi in list(_every_kind(n))[:2]:
+            want = float(variation.total_variation_stack(phi.values)).hex()
+            assert total_variation(phi).hex() == want  # cold: the DP runs
+            assert total_variation(phi).hex() == want  # warm: the kept result
+
+    def test_a_family_takes_its_running_maximum_once(self, monkeypatch):
+        maxima, calls = variation._subset_maxima, []
+        monkeypatch.setattr(variation, "_subset_maxima",
+                            lambda vals: calls.append(vals.size) or maxima(vals))
+        for phi in list(_every_kind(6))[2:6]:
+            assert _by_construction(phi)[0]
+            dec = canonical_decomposition(phi)
+            psi, remainder = ls_decomposition(phi)
+            assert ls_decomposition(phi)[0] is psi is dec.mu
+            assert remainder.tobytes() == (phi.values - dec.mu).tobytes()
+        assert calls == [64] * 4
+        # ls_decomposition first, then the decomposition it made
+        cut = random_cut(np.random.default_rng(5), 6)
+        psi = ls_decomposition(cut)[0]
+        assert canonical_decomposition(cut).mu is psi and calls == [64] * 5
+        # a table takes its own running maximum on every call
+        table = SetFunction.from_table(cut.values)
+        canonical_decomposition(table)
+        assert ls_decomposition(table)[0].tobytes() == ls_decomposition(table)[0].tobytes()
+        assert calls == [64] * 7
+
+    def test_a_table_checks_its_remainder_on_every_call(self):
+        phi = SetFunction.from_table(TestLsChecksUnderO.RISING_REMAINDER)
+        canonical_decomposition(phi)
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="remainder not decreasing"):
+                ls_decomposition(phi)
+
+    def test_the_kept_arrays_refuse_writes(self, path_cut):
+        for phi in (path_cut, SetFunction.from_table(path_cut.values)):
+            dec = canonical_decomposition(phi)
+            kept = _decomposition_bytes(dec)
+            for array in (dec.mu, dec.nu, *ls_decomposition(phi)):
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+            with pytest.raises(AttributeError):
+                dec.variation = 0.0
+            assert _decomposition_bytes(canonical_decomposition(phi)) == kept
 
 
 def _dyadic_sign_mixed(n, seed):
@@ -497,11 +583,10 @@ class TestPopcountDp:
         comb = variation.comb
         monkeypatch.setattr(variation, "comb", lambda n, k: built.append(n) or comb(n, k))
         variation._plan.cache_clear()
-        tables = [SetFunction.from_table(random_cut(np.random.default_rng(n), n).values)
-                  for n in range(3, 11)]
+        tables = [random_cut(np.random.default_rng(n), n).values for n in range(3, 11)]
         for _ in range(2):
-            for phi in tables:
-                total_variation(phi)
+            for values in tables:  # a new phi each time: each asks for its plan
+                total_variation(SetFunction.from_table(values))
         assert built == list(range(3, 11))
         variation._plan.cache_clear()
 
@@ -511,7 +596,7 @@ class TestPopcountDp:
         expected = canonical_decomposition(phi)
         variation._plan.cache_clear()
         monkeypatch.setattr(variation, "comb", lambda n, k: 1 << 17)
-        got = canonical_decomposition(phi)
+        got = canonical_decomposition(SetFunction.from_table(phi.values))
         assert variation._plan(10)[2][-1][1].dtype == np.int32
         variation._plan.cache_clear()
         assert got.mu.tobytes() == expected.mu.tobytes()
