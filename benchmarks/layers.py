@@ -11,9 +11,11 @@ The sweep runs k passes over every row, and each row keeps its best
 pass: the raw `perf_counter` seconds of one call.  In a pass, a call
 that takes less than `min_time` is looped until the loop takes that
 long, with the garbage collector off, as in `timeit`; cold rows (a
-table build, the chain DP with its cached plan cleared) and the K,
-chain and decomposition rows (a phi keeps its decomposition; their
-`<case> memo` rows time the second call) time one call on fresh state.  The host's speed drifts (it halved within minutes on
+table build, the chain DP with its cached plan cleared) time one call
+on fresh state.  A phi keeps its decomposition, so the K, chain and
+decomposition rows forget it before each call and time the work, and
+their `<case> memo` rows time the call that reads the kept one.  The
+host's speed drifts (it halved within minutes on
 a shared 2-vCPU guest), and passes spread each row's repeats over the
 whole run, where k repeats in a row would all fall in one slow spell.
 The first and the last row time perfbench's calibration kernel, which
@@ -118,6 +120,11 @@ def one_pass(profile) -> list:
 
     rows = []
 
+    def forgetting(fn, phi):
+        """fn(phi) with phi's kept decomposition dropped first (one store)."""
+        phi._decomposition = None
+        return fn(phi)
+
     def row(layer, case, fn, fresh=None, **extra):
         seconds, calls = timed(fn, profile.min_time, fresh)
         rows.append({"layer": layer, "case": case, "seconds": seconds,
@@ -149,30 +156,20 @@ def one_pass(profile) -> list:
             table = SetFunction.from_table(values)
             row("is_submodular", f"{case} table", lambda: is_submodular(table))
             row("is_increasing", f"{case} table", lambda: is_increasing(table))
-            for copy, which, anew in ((phi, case, lambda: make(n)),
-                                      (table, f"{case} table",
-                                       lambda: SetFunction.from_table(values))):
-
-                def unkept():
-                    """A new phi like `copy`: its table built, no decomposition kept."""
-                    fresh = anew()
-                    fresh.values
-                    return fresh
+            for copy, which in ((phi, case), (table, f"{case} table")):
 
                 def cold():
                     variation._plan.cache_clear()  # the chain DP's cached plan
-                    return unkept()
+                    copy._decomposition = None
+                    return copy
 
-                # a phi keeps its decomposition: each row times one call on a
-                # phi that has none yet, and its memo case a second call on
-                # the same phi (which reads the kept one where the call uses it)
                 row("total_variation cold", which, variation.total_variation, fresh=cold)
                 for layer, fn in (("total_variation warm", variation.total_variation),
                                   ("max_variation_chain", variation.max_variation_chain),
                                   ("canonical_decomposition",
                                    variation.canonical_decomposition),
                                   ("ls_decomposition", variation.ls_decomposition)):
-                    row(layer, which, fn, fresh=unkept)
+                    row(layer, which, lambda: forgetting(fn, copy))
                     fn(copy)
                     row(layer, f"{which} memo", lambda: fn(copy))
             row("conjugate", case, lambda: conjugate(phi))
@@ -187,9 +184,10 @@ def one_pass(profile) -> list:
         f = np.random.default_rng(20 + n).uniform(-1.0, 1.0, n).tolist()
         mask = int("10" * n, 2) >> n  # alternate elements
         row("choquet", f"point cut n={n}", lambda: choquet(phi, f))
-        variation.total_variation(SetFunction.from_table(phi.values))  # the plan, cached
-        row("total_variation warm", f"point cut n={n} table",  # the cut's K: closed form
-            variation.total_variation, fresh=lambda: SetFunction.from_table(phi.values))
+        table = SetFunction.from_table(phi.values)  # the cut's K is its closed form
+        variation.total_variation(table)  # the chain DP's plan, cached
+        row("total_variation warm", f"point cut n={n} table",
+            lambda: forgetting(variation.total_variation, table))
         row("phi(mask)", f"cut n={n}", lambda: phi(mask))
         draw = np.random.default_rng(30 + n)
         family = WeightedFamily.of(GroundSet(n), [
@@ -220,8 +218,7 @@ def one_pass(profile) -> list:
     row("total_variation stacked", "P=250 n=6",
         lambda: variation.total_variation_stack(stack[:250]))
     row("total_variation warm", "250 tables n=6",
-        lambda copies: [variation.total_variation(phi) for phi in copies],
-        fresh=lambda: [SetFunction.from_table(phi.values) for phi in tables[:250]])
+        lambda: [forgetting(variation.total_variation, phi) for phi in tables[:250]])
     row("choquet_batch stacked", "1000 tables x 9 rows n=6",
         lambda: choquet_stack(stack, F, which))
     row("choquet_batch", "1000 tables x 9 rows n=6",

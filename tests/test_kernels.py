@@ -516,6 +516,10 @@ class TestSharedDecomposition:
             for array in (dec.mu, dec.nu, *ls_decomposition(phi)):
                 with pytest.raises(ValueError):
                     array[0] = 1.0
+            # nor can a holder set the flag back: the arrays' owner is read-only
+            for array in (dec.mu, dec.nu, ls_decomposition(path_cut)[0]):
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    array.flags.writeable = True
             with pytest.raises(AttributeError):
                 dec.variation = 0.0
             assert _decomposition_bytes(canonical_decomposition(phi)) == kept
