@@ -193,15 +193,9 @@ def _decomposition(tables: np.ndarray) -> tuple:
     """mu and nu in mask order, read-only, as a (2, 2^n) array for one
     table or a (P, 2, 2^n) array for a stack, and K of each table."""
     table, rank = _positive_variation(tables)
-    parts = _read_only(np.take(table, rank, axis=0)).T
-    return parts, 2.0 * parts[..., 0, -1] - tables[..., -1]
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """A view of `array`, which owns its data, that no holder can make
-    writeable again: the owner is read-only too."""
-    array.flags.writeable = False
-    return array.view()
+    owner = np.take(table, rank, axis=0)
+    owner.flags.writeable = False  # so no view of it can be made writeable
+    return owner.T, 2.0 * owner[-1, 0] - tables[..., -1]
 
 
 def canonical_decomposition_stack(tables: np.ndarray) -> list:
@@ -222,8 +216,10 @@ def canonical_decomposition(phi: SetFunction) -> DecompositionResult:
     if phi._decomposition is None:
         vals = phi.values
         if _by_construction(phi)[0]:
-            mu = _read_only(_subset_maxima(vals))
-            nu, variation = _read_only(mu - vals), 2.0 * mu[-1] - vals[-1]
+            mu = _subset_maxima(vals)
+            nu, variation = mu - vals, 2.0 * mu[-1] - vals[-1]
+            mu.flags.writeable = nu.flags.writeable = False
+            mu, nu = mu.view(), nu.view()  # views of read-only owners stay read-only
         else:
             (mu, nu), variation = _decomposition(vals)
         phi._decomposition = DecompositionResult(mu, nu, float(variation))
