@@ -24,7 +24,7 @@ from .selftest import run_all
 from .setfunctions import (TOL, GroundSet, PreconditionError, is_increasing,
                            is_modular, is_submodular, setfunction_from_json)
 from .uncrossing import WeightedFamily, family_sum, uncross
-from .variation import _variation_and_chain, canonical_decomposition
+from .variation import canonical_decomposition, max_variation_chain, total_variation
 
 
 def _reject_constant(name: str):
@@ -135,7 +135,7 @@ def cmd_choquet(args):
 
 def cmd_variation(args):
     phi = setfunction_from_json(_load_json(args.input))
-    k, chain = _variation_and_chain(phi)
+    k, chain = total_variation(phi), max_variation_chain(phi)
     return _emit(args, {"variation": k, "chain": chain},
                  text=[f"total variation: {k!r}", "maximizing chain: "
                        + " -> ".join(phi.ground.format_mask(m) for m in chain)])

@@ -19,7 +19,8 @@ import numpy as np
 
 from .choquet import choquet_batch, choquet_stack
 from .setfunctions import (TOL, PreconditionError, SetFunction, _finite, _finite_array,
-                           _size_limit_error, require_submodular, subset_sums)
+                           _size_limit_error, require_finite_tol, require_submodular,
+                           subset_sums)
 from .variation import total_variation
 
 
@@ -36,6 +37,7 @@ class FubiniInstance:
     @classmethod
     def of(cls, lam, pi, F, phi: SetFunction, validate: bool = True,
            tol: float = TOL) -> "FubiniInstance":
+        require_finite_tol(tol)
         lam = _finite_array(lam, "lambda")
         pi = _finite_array(pi, "pi")
         if len(F) != len(lam) or any(len(row) != len(pi) for row in F):
@@ -89,7 +91,7 @@ class LopsidedResult:
     @classmethod
     def of(cls, lhs: float, rhs: float, tol: float,
            rows: Optional[np.ndarray] = None) -> "LopsidedResult":
-        return cls(lhs, rhs, rhs - lhs, rhs - lhs >= -tol, rows)
+        return cls(lhs, rhs, rhs - lhs, rhs - lhs >= -require_finite_tol(tol), rows)
 
 
 def _lopsided_result(inst: FubiniInstance, values: np.ndarray,

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .setfunctions import (TOL, _concave_validate, _finite, _require_finite_g,
-                           piecewise_linear_array)
+                           piecewise_linear_array, require_finite_tol)
 
 
 def _validate_unit(a: float, b: float):
@@ -309,6 +309,7 @@ def ae_gap(phi: IntervalSetFunction, f: StepFunction,
     gaps need test sets off the algebra (see extend_ui / extend_ls on
     FlaggedSet).  The ui- and ls-integrals are also checked to agree.
     """
+    require_finite_tol(tol)
     sets = _Superlevels(f)
     ui, ls = _closed_form(phi, sets)
     if (np.abs(ui - ls) > tol).any():

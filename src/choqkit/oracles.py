@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .intervals import FlaggedSet, IntervalSet, IntervalSetFunction, StepFunction
 from .setfunctions import TOL, SetFunction, Verdict, piecewise_linear
 
@@ -43,12 +45,15 @@ def value_by_payload(phi: SetFunction, mask: int) -> float:
 
 
 def _pairs_verdict(phi: SetFunction, violates) -> Verdict:
-    vals = phi.table()
-    size = len(vals)
-    for x in range(size):
-        for y in range(x + 1, size):
-            if violates(vals[x | y] + vals[x & y], vals[x] + vals[y]):
-                return Verdict(False, (x, y))
+    """The first pair x < y, in lexicographic order, where `violates(phi(x | y)
+    + phi(x & y), phi(x) + phi(y))`: all y > x of a row x in one expression."""
+    vals = phi.values
+    masks = np.arange(vals.size)
+    for x in range(vals.size):
+        y = masks[x + 1:]
+        bad = violates(vals[x | y] + vals[x & y], vals[x] + vals[y])
+        if bad.any():
+            return Verdict(False, (x, int(y[bad.argmax()])))
     return Verdict(True)
 
 

@@ -27,6 +27,13 @@ class PreconditionError(ValueError):
     """An operation was called outside its stated domain."""
 
 
+def require_finite_tol(tol: float) -> float:
+    """tol itself; ValueError unless it is finite (a negative tol is allowed)."""
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
+    return tol
+
+
 def _size_limit_error(operation: str, estimate: int, budget: int) -> PreconditionError:
     """The error for an operation whose memory estimate passes its byte budget."""
     return PreconditionError(f"{operation} needs about {estimate} bytes, "
@@ -463,7 +470,7 @@ def is_submodular(phi: SetFunction, tol: float = TOL) -> Verdict:
     differences over pairs of elements outside a common base set) decides,
     and a reported witness (X, Y) violates the global inequality directly.
     """
-    if tol >= 0 and _by_construction(phi)[0]:
+    if require_finite_tol(tol) >= 0 and _by_construction(phi)[0]:
         return _BY_CONSTRUCTION
     return _second_difference_verdict(phi.values, lambda d: d > tol)
 
@@ -479,7 +486,7 @@ def require_submodular(phi: SetFunction, tol: float = TOL) -> Verdict:
 def is_increasing(phi: SetFunction, tol: float = TOL) -> Verdict:
     """Check phi(S) <= phi(T) whenever S is a subset of T (by construction
     where the payload decides it, as in `is_submodular`)."""
-    if tol >= 0 and _by_construction(phi)[1]:
+    if require_finite_tol(tol) >= 0 and _by_construction(phi)[1]:
         return _BY_CONSTRUCTION
     witness = decrease_witness(phi.values, tol)
     return Verdict(witness is None, witness)
@@ -488,7 +495,7 @@ def is_increasing(phi: SetFunction, tol: float = TOL) -> Verdict:
 def is_modular(phi: SetFunction, tol: float = TOL) -> Verdict:
     """Check that the submodular inequality holds with equality both ways
     (by construction for the modular kind, as in `is_submodular`)."""
-    if tol >= 0 and _by_construction(phi)[2]:
+    if require_finite_tol(tol) >= 0 and _by_construction(phi)[2]:
         return _BY_CONSTRUCTION
     return _second_difference_verdict(phi.values, lambda d: np.abs(d) > tol)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .choquet import choquet
 from .setfunctions import (TOL, GroundSet, PreconditionError, SetFunction, _integral,
-                           _size_limit_error)
+                           _size_limit_error, require_finite_tol)
 
 
 @dataclass(frozen=True)
@@ -156,6 +156,7 @@ def certify_chain_equality(phi: SetFunction, chain: WeightedFamily, tol: float =
     Holds for any setfunction with phi(empty) = 0, submodular or not:
     the chain sets are exactly the level sets of h.
     """
+    require_finite_tol(tol)
     if not chain.is_chain():
         raise PreconditionError("family is not a chain")
     lhs = choquet(phi, family_sum(chain))

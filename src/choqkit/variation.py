@@ -138,12 +138,12 @@ def total_variation(phi: SetFunction) -> float:
     return canonical_decomposition(phi).variation
 
 
-def _variation_and_chain(phi: SetFunction) -> tuple:
-    """K(phi) and one chain of masks from 0 to J attaining it.
+def max_variation_chain(phi: SetFunction) -> list:
+    """One chain of masks from 0 to J attaining K(phi).
 
     Where phi is submodular by construction, the chain adds the elements of
-    the first maximiser and then the rest, each in descending order, and K is
-    the closed form.  Otherwise it is walked back from J over the one DP of
+    the first maximiser and then the rest, each in descending order.
+    Otherwise it is walked back from J over the one DP of
     `canonical_decomposition`: each step drops the smallest x whose candidate
     max(phi(S) + nu[S - x], mu[S - x]) attains mu[S].
     """
@@ -154,7 +154,7 @@ def _variation_and_chain(phi: SetFunction) -> tuple:
             for x in reversed(range(phi.n)):
                 if part >> x & 1:
                     chain.append(chain[-1] | 1 << x)
-        return _closed_form(vals), chain
+        return chain
     dec = canonical_decomposition(phi)
     chain = [phi.ground.full_mask]
     while here := chain[-1]:  # on Python floats: at most n parents a step
@@ -162,12 +162,7 @@ def _variation_and_chain(phi: SetFunction) -> tuple:
         rise = vals.item(here)
         candidates = [max(rise + dec.nu.item(p), dec.mu.item(p)) for p in parents]
         chain.append(parents[candidates.index(max(candidates))])
-    return dec.variation, chain[::-1]
-
-
-def max_variation_chain(phi: SetFunction) -> list:
-    """One chain of masks from 0 to J attaining K(phi)."""
-    return _variation_and_chain(phi)[1]
+    return chain[::-1]
 
 
 def submodular_variation_closed_form(phi: SetFunction, tol: float = TOL) -> float:

@@ -1,12 +1,15 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from choqkit import cli, fubini, selftest, uncrossing
-from choqkit.setfunctions import GroundSet
+from choqkit import cli, fubini, selftest, uncrossing, variation
+from choqkit.setfunctions import GroundSet, setfunction_from_json
 
 PATH_CUT = json.dumps({"n": 3, "kind": "cut",
                        "payload": {"edges": [[0, 1, 1.0], [1, 2, 1.0]]}})
@@ -118,6 +121,32 @@ class TestVariationAndDecompose:
         report = json.loads(result.stdout)
         assert report["variation"] == pytest.approx(4.0)
         assert report["chain"][0] == 0 and report["chain"][-1] == 7
+
+    @pytest.mark.parametrize("obj", [PATH_CUT, json.dumps(
+        {"n": 3, "kind": "table", "payload": {"values": [0, 1, 1, 2, 1, 2, 0, 0]}})])
+    def test_variation_makes_the_calls_the_benchmark_times(self, monkeypatch, capsys, obj):
+        # perfbench's `variation` task stands for this subcommand: both make
+        # the same public calls in the same order
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tasks", Path(__file__).parents[1] / "perfbench" / "tasks.py")
+        tasks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tasks)
+        timed = []
+
+        class Recorder:
+            def call(self, name, fn, *args):
+                timed.append(name.rpartition(".")[2])
+                return fn(*args)
+
+        inputs = SimpleNamespace(phi={"phi": setfunction_from_json(json.loads(obj))})
+        tasks.variation(inputs, {"phi": "phi"}, Recorder())
+        calls = []
+        for name in ("total_variation", "max_variation_chain"):
+            monkeypatch.setattr(cli, name, lambda phi, name=name, fn=getattr(variation, name):
+                                calls.append(name) or fn(phi))
+        assert cli.main(["variation", obj]) == 0
+        assert calls == timed == ["total_variation", "max_variation_chain"]
+        assert capsys.readouterr().out.startswith("total variation: ")
 
     def test_decompose(self):
         # the path cut's values are small integers, so every entry is exact

@@ -157,8 +157,7 @@ def first_second_difference(phi, violates):
 
 class TestSecondDifferenceRoutes:
     # the witness against a quadruple-by-quadruple scan in the kernel's order,
-    # and the verdict against the global pair oracles up to n = 10 (a full
-    # pair pass takes a second of pure Python at n = 12)
+    # and the verdict against the global pair oracles
     @settings(max_examples=80, deadline=None)
     @given(tables_across_the_budget())
     def test_verdict_and_witness_match_the_scan(self, phi):
@@ -168,8 +167,7 @@ class TestSecondDifferenceRoutes:
             verdict = predicate(phi)
             witness = first_second_difference(phi, violates)
             assert verdict.witness == witness and verdict.holds == (witness is None)
-            if phi.n <= 10:
-                assert verdict.holds == oracle(phi).holds
+            assert verdict.holds == oracle(phi).holds
 
     # first differences are block views at every n; the witness's base is
     # mapped back from a block index, so check it is a decreasing pair

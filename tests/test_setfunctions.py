@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import choqkit
-from choqkit import cli, fubini, setfunctions, uncrossing
+from choqkit import cli, fubini, intervals, setfunctions, uncrossing, variation
 from choqkit import (GroundSet, PreconditionError, SetFunction, Verdict, conjugate,
                      is_increasing, is_modular, is_submodular, setfunction_from_json,
                      setfunction_to_json)
@@ -330,6 +330,38 @@ class TestTolerance:
 
     def test_cli_tol_default_is_TOL(self):
         assert cli.build_parser().parse_args(["selftest"]).tol is setfunctions.TOL
+
+    # each public function refuses a NaN or infinite tol where it first reads
+    # it; such a tol would turn every comparison into a yes or every one into
+    # a no, as the CLI's own --tol check already refuses
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda phi, inst, tol: is_submodular(phi, tol),
+        lambda phi, inst, tol: is_increasing(phi, tol),
+        lambda phi, inst, tol: is_modular(phi, tol),
+        lambda phi, inst, tol: variation.submodular_variation_closed_form(phi, tol),
+        lambda phi, inst, tol: variation.ls_decomposition(phi, tol),
+        lambda phi, inst, tol: fubini.FubiniInstance.of(
+            [0.3, 0.3], inst.pi, inst.F, inst.phi, tol=tol),
+        lambda phi, inst, tol: fubini.LopsidedResult.of(1.0, 0.0, tol),
+        lambda phi, inst, tol: fubini.lopsided_check(inst, tol),
+        lambda phi, inst, tol: fubini.lopsided_check_stack([inst], tol),
+        lambda phi, inst, tol: fubini.lln_run(inst, 3, tol=tol),
+        lambda phi, inst, tol: uncrossing.certify_chain_equality(
+            phi, uncrossing.WeightedFamily.of(phi.ground, [(1, 1), (3, 1)]), tol),
+        lambda phi, inst, tol: intervals.ae_gap(
+            intervals.IntervalSetFunction.point_mass(0.7, 1.0),
+            intervals.StepFunction((0.0, 0.5, 1.0), (1.0, 0.0)), tol),
+    ], ids=["is_submodular", "is_increasing", "is_modular",
+            "submodular_variation_closed_form", "ls_decomposition", "FubiniInstance.of",
+            "LopsidedResult.of", "lopsided_check", "lopsided_check_stack", "lln_run",
+            "certify_chain_equality", "ae_gap"])
+    def test_a_non_finite_tol_is_refused(self, call, tol):
+        supermodular = SetFunction.from_table([0.0, 1.0, 1.0, 5.0])
+        inst = fubini.FubiniInstance.of([0.5, 0.5], [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]],
+                                        SetFunction.cut(2, [(0, 1)]))
+        with pytest.raises(ValueError, match="^tol must be finite$"):
+            call(supermodular, inst, tol)
 
 
 class TestRefusals:
