@@ -21,8 +21,10 @@ whole run, where k repeats in a row would all fall in one slow spell.
 The first and the last row time perfbench's calibration kernel, which
 takes 100 us on its reference machine; a row's seconds times
 100e-6 / that kernel time is reference seconds.  The end-to-end rows
-are each selftest criterion at its `run_all(seed=0)` seed, in every
-pass, and one tier-1 run.  The sizes and passes are those of `FULL`;
+are each selftest criterion at its `run_all(seed=0)` seed and, as
+subprocesses of `--src`'s package, `choqkit decompose` in both formats
+and `choqkit variation` on a seeded table at each of `cli_sizes`, in
+every pass, and one tier-1 run.  The sizes and passes are those of `FULL`;
 `--smoke` runs the small `SMOKE` profile, which the tests use to pin
 the schema.
 Only numpy and the standard library are used.  The file records the
@@ -41,6 +43,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -50,7 +53,7 @@ FULL = {"sizes": (12, 16, 18, 20), "point_sizes": (2, 4, 6, 8),
         "predicate_sizes": (2, 4, 6, 8, 10), "continuity_sizes": (4, 5, 6, 8, 10, 11),
         "pieces": (20, 200, 2000),
         "lln_steps": 10_000, "batch_rows": 20_000, "k": 5, "min_time": 0.05,
-        "end_to_end": True}
+        "end_to_end": True, "cli_sizes": (16, 20)}
 SMOKE = {"sizes": (4, 8), "point_sizes": (2, 8), "predicate_sizes": (2, 8),
          "continuity_sizes": (4,), "pieces": (20,), "lln_steps": 50, "batch_rows": 50, "k": 1,
          "min_time": 0.0, "end_to_end": False}
@@ -94,7 +97,9 @@ def sweep(profile, src: Path) -> list:
     """Every row, each the best of `profile.k` passes, between the two
     host kernel rows."""
     start = host_kernel("start")
-    passes = [one_pass(profile) for _ in range(profile.k)]
+    with tempfile.TemporaryDirectory() as scratch:
+        cli_inputs = cli_tables(profile, Path(scratch))
+        passes = [one_pass(profile, src, cli_inputs) for _ in range(profile.k)]
     rows = [min(versions, key=lambda row: row["seconds"]) for versions in zip(*passes)]
     if profile.end_to_end:
         for versions, row in zip(zip(*passes), rows):
@@ -104,8 +109,25 @@ def sweep(profile, src: Path) -> list:
     return [start] + rows + [host_kernel("end")]
 
 
-def one_pass(profile) -> list:
-    """One timing of every row but the tier-1 run, in a fixed order."""
+def cli_tables(profile, directory: Path) -> dict:
+    """n -> the JSON file of a seeded random table at n, for each of the
+    profile's `cli_sizes` (none without end-to-end rows)."""
+    import numpy as np
+
+    from choqkit import randgen
+
+    paths = {}
+    for n in profile.cli_sizes if profile.end_to_end else ():
+        values = randgen.random_table_setfunction(np.random.default_rng(n), n).values
+        paths[n] = directory / f"table-{n}.json"
+        paths[n].write_text(json.dumps({"n": n, "kind": "table",
+                                        "payload": {"values": values.tolist()}}))
+    return paths
+
+
+def one_pass(profile, src: Path, cli_inputs: dict) -> list:
+    """One timing of every row but the tier-1 run, in a fixed order; the
+    CLI rows run `src`'s package on the files of `cli_inputs`."""
     import numpy as np
 
     from choqkit import oracles, randgen, selftest, variation
@@ -268,6 +290,12 @@ def one_pass(profile) -> list:
             row("selftest", f"criterion_{index}",
                 lambda: passed.append(criterion(index).passed))
             rows[-1]["passed"] = all(passed)
+        env = dict(os.environ, PYTHONPATH=str(src / "src"))
+        for n, path in cli_inputs.items():
+            for argv in (["decompose"], ["--format", "json", "decompose"], ["variation"]):
+                row("cli", f"{' '.join(argv)} table n={n}", lambda: subprocess.run(
+                    [sys.executable, "-m", "choqkit", *argv, str(path)], env=env,
+                    stdout=subprocess.DEVNULL, check=True))
     return rows
 
 

@@ -70,7 +70,9 @@ def _at_least(low, convert):
 
 
 def _require_finite_output(obj) -> None:
-    """ValueError unless every float in the nested dicts, lists and tuples is finite."""
+    """ValueError unless every float in nested dicts, lists, tuples and arrays is finite."""
+    if isinstance(obj, np.ndarray):
+        obj = obj[~np.isfinite(obj)][:1].tolist()  # its first non-finite entry, or []
     if isinstance(obj, (dict, list, tuple)):
         for item in obj.values() if isinstance(obj, dict) else obj:
             _require_finite_output(item)
@@ -79,17 +81,17 @@ def _require_finite_output(obj) -> None:
 
 
 def _emit(args, report: dict, table=None, text=(), status: int = 0) -> int:
-    """The one stdout path, returning `status`.  Under --format json it
-    prints `report` as one JSON object, a `table` (key, columns, rows)
-    setting report[key] to one object per row keyed by the columns (a key
-    already in `report` keeps its place); otherwise the table as CSV of
-    reprs, then the `text` lines."""
+    """The one stdout path, returning `status`.  Under --format json, or
+    with `text` None, it prints `report` as one JSON object (arrays as
+    lists), a `table` (key, columns, rows) setting report[key] to one
+    object per row keyed by the columns (a key already in `report` keeps
+    its place); otherwise the table as CSV of reprs, then the `text` lines."""
     key, columns, rows = table or (None, (), ())
     _require_finite_output((report, rows))
-    if args.format == "json":
+    if args.format == "json" or text is None:
         if key is not None:
             report[key] = [dict(zip(columns, row)) for row in rows]
-        text = [json.dumps(report)]
+        text = [json.dumps(report, default=np.ndarray.tolist)]
     elif key is not None:
         text = [",".join(columns), *(",".join(map(repr, row)) for row in rows), *text]
     print("\n".join(text))
@@ -142,11 +144,8 @@ def cmd_variation(args):
 
 
 def cmd_decompose(args):
-    phi = setfunction_from_json(_load_json(args.input))
-    dec = canonical_decomposition(phi)
-    report = {"mu": dec.mu.tolist(), "nu": dec.nu.tolist(),
-              "variation": dec.variation}
-    return _emit(args, report, text=[json.dumps(report)])
+    dec = canonical_decomposition(setfunction_from_json(_load_json(args.input)))
+    return _emit(args, {"mu": dec.mu, "nu": dec.nu, "variation": dec.variation}, text=None)
 
 
 def cmd_uncross(args):

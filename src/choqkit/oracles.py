@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from .intervals import FlaggedSet, IntervalSet, IntervalSetFunction, StepFunction
-from .setfunctions import TOL, SetFunction, Verdict, piecewise_linear
+from .setfunctions import (TOL, SetFunction, Verdict, piecewise_linear,
+                           require_finite_tol)
 
 
 def value_by_payload(phi: SetFunction, mask: int) -> float:
@@ -59,16 +60,19 @@ def _pairs_verdict(phi: SetFunction, violates) -> Verdict:
 
 def submodular_by_pairs(phi: SetFunction, tol: float = TOL) -> Verdict:
     """Direct O(4^n) check of the defining inequality over all pairs."""
+    require_finite_tol(tol)
     return _pairs_verdict(phi, lambda meet_join, parts: meet_join > parts + tol)
 
 
 def modular_by_pairs(phi: SetFunction, tol: float = TOL) -> Verdict:
     """Direct O(4^n) check of the modular equality over all pairs."""
+    require_finite_tol(tol)
     return _pairs_verdict(phi, lambda meet_join, parts: abs(meet_join - parts) > tol)
 
 
 def increasing_by_pairs(phi: SetFunction, tol: float = TOL) -> Verdict:
     """Direct O(3^n) check of phi(S) <= phi(T) over all S subset of T."""
+    require_finite_tol(tol)
     vals = phi.table()
     for big in range(len(vals)):
         sub = big

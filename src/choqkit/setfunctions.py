@@ -398,6 +398,7 @@ def _first_base(violated: np.ndarray, *bits: int) -> Optional[int]:
 
 def decrease_witness(values: np.ndarray, tol: float = TOL) -> Optional[tuple]:
     """A pair (S, S + x) with values[S] > values[S + x] + tol, or None."""
+    require_finite_tol(tol)
     for x in range(values.size.bit_length() - 1):
         base = _first_base(_block_diff(values, x) < -tol, x)
         if base is not None:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -576,6 +577,8 @@ class TestJsonFormat:
 
 OVERFLOWING_TABLE = json.dumps({"n": 2, "kind": "table",
                                 "payload": {"values": [0, 1e308, -1e308, 0]}})
+HUGE_TABLE = json.dumps({"n": 2, "kind": "table",
+                         "payload": {"values": [0, 1e308, 1e308, 1e308]}})
 
 
 class TestNonFiniteResults:
@@ -590,10 +593,77 @@ class TestNonFiniteResults:
         (["interval-choquet", json.dumps({
             "phi": {"kind": "point-mass", "location": 0.7, "mass": 1.0},
             "f": {"breakpoints": [0, 0.5, 1], "values": [1e308, -1e308]}})], "nan"),
-    ], ids=["choquet-eval", "variation", "decompose", "interval-choquet"])
+        (["uncross", json.dumps({"n": 2, "entries": [[1, 2], [2, 1]]}),
+          "--phi", HUGE_TABLE], "inf"),  # the phi-sum
+        (["fubini", json.dumps({"phi": json.loads(HUGE_TABLE), "lambda": [0.5, 0.5],
+                                "pi": [0.5, 0.5], "F": [[1e308, 1e308], [1e308, -1e308]]}),
+          "--force"], "inf"),  # lhs
+    ], ids=["choquet-eval", "variation", "decompose", "interval-choquet", "uncross",
+            "fubini"])
     def test_exits_2(self, capsys, form, argv, result):
         # no mark lets a RuntimeWarning pass: tier-1 turns one into an error,
         # and stderr must hold the refusal alone
         assert cli.main(["--format", form, *argv]) == 2
         assert capsys.readouterr() == (
             "", f"malformed input: non-finite result {result}: float64 overflowed\n")
+
+
+def _seeded_table(n):
+    values = np.random.default_rng(n).uniform(-1.0, 1.0, 1 << n)
+    values[0] = 0.0
+    return json.dumps({"n": n, "kind": "table", "payload": {"values": values.tolist()}})
+
+
+BYTES_PINNED = {**EVERY_SUBCOMMAND, "decompose n=10": ["decompose", _seeded_table(10)]}
+
+
+class TestEveryByte:
+    """stdout, stderr and the exit code of every subcommand, in both formats,
+    pinned by a sha256 prefix (selftest runs two short criteria, timed at 0 s)."""
+
+    DIGESTS = {
+        ("check", "human"): "e387777e537ab065",
+        ("check", "json"): "6b21d65c4977f92e",
+        ("choquet-eval", "human"): "2ebbd9b581c1ec45",
+        ("choquet-eval", "json"): "6843c9446e52375b",
+        ("decompose", "human"): "26758e4f8fd4b2db",
+        ("decompose", "json"): "26758e4f8fd4b2db",
+        ("decompose n=10", "human"): "cf78633a638601dc",
+        ("decompose n=10", "json"): "cf78633a638601dc",
+        ("fubini", "human"): "c73f623af7d63d0d",
+        ("fubini", "json"): "b6e4e92e1b916087",
+        ("interval-choquet", "human"): "b7db3a9fc9fed779",
+        ("interval-choquet", "json"): "bcfac571bdf9dbb3",
+        ("selftest", "human"): "db10d64ecf890889",
+        ("selftest", "json"): "adc0f9b0224b5df9",
+        ("uncross", "human"): "0e389a6283c240ee",
+        ("uncross", "json"): "8825c43a14fdb5e2",
+        ("variation", "human"): "8f370279b7c8bf57",
+        ("variation", "json"): "db521440f88a6175",
+    }
+
+    @pytest.fixture(autouse=True)
+    def steady_selftest(self, monkeypatch):
+        monkeypatch.setattr(selftest, "CRITERIA", (
+            selftest._criterion(1, "passes")(_passing),
+            selftest._criterion(2, "fails")(_failing)))
+        monkeypatch.setattr(selftest, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+
+    @pytest.mark.parametrize("form", ["human", "json"])
+    @pytest.mark.parametrize("command", sorted(BYTES_PINNED))
+    def test_digest(self, capsys, command, form):
+        code = cli.main(["--format", form, *BYTES_PINNED[command]])
+        out, err = capsys.readouterr()
+        digest = hashlib.sha256(f"{out}\0{err}\0{code}".encode()).hexdigest()
+        assert digest[:16] == self.DIGESTS[command, form]
+
+    def test_decompose_serialises_once_in_either_format(self, monkeypatch, capsys):
+        calls, dumps = [], json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+        outs = []
+        for form in ("human", "json"):
+            assert cli.main(["--format", form, *BYTES_PINNED["decompose n=10"]]) == 0
+            outs.append(capsys.readouterr().out)
+            assert len(calls) == 1
+            calls.clear()
+        assert outs[0] == outs[1]

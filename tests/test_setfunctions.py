@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import choqkit
-from choqkit import cli, fubini, intervals, setfunctions, uncrossing, variation
+from choqkit import cli, fubini, intervals, oracles, setfunctions, uncrossing, variation
 from choqkit import (GroundSet, PreconditionError, SetFunction, Verdict, conjugate,
                      is_increasing, is_modular, is_submodular, setfunction_from_json,
                      setfunction_to_json)
@@ -352,10 +352,16 @@ class TestTolerance:
         lambda phi, inst, tol: intervals.ae_gap(
             intervals.IntervalSetFunction.point_mass(0.7, 1.0),
             intervals.StepFunction((0.0, 0.5, 1.0), (1.0, 0.0)), tol),
+        # the module-level kernel and the pair oracles, which tests call directly
+        lambda phi, inst, tol: setfunctions.decrease_witness(phi.values, tol),
+        lambda phi, inst, tol: oracles.submodular_by_pairs(phi, tol),
+        lambda phi, inst, tol: oracles.modular_by_pairs(phi, tol),
+        lambda phi, inst, tol: oracles.increasing_by_pairs(phi, tol),
     ], ids=["is_submodular", "is_increasing", "is_modular",
             "submodular_variation_closed_form", "ls_decomposition", "FubiniInstance.of",
             "LopsidedResult.of", "lopsided_check", "lopsided_check_stack", "lln_run",
-            "certify_chain_equality", "ae_gap"])
+            "certify_chain_equality", "ae_gap", "decrease_witness", "submodular_by_pairs",
+            "modular_by_pairs", "increasing_by_pairs"])
     def test_a_non_finite_tol_is_refused(self, call, tol):
         supermodular = SetFunction.from_table([0.0, 1.0, 1.0, 5.0])
         inst = fubini.FubiniInstance.of([0.5, 0.5], [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]],
